@@ -6,8 +6,9 @@
 //! - `tables_scenario_cell` — the EP/EN pair on a Table 2/3 grid cell,
 //! - `components` — the individual analysis stages (path enumeration,
 //!   context construction, per-variant WCRT, Algorithm 2 placement),
-//! - `wcrt_signature` — one Theorem 1 evaluation, with and without the
-//!   shared request-bound memo (`EvalScratch`),
+//! - `fixed_point` — the Theorem 1 solver: the per-iterate scan reference
+//!   on one signature and on a whole task frontier, against the batched
+//!   lockstep kernel (`EvalScratch`-held tables, memo and arenas),
 //! - `harness_point` — a full `evaluate_point` fan-out, sequential vs
 //!   the ambient rayon pool.
 
@@ -15,8 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpcp_baselines::{Lpp, SpinSon};
 use dpcp_bench::panel_task_set;
 use dpcp_core::analysis::wcrt::{
-    wcrt_for_signature, wcrt_for_signature_direct, wcrt_for_signature_with,
-    wcrt_over_signatures_batched, wcrt_over_signatures_direct, wcrt_over_signatures_with,
+    wcrt_for_signature_direct, wcrt_over_signatures_batched, wcrt_over_signatures_direct,
 };
 use dpcp_core::analysis::{AnalysisContext, EvalScratch, SignatureCache};
 use dpcp_core::partition::{assign_resources, ResourceHeuristic};
@@ -157,8 +157,7 @@ fn bench_components(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_wcrt_signature(c: &mut Criterion) {
-    let mut group = c.benchmark_group("wcrt_signature");
+fn bench_fixed_point(c: &mut Criterion) {
     let tasks = panel_task_set(Fig2Panel::A, 8.0, 13);
     let platform = Platform::new(16).unwrap();
     let sizes: Vec<usize> = tasks.iter().map(initial_processors).collect();
@@ -179,44 +178,9 @@ fn bench_wcrt_signature(c: &mut Criterion) {
     let sigs = cache.signatures(busiest);
     let longest = &sigs.signatures[0];
 
-    group.bench_function("single_uncached", |b| {
-        b.iter(|| black_box(wcrt_for_signature(&ctx, busiest, longest, &cfg)))
-    });
-    group.bench_function(
-        BenchmarkId::new("task_all_signatures_memoized", sigs.signatures.len()),
-        |b| {
-            let mut scratch = EvalScratch::new();
-            b.iter(|| {
-                black_box(wcrt_over_signatures_with(
-                    &ctx,
-                    busiest,
-                    sigs,
-                    &cfg,
-                    &mut scratch,
-                ))
-            })
-        },
-    );
-    group.bench_function(
-        BenchmarkId::new("task_all_signatures_batched", sigs.signatures.len()),
-        |b| {
-            let mut scratch = EvalScratch::new();
-            b.iter(|| {
-                black_box(wcrt_over_signatures_batched(
-                    &ctx,
-                    busiest,
-                    sigs,
-                    &cfg,
-                    &mut scratch,
-                ))
-            })
-        },
-    );
-    group.finish();
-
-    // The incremental fixed-point engine vs the per-iterate scan
-    // reference. Alternating two signatures keeps the warm-start memo from
-    // short-circuiting the tabled side into a pure memo-hit measurement.
+    // The per-iterate scan reference vs the batched kernel. The
+    // single-signature scan alternates two signatures, as the
+    // `bench_report` component of the same name does.
     let mut group = c.benchmark_group("fixed_point");
     let second = sigs.signatures.get(1).unwrap_or(longest);
     group.bench_function("signature_direct_scan", |b| {
@@ -225,22 +189,6 @@ fn bench_wcrt_signature(c: &mut Criterion) {
             flip = !flip;
             let sig = if flip { longest } else { second };
             black_box(wcrt_for_signature_direct(&ctx, busiest, sig, &cfg))
-        })
-    });
-    group.bench_function("signature_prefix_tables", |b| {
-        let mut scratch = EvalScratch::new();
-        scratch.reset_for_task();
-        let mut flip = false;
-        b.iter(|| {
-            flip = !flip;
-            let sig = if flip { longest } else { second };
-            black_box(wcrt_for_signature_with(
-                &ctx,
-                busiest,
-                sig,
-                &cfg,
-                &mut scratch,
-            ))
         })
     });
     group.bench_function(
@@ -292,7 +240,7 @@ criterion_group!(
     bench_fig2_point,
     bench_tables_cell,
     bench_components,
-    bench_wcrt_signature,
+    bench_fixed_point,
     bench_harness_point
 );
 criterion_main!(benches);

@@ -9,10 +9,10 @@
 //!
 //! The report has two halves:
 //!
-//! - `components` — median ns/op of the analysis stages (one Theorem 1
-//!   signature evaluation with and without the request-bound memo, the
-//!   `fixed_point/*` pair contrasting the per-iterate scan with the
-//!   prefix-table solver, full task-set analysis under EP/EN, path
+//! - `components` — median ns/op of the analysis stages (the
+//!   `fixed_point/*` trio contrasting the per-iterate scan reference —
+//!   one signature and a whole task frontier — with the batched lockstep
+//!   kernel, full task-set analysis under EP/EN, path
 //!   enumeration — the cache plus the `enumerate/*` triple contrasting the
 //!   DFS reference, the signature-domain DP and the dominance-pruned DP —
 //!   and the `placement/*` search-engine trio: the warm per-probe cost,
@@ -43,8 +43,7 @@ use std::time::Instant;
 use criterion::{black_box, Criterion};
 use dpcp_bench::panel_task_set;
 use dpcp_core::analysis::wcrt::{
-    wcrt_for_signature, wcrt_for_signature_direct, wcrt_for_signature_with, wcrt_over_signatures,
-    wcrt_over_signatures_batched, wcrt_over_signatures_direct, wcrt_over_signatures_with,
+    wcrt_for_signature_direct, wcrt_over_signatures_batched, wcrt_over_signatures_direct,
 };
 use dpcp_core::analysis::{AnalysisContext, EvalScratch, SignatureCache};
 use dpcp_core::partition::{assign_resources, layout_clusters, ResourceHeuristic};
@@ -194,30 +193,9 @@ fn component_benches(sample_size: usize) -> Vec<ComponentBench> {
     let longest = &sigs.signatures[0];
 
     let mut criterion = Criterion::default().sample_size(sample_size);
-    criterion.bench_function("wcrt_for_signature/single_uncached", |b| {
-        b.iter(|| black_box(wcrt_for_signature(&ctx, busiest, longest, &cfg)))
-    });
-    criterion.bench_function("wcrt_over_signatures/task_uncached", |b| {
-        b.iter(|| black_box(wcrt_over_signatures(&ctx, busiest, sigs, &cfg)))
-    });
-    criterion.bench_function("wcrt_over_signatures/task_memoized", |b| {
-        let mut scratch = EvalScratch::new();
-        b.iter(|| {
-            black_box(wcrt_over_signatures_with(
-                &ctx,
-                busiest,
-                sigs,
-                &cfg,
-                &mut scratch,
-            ))
-        })
-    });
-    // The incremental-solver pair: one Theorem 1 fixed point with every
-    // iterate rescanning the task set, vs the η-keyed demand prefix
-    // tables (tables hot in the scratch, as in the enumeration loop).
-    // Both sides alternate two distinct signatures so the tabled side
-    // measures the table solver itself, not the warm-start memo hit a
-    // repeated identical recurrence would produce.
+    // The per-iterate scan reference: one Theorem 1 fixed point with
+    // every iterate rescanning the task set, alternating two distinct
+    // signatures (kept so the median stays comparable across reports).
     let second = sigs.signatures.get(1).unwrap_or(longest);
     criterion.bench_function("fixed_point/signature_direct_scan", |b| {
         let mut flip = false;
@@ -227,42 +205,12 @@ fn component_benches(sample_size: usize) -> Vec<ComponentBench> {
             black_box(wcrt_for_signature_direct(&ctx, busiest, sig, &cfg))
         })
     });
-    criterion.bench_function("fixed_point/signature_prefix_tables", |b| {
-        let mut scratch = EvalScratch::new();
-        scratch.reset_for_task();
-        let mut flip = false;
-        b.iter(|| {
-            flip = !flip;
-            let sig = if flip { longest } else { second };
-            black_box(wcrt_for_signature_with(
-                &ctx,
-                busiest,
-                sig,
-                &cfg,
-                &mut scratch,
-            ))
-        })
-    });
     criterion.bench_function("fixed_point/task_direct_scan", |b| {
         b.iter(|| black_box(wcrt_over_signatures_direct(&ctx, busiest, sigs, &cfg)))
     });
-    // The batched lockstep kernel over the same frontier, against both
-    // references: `fixed_point/task_direct_scan` (per-iterate scans) and
-    // `wcrt_over_signatures/task_memoized` (the scalar warm-started
-    // sweep). One component per comparison axis, same measurement.
+    // The batched lockstep kernel over the same frontier, against the
+    // per-iterate scan reference `fixed_point/task_direct_scan`.
     criterion.bench_function("fixed_point/task_batched", |b| {
-        let mut scratch = EvalScratch::new();
-        b.iter(|| {
-            black_box(wcrt_over_signatures_batched(
-                &ctx,
-                busiest,
-                sigs,
-                &cfg,
-                &mut scratch,
-            ))
-        })
-    });
-    criterion.bench_function("wcrt_over_signatures/task_batched", |b| {
         let mut scratch = EvalScratch::new();
         b.iter(|| {
             black_box(wcrt_over_signatures_batched(

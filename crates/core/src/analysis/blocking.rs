@@ -106,22 +106,12 @@ pub fn inter_task_blocking(
     eps.iter().map(|(k, e)| e.min(zeta(ctx, i, k, r))).sum()
 }
 
-/// [`inter_task_blocking`] with `ζ^k` read from the per-task demand tables
-/// instead of rescanning the task set — bit-identical, since the tables
-/// memoize [`zeta`] at every η breakpoint.
-pub fn inter_task_blocking_tabled(
-    ctx: &AnalysisContext<'_>,
-    i: TaskId,
-    eps: &EpsilonTable,
-    tables: &super::demand::DemandTables,
-    r: Time,
-) -> Time {
-    inter_task_blocking_tabled_row(ctx, i, eps.entries(), tables, r)
-}
-
-/// [`inter_task_blocking_tabled`] over a raw ε row — the form the batched
-/// lockstep solver reads straight out of its ε arena.
-pub(crate) fn inter_task_blocking_tabled_row(
+/// [`inter_task_blocking`] over a raw ε row with `ζ^k` read from the
+/// per-task demand tables instead of rescanning the task set —
+/// bit-identical, since the tables memoize [`zeta`] at every η breakpoint.
+/// This is the form the batched lockstep solver reads straight out of its
+/// ε arena.
+pub(crate) fn inter_task_blocking_row(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
     eps: &[(ProcessorId, Time)],
@@ -184,46 +174,10 @@ pub fn intra_task_blocking(ctx: &AnalysisContext<'_>, i: TaskId, sig: &PathSigna
 }
 
 /// [`intra_task_blocking`] over the pre-gathered per-task lists of the
-/// demand tables — the same Lemma 4 sums without the per-signature
-/// `BTreeMap` lookups.
-pub fn intra_task_blocking_sig_tabled(
-    tables: &super::demand::DemandTables,
-    sig: &PathSignature,
-) -> Time {
-    let mut total = Time::ZERO;
-
-    // Eq. (6): local resources the path itself uses.
-    for &(q, n, len) in tables.local_resources() {
-        let n_path = sig.request_count(q);
-        if n_path == 0 {
-            continue;
-        }
-        let off_path = n - n_path;
-        if off_path > 0 {
-            total = total.saturating_add(len.saturating_mul(u64::from(off_path)));
-        }
-    }
-
-    // Eq. (7): processors hosting a global resource the path requests.
-    for list in tables.eq7_lists() {
-        let sigma = list.iter().any(|&(u, _, _)| sig.request_count(u) > 0);
-        if !sigma {
-            continue;
-        }
-        for &(q, n, len) in list {
-            let off_path = n - sig.request_count(q).min(n);
-            if off_path > 0 {
-                total = total.saturating_add(len.saturating_mul(u64::from(off_path)));
-            }
-        }
-    }
-    total
-}
-
-/// [`intra_task_blocking_sig_tabled`] over a dense per-resource count row
-/// (`counts[q] = N^λ_{i,q}`, zero where the path requests nothing) — the
-/// batched solver scatters each signature's request vector into this row
-/// once, replacing the per-entry binary search of
+/// demand tables and a dense per-resource count row (`counts[q] =
+/// N^λ_{i,q}`, zero where the path requests nothing) — the batched solver
+/// scatters each signature's request vector into this row once, replacing
+/// the per-signature `BTreeMap` lookups and the per-entry binary search of
 /// [`PathSignature::request_count`]. Arithmetic is identical term for
 /// term, so the value is bit-identical by the scatter invariant.
 pub(crate) fn intra_task_blocking_counts(

@@ -1,5 +1,5 @@
 //! Per-processor demand **prefix tables keyed by η** — the data structure
-//! behind the incremental Theorem 1 solver.
+//! behind the batched Theorem 1 solver and the light-task analysis.
 //!
 //! Every window-dependent term of the analysis is a sum of the shape
 //! `Σ_j η_j(r) · d_j` over a fixed set of tasks with fixed per-processor
@@ -142,8 +142,6 @@ pub struct DemandTables {
     /// own cluster (the signature-dependent Eq. 9 scan, pre-gathered in
     /// cluster iteration order).
     own_cluster: Vec<(ResourceId, u32, Time)>,
-    /// Eq. 9 at its term-wise worst case (`N^λ_q = 0`), i.e. the EN value.
-    own_en: Time,
     /// `(ℓ_q, N_{i,q}, L_{i,q})` of the task's *local* resources, in
     /// `task.resources()` order (Lemma 4 Eq. 6 and Lemma 5's local term —
     /// pre-gathered so the per-signature scans skip the `BTreeMap`s).
@@ -162,13 +160,6 @@ impl DemandTables {
     /// Marks the tables stale; the next [`ensure`](Self::ensure) rebuilds.
     pub fn invalidate(&mut self) {
         self.prepared = None;
-    }
-
-    /// Whether the tables are currently built for task `i` (single-shot
-    /// callers skip construction when it cannot amortize).
-    #[inline]
-    pub fn prepared_for(&self, i: TaskId) -> bool {
-        self.prepared == Some(i)
     }
 
     /// Rebuilds the tables when stale or prepared for a different task.
@@ -234,9 +225,7 @@ impl DemandTables {
 
         // Eq. 9 inputs, gathered in the scan's iteration order.
         self.own_cluster.clear();
-        self.own_en = Time::ZERO;
         for q in ctx.resources_on_cluster(i) {
-            self.own_en = self.own_en.saturating_add(task.cs_demand(q));
             let n = task.total_requests(q);
             if n == 0 {
                 continue;
@@ -320,12 +309,6 @@ impl DemandTables {
     #[inline]
     pub fn own_cluster(&self) -> &[(ResourceId, u32, Time)] {
         &self.own_cluster
-    }
-
-    /// The term-wise worst case of Eq. 9 (the EN agent term).
-    #[inline]
-    pub fn own_en(&self) -> Time {
-        self.own_en
     }
 
     /// The task's local resources `(ℓ_q, N_{i,q}, L_{i,q})`, in

@@ -1,12 +1,11 @@
 //! Interference bounds: intra-task interference `I^intra_i` (Lemma 5) and
 //! agent interference `I^A_i` (Lemma 6, Eqs. 8–9).
 //!
-//! Each window-dependent bound exists in two forms: the direct scan over
-//! the task set (the reference implementation the equations map onto) and
-//! a `*_tabled` variant that reads the per-task [`DemandTables`] instead.
-//! The tabled
-//! variants return bit-identical values — the tables memoize the scans at
-//! every η breakpoint — and are what the hot-path solver uses.
+//! Each signature-dependent bound exists in two forms: the direct scan over
+//! the task (the reference implementation the equations map onto) and a
+//! `*_counts` variant over the pre-gathered lists of the per-task
+//! [`DemandTables`] and a dense request-count row. The `*_counts` variants
+//! return bit-identical values and are what the batched solver uses.
 
 use dpcp_model::{PathSignature, TaskId, Time};
 
@@ -40,26 +39,11 @@ pub fn intra_task_interference(ctx: &AnalysisContext<'_>, i: TaskId, sig: &PathS
 }
 
 /// [`intra_task_interference`] over the pre-gathered per-task lists of the
-/// demand tables — the same Lemma 5 sum without the per-signature
-/// `BTreeMap` lookups (including the `C'_i` recomputation).
-pub fn intra_task_interference_tabled(tables: &DemandTables, sig: &PathSignature) -> Time {
-    let off_path_noncrit = tables
-        .noncritical_wcet()
-        .saturating_sub(sig.noncritical_len());
-    let mut local_cs = Time::ZERO;
-    for &(q, n, len) in tables.local_resources() {
-        let off_path = n - sig.request_count(q).min(n);
-        if off_path > 0 {
-            local_cs = local_cs.saturating_add(len.saturating_mul(u64::from(off_path)));
-        }
-    }
-    off_path_noncrit.saturating_add(local_cs)
-}
-
-/// [`intra_task_interference_tabled`] over a dense per-resource count row
-/// (`counts[q] = N^λ_{i,q}`) plus the signature's non-critical path length
-/// — the batched solver's scatter buffer replaces the per-entry binary
-/// search; bit-identical by the scatter invariant.
+/// demand tables (no per-signature `BTreeMap` lookups, no `C'_i`
+/// recomputation) and a dense per-resource count row (`counts[q] =
+/// N^λ_{i,q}`) plus the signature's non-critical path length — the batched
+/// solver's scatter buffer replaces the per-entry binary search;
+/// bit-identical by the scatter invariant.
 pub(crate) fn intra_task_interference_counts(
     tables: &DemandTables,
     noncritical_len: Time,
@@ -112,21 +96,9 @@ pub fn agent_interference_own(ctx: &AnalysisContext<'_>, i: TaskId, sig: &PathSi
 }
 
 /// [`agent_interference_own`] over the pre-gathered cluster-resource list
-/// of the demand tables — the same Eq. 9 sum without re-walking the
-/// cluster's processors for every signature.
-pub fn agent_interference_own_tabled(tables: &DemandTables, sig: &PathSignature) -> Time {
-    let mut total = Time::ZERO;
-    for &(q, n, len) in tables.own_cluster() {
-        let off_path = n - sig.request_count(q).min(n);
-        if off_path > 0 {
-            total = total.saturating_add(len.saturating_mul(u64::from(off_path)));
-        }
-    }
-    total
-}
-
-/// [`agent_interference_own_tabled`] over a dense per-resource count row
-/// (`counts[q] = N^λ_{i,q}`) — see [`intra_task_interference_counts`].
+/// of the demand tables (no re-walk of the cluster's processors per
+/// signature) and a dense per-resource count row (`counts[q] =
+/// N^λ_{i,q}`) — see [`intra_task_interference_counts`].
 pub(crate) fn agent_interference_own_counts(tables: &DemandTables, counts: &[u32]) -> Time {
     let mut total = Time::ZERO;
     for &(q, n, len) in tables.own_cluster() {

@@ -73,17 +73,11 @@ pub struct AnalysisConfig {
     /// ~5× faster, and at the default caps pruning can only *improve*
     /// precision (complete enumeration where the unpruned set would
     /// truncate to the EN fallback). Set to `false` for the unpruned
-    /// reference set the equivalence tests compare against.
+    /// reference set the equivalence tests compare against. A wire body
+    /// without this member deserializes to `false`, the behaviour before
+    /// pruning existed.
     #[serde(default)]
     pub prune_dominated: bool,
-    /// Solve each task's EP signature frontier with the batched lockstep
-    /// kernel ([`wcrt::wcrt_over_signatures_batched`]): the frontier is
-    /// materialized into structure-of-arrays lanes, identical recurrences
-    /// collapse into groups, and all distinct groups' fixed points
-    /// advance together. On by default — asserted bit-identical to the
-    /// scalar warm-started solver (`tests/batched_kernel.rs`). Set to
-    /// `false` to route through the scalar reference sweep.
-    pub batched_fixpoint: bool,
     /// Step budget for the search-wrapper protocols
     /// ([`SearchVariant`](crate::registry::SearchVariant)): how many local
     /// moves the placement search may propose per task set (at most one
@@ -103,7 +97,6 @@ impl Default for AnalysisConfig {
             path_visit_cap: 50_000,
             max_fixpoint_iterations: 512,
             prune_dominated: true,
-            batched_fixpoint: true,
             search_probe_budget: None,
         }
     }
@@ -277,9 +270,10 @@ pub(crate) fn analyze_impl(
 }
 
 /// The EP arm shared by the session's EP path and the mixed analysis:
-/// the task bound over the cached signatures plus the `(evaluated,
-/// truncated)` accounting. Truncated tasks skip the per-signature sweep
-/// and report the dominating EN fallback directly — one evaluation.
+/// the batched kernel's task bound over the cached signatures plus the
+/// `(evaluated, truncated)` accounting. Truncated tasks skip the
+/// per-signature sweep and report the dominating EN fallback directly —
+/// one evaluation.
 pub(crate) fn evaluate_ep_arm(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
@@ -293,11 +287,7 @@ pub(crate) fn evaluate_ep_arm(
     } else {
         sigs.signatures.len()
     };
-    let bound = if cfg.batched_fixpoint {
-        wcrt::wcrt_over_signatures_batched(ctx, i, sigs, cfg, scratch)
-    } else {
-        wcrt::wcrt_over_signatures_with(ctx, i, sigs, cfg, scratch)
-    };
+    let bound = wcrt::wcrt_over_signatures_batched(ctx, i, sigs, cfg, scratch);
     (bound, evaluated, sigs.truncated)
 }
 
@@ -313,10 +303,7 @@ pub(crate) fn analyze_task_impl(
     let deadline = ctx.task(i).deadline();
     let (result, evaluated, truncated) = match cfg.variant {
         AnalysisVariant::EnumeratePaths => evaluate_ep_arm(ctx, i, cfg, cache, scratch),
-        AnalysisVariant::EnumerateRequestCounts => {
-            scratch.reset_for_task();
-            (wcrt::wcrt_en_with(ctx, i, cfg, scratch), 1, false)
-        }
+        AnalysisVariant::EnumerateRequestCounts => (wcrt::wcrt_en(ctx, i, cfg), 1, false),
     };
     match result {
         Some(b) => TaskBound {

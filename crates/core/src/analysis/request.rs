@@ -211,9 +211,9 @@ pub fn request_blocking_bound(
 /// [`request_response_bound`] with `γ` read from the per-task demand tables
 /// (bit-identical: the tables memoize [`gamma_on`] at every η breakpoint,
 /// and the `W_{i,q}` recurrence walks the exact same iterate orbit with the
-/// same iteration budget). Used by the EP enumeration through
-/// [`request_blocking_bound_tabled`] and directly by the tabled light-task
-/// analysis, which needs `W_{i,q}` itself.
+/// same iteration budget). Used by the EP kernel through
+/// [`RequestBoundCache::blocking_bound_tabled`] and directly by the tabled
+/// light-task analysis, which needs `W_{i,q}` itself.
 pub fn request_response_bound_tabled(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
@@ -253,7 +253,7 @@ pub fn request_blocking_bound_tabled(
     Some(beta(ctx, i, q).saturating_add(gamma_w))
 }
 
-/// Memo table for [`request_blocking_bound`] over one task's path
+/// Memo table for [`request_blocking_bound_tabled`] over one task's path
 /// enumeration.
 ///
 /// `W_{i,q}` depends on the analysed path only through the request counts
@@ -301,24 +301,10 @@ impl RequestBoundCache {
         (self.hits, self.misses)
     }
 
-    /// The memoized `β_{i,q} + γ_{i,q}(W_{i,q})`; computes and stores the
-    /// bound on first sight of this `(ℓ_q, off-path profile)` pair.
-    pub fn blocking_bound(
-        &mut self,
-        ctx: &AnalysisContext<'_>,
-        i: TaskId,
-        q: ResourceId,
-        path_requests: &dyn Fn(ResourceId) -> u32,
-        horizon: Time,
-        max_iters: usize,
-    ) -> Option<Time> {
-        self.blocking_bound_with(ctx, i, q, path_requests, horizon, max_iters, None)
-    }
-
-    /// [`blocking_bound`](Self::blocking_bound) with misses computed
-    /// through the per-task demand tables when available (hits are served
-    /// from the memo either way, so mixing the two entry points is safe —
-    /// the stored values are bit-identical).
+    /// The memoized `β_{i,q} + γ_{i,q}(W_{i,q})`; computes the bound
+    /// through the per-task demand tables (which must be
+    /// [`ensure`](super::demand::DemandTables::ensure)d for task `i`) and
+    /// stores it on first sight of this `(ℓ_q, off-path profile)` pair.
     #[allow(clippy::too_many_arguments)]
     pub fn blocking_bound_tabled(
         &mut self,
@@ -329,20 +315,6 @@ impl RequestBoundCache {
         horizon: Time,
         max_iters: usize,
         tables: &super::demand::DemandTables,
-    ) -> Option<Time> {
-        self.blocking_bound_with(ctx, i, q, path_requests, horizon, max_iters, Some(tables))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn blocking_bound_with(
-        &mut self,
-        ctx: &AnalysisContext<'_>,
-        i: TaskId,
-        q: ResourceId,
-        path_requests: &dyn Fn(ResourceId) -> u32,
-        horizon: Time,
-        max_iters: usize,
-        tables: Option<&super::demand::DemandTables>,
     ) -> Option<Time> {
         self.key_scratch.clear();
         self.key_scratch
@@ -355,12 +327,8 @@ impl RequestBoundCache {
             self.hits += 1;
             return cached;
         }
-        let bound = match tables {
-            Some(t) => {
-                request_blocking_bound_tabled(ctx, i, q, path_requests, horizon, max_iters, t)
-            }
-            None => request_blocking_bound(ctx, i, q, path_requests, horizon, max_iters),
-        };
+        let bound =
+            request_blocking_bound_tabled(ctx, i, q, path_requests, horizon, max_iters, tables);
         inner.insert(self.key_scratch.clone(), bound);
         self.misses += 1;
         bound
@@ -370,6 +338,7 @@ impl RequestBoundCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::DemandTables;
     use dpcp_model::fig1;
 
     fn fig1_ctx() -> (
@@ -515,6 +484,13 @@ mod tests {
         (part, ts)
     }
 
+    /// Demand tables prepared for task `i` under `ctx`.
+    fn tables_for(ctx: &AnalysisContext<'_>, i: TaskId) -> DemandTables {
+        let mut tables = DemandTables::default();
+        tables.ensure(ctx, i);
+        tables
+    }
+
     #[test]
     fn cached_bounds_equal_uncached_computation() {
         // Fig. 1 shares ℓ1 globally between both tasks: exercise every
@@ -525,6 +501,7 @@ mod tests {
         for idx in 0..2 {
             let i = TaskId::new(idx);
             cache.reset();
+            let tables = tables_for(&ctx, i);
             let horizon = ts.task(i).deadline();
             for on_path in 0u32..=1 {
                 let counts = |q: ResourceId| {
@@ -539,8 +516,15 @@ mod tests {
                 // First query misses, second hits; both must equal the
                 // direct computation.
                 for _ in 0..2 {
-                    let cached =
-                        cache.blocking_bound(&ctx, i, fig1::GLOBAL_RESOURCE, &counts, horizon, 64);
+                    let cached = cache.blocking_bound_tabled(
+                        &ctx,
+                        i,
+                        fig1::GLOBAL_RESOURCE,
+                        &counts,
+                        horizon,
+                        64,
+                        &tables,
+                    );
                     assert_eq!(cached, direct, "task {idx}, on-path {on_path}");
                 }
             }
@@ -565,14 +549,21 @@ mod tests {
         let direct = request_blocking_bound(&ctx, lo, ResourceId::new(0), &counts, horizon, 64);
         assert_eq!(direct, None, "the heavy system must diverge");
         let mut cache = RequestBoundCache::new();
-        assert_eq!(
-            cache.blocking_bound(&ctx, lo, ResourceId::new(0), &counts, horizon, 64),
-            None
-        );
-        assert_eq!(
-            cache.blocking_bound(&ctx, lo, ResourceId::new(0), &counts, horizon, 64),
-            None
-        );
+        let tables = tables_for(&ctx, lo);
+        for _ in 0..2 {
+            assert_eq!(
+                cache.blocking_bound_tabled(
+                    &ctx,
+                    lo,
+                    ResourceId::new(0),
+                    &counts,
+                    horizon,
+                    64,
+                    &tables
+                ),
+                None
+            );
+        }
         assert_eq!(cache.stats(), (1, 1), "divergence must be memoized too");
     }
 
@@ -589,12 +580,22 @@ mod tests {
         };
         let horizon = ts.task(lo).deadline();
         let mut cache = RequestBoundCache::new();
+        let tables = tables_for(&ctx, lo);
         let on_path = |q: ResourceId| u32::from(q == fig1::GLOBAL_RESOURCE);
         let off_path = |_: ResourceId| 0;
-        let with_request =
-            cache.blocking_bound(&ctx, lo, fig1::GLOBAL_RESOURCE, &on_path, horizon, 64);
-        let without_request =
-            cache.blocking_bound(&ctx, lo, fig1::GLOBAL_RESOURCE, &off_path, horizon, 64);
+        let mut bound = |counts: &dyn Fn(ResourceId) -> u32| {
+            cache.blocking_bound_tabled(
+                &ctx,
+                lo,
+                fig1::GLOBAL_RESOURCE,
+                counts,
+                horizon,
+                64,
+                &tables,
+            )
+        };
+        let with_request = bound(&on_path);
+        let without_request = bound(&off_path);
         // Off-path request adds intra-task delay to W, so the profiles
         // must be distinct cache entries (two misses, no false sharing) …
         assert_eq!(cache.stats(), (0, 2));

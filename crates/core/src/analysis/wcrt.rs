@@ -9,76 +9,65 @@
 //!   `[0, N_{i,q}]` (the paper's `DPCP-p-EN`; see DESIGN.md note 4 for the
 //!   term-wise maximisation argument).
 //!
-//! # The incremental solver
+//! EP has one fast path and one reference:
 //!
-//! The hot path (`*_with` functions) never rescans the task set inside the
-//! fixed-point loop. All window-dependent terms — `ζ^k_i(r)`, the Eq. 8
-//! agent demand and the `γ` sums inside `W_{i,q}` — are read from the
-//! per-task [`DemandTables`] built once per `(context, task)` pair, and
-//! each signature's fixed point warm-starts from the previous signature's
-//! converged result (the [`EvalScratch`]-held `WarmStart` memo): when two
-//! consecutive signatures define the identical recurrence — same window
-//! -independent terms, same ε table, which the monotone-friendly
-//! enumeration order makes frequent — the previous outcome transfers
-//! verbatim, divergent `None` included. A demand-slope check ends the
-//! cold iteration as soon as the window passes the last η breakpoint
-//! (the recurrence is constant from there to the deadline). Every result
-//! is bit-identical to the direct per-iterate scan — see
-//! [`wcrt_for_signature_direct`] and the equivalence tests.
+//! - [`wcrt_over_signatures_batched`], the lockstep kernel every analysis
+//!   runs (below);
+//! - the per-iterate scans [`wcrt_for_signature_direct`],
+//!   [`wcrt_over_signatures_direct`] and
+//!   [`wcrt_over_signatures_sweep_direct`], which rescan the task set on
+//!   every fixed-point iterate and map term by term onto the paper's
+//!   lemmas. The seeded sweeps in `tests/incremental_solver.rs` and
+//!   `crates/core/tests/batched_kernel.rs` assert the kernel bit-identical
+//!   to them, breakdowns and divergent `None`s included.
 //!
-//! # The batched lockstep solver
+//! EN solves one recurrence per task, which demand tables cannot amortize,
+//! so it has a single implementation: the per-iterate scan [`wcrt_en`].
 //!
-//! [`wcrt_over_signatures_batched`] (the session default, gated by
-//! [`AnalysisConfig::batched_fixpoint`]) restructures the per-task sweep
-//! into a structure-of-arrays kernel over *lanes* and *groups*:
+//! # The batched lockstep kernel
+//!
+//! [`wcrt_over_signatures_batched`] solves a task's whole signature
+//! frontier as a structure-of-arrays kernel over *lanes* and *groups*:
 //!
 //! 1. **Lane materialization.** Every signature of the task becomes a
 //!    lane — the window-independent terms `len`, `b_i`, `intra_i`,
-//!    `agent_own` plus an ε row in a shared flat arena — computed with
-//!    the same memoized request bounds and demand tables as the scalar
-//!    path, with a dense scattered per-resource count row replacing the
-//!    per-entry binary searches into the signature's request vector.
-//! 2. **Group collapse.** Each lane is interned on the spot into a
-//!    group by *recurrence identity* (equal window-independent terms and
-//!    equal ε rows define the same Theorem 1 recurrence). This
-//!    generalizes the scalar solver's single-slot consecutive
-//!    `WarmStart` memo to whole-frontier collapse: one orbit serves
+//!    `agent_own` plus an ε row in a shared flat arena. Per-request bounds
+//!    come from the memoized [`RequestBoundCache`], window-dependent
+//!    demand from the per-task [`DemandTables`], and a dense scattered
+//!    per-resource count row replaces the per-entry binary searches into
+//!    the signature's request vector.
+//! 2. **Group collapse.** Each lane is interned on the spot into a group
+//!    by *recurrence identity* (equal window-independent terms and equal
+//!    ε rows define the same Theorem 1 recurrence), so one orbit serves
 //!    every identical lane, bit-identical by definition. Groups keep
 //!    first-occurrence order, so the kernel is deterministic. A freshly
-//!    founded group takes its *birth step* — `solve_theorem1`'s
-//!    pre-checks plus first iteration — immediately: most orbits
-//!    converge (or diverge, failing the task exactly like the scalar
-//!    sweep's `?`) right there.
-//! 3. **Lockstep advance.** The orbits still iterating after their
-//!    birth step advance together, round by round, against the shared
-//!    [`DemandTables`]; converged orbits retire in place (a compacted
-//!    active list swap-removes them). Each orbit continues
-//!    `solve_theorem1`'s convergence, divergence, budget and
-//!    demand-slope early-exit semantics exactly, so every lane's outcome
-//!    — divergent `None` included — is bit-identical to the scalar
-//!    solver's.
-//! 4. **Winner materialization.** Only the binding lane's
-//!    [`PathBound`] breakdown is materialized, exactly as the scalar
-//!    sweep does, with the same earliest-maximum tie-break.
-//!
-//! The scalar solver ([`wcrt_over_signatures_with`]) and the per-iterate
-//! scans (`*_direct`) are retained as asserted-equal references; the
-//! seeded sweep in `tests/batched_kernel.rs` pins all three against each
-//! other across every registry method.
+//!    founded group takes its *birth step* — the start-iterate check plus
+//!    the first iteration — immediately: most orbits converge (or diverge,
+//!    failing the task) right there.
+//! 3. **Lockstep advance.** The orbits still iterating after their birth
+//!    step advance together, round by round, against the shared demand
+//!    tables; converged orbits retire in place (a compacted active list
+//!    swap-removes them). Each orbit keeps [`fixed_point`]'s convergence,
+//!    divergence and budget semantics exactly, plus a demand-slope early
+//!    exit: once the window has passed the last η breakpoint of every
+//!    table it reads, the right-hand side is constant up to the deadline,
+//!    so the next iterate is the fixed point.
+//! 4. **Winner materialization.** Only the binding lane's [`PathBound`]
+//!    breakdown is built, with the earliest maximum winning ties — the
+//!    reference sweep's tie-break.
 
 use dpcp_model::{PathSignature, ProcessorId, ResourceId, TaskId, Time};
 
 use super::blocking::{
-    inter_task_blocking, inter_task_blocking_tabled_row, intra_task_blocking,
-    intra_task_blocking_counts, intra_task_blocking_en, intra_task_blocking_sig_tabled,
-    EpsilonTable,
+    inter_task_blocking, inter_task_blocking_row, intra_task_blocking, intra_task_blocking_counts,
+    intra_task_blocking_en, EpsilonTable,
 };
 use super::context::AnalysisContext;
 use super::demand::DemandTables;
 use super::interference::{
     agent_interference_others, agent_interference_own, agent_interference_own_counts,
-    agent_interference_own_en, agent_interference_own_tabled, intra_task_interference,
-    intra_task_interference_counts, intra_task_interference_en, intra_task_interference_tabled,
+    agent_interference_own_en, intra_task_interference, intra_task_interference_counts,
+    intra_task_interference_en,
 };
 use super::request::{fixed_point, request_blocking_bound, RequestBoundCache};
 use super::{AnalysisConfig, DelayBreakdown};
@@ -98,8 +87,8 @@ pub struct PathBound {
 ///
 /// One instance serves a whole task-set analysis (and, held by an
 /// `AnalysisSession`, many runs across partitioning rounds and methods);
-/// the memo, tables and warm-start hint are reset between tasks, while
-/// the buffers keep their allocations.
+/// the memo and tables are reset between tasks, while the buffers keep
+/// their allocations.
 ///
 /// [`reset_for_task`](Self::reset_for_task) **must** be called before
 /// analysing a different task *or* the same task under a different context
@@ -117,9 +106,6 @@ pub struct EvalScratch {
     /// Per-processor demand prefix tables keyed by η, built once per task
     /// (shared with the light-task analysis, hence crate-visible).
     pub(crate) tables: DemandTables,
-    /// The previous signature's recurrence and converged `r` — the
-    /// warm-start memo.
-    warm: WarmStart,
     /// Arena-backed lane/group state of the batched lockstep solver
     /// (allocations survive across tasks; contents are rebuilt per call).
     batch: LaneBatch,
@@ -131,87 +117,20 @@ impl EvalScratch {
         Self::default()
     }
 
-    /// Resets the per-task memo, demand tables and warm-start state
-    /// (buffer allocations survive).
+    /// Resets the per-task memo and demand tables (buffer allocations
+    /// survive).
     pub fn reset_for_task(&mut self) {
         self.cache.reset();
         self.tables.invalidate();
-        self.warm.invalidate();
     }
 }
 
-/// The window-independent inputs of one Theorem 1 recurrence
-/// `r = L(λ) + B_i(r) + b_i + ⌈(I^intra_i + I^A_i(r)) / m_i⌉`.
-struct Theorem1Terms {
-    len: Time,
-    b_i: Time,
-    intra_i: Time,
-    agent_own: Time,
-    m_i: u64,
-    horizon: Time,
-}
-
-/// The warm-start memo: the previous signature's recurrence inputs and its
-/// converged outcome. Two signatures with equal window-independent terms
-/// and equal ε tables define the *same* recurrence, so the previous result
-/// (including a divergent `None`) transfers verbatim — the strongest form
-/// of warm start, with bit-identity by definition rather than by
-/// re-validation. The monotone-friendly enumeration order makes such
-/// repeats frequent: consecutive signatures usually differ in a couple of
-/// request counts whose per-request bounds collapse to the same ε profile.
-#[derive(Debug, Default)]
-struct WarmStart {
-    valid: bool,
-    len: Time,
-    b_i: Time,
-    intra_i: Time,
-    agent_own: Time,
-    /// The iteration budget is part of the recurrence identity: a result
-    /// computed under a larger budget may be `Some` where a smaller budget
-    /// would have exhausted into `None`.
-    max_iters: usize,
-    eps: Vec<(dpcp_model::ProcessorId, Time)>,
-    result: Option<Time>,
-}
-
-impl WarmStart {
-    fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
-    fn matches(&self, t: &Theorem1Terms, eps: &EpsilonTable, max_iters: usize) -> bool {
-        self.valid
-            && self.max_iters == max_iters
-            && self.len == t.len
-            && self.b_i == t.b_i
-            && self.intra_i == t.intra_i
-            && self.agent_own == t.agent_own
-            && self.eps.iter().copied().eq(eps.iter())
-    }
-
-    fn store(
-        &mut self,
-        t: &Theorem1Terms,
-        eps: &EpsilonTable,
-        max_iters: usize,
-        result: Option<Time>,
-    ) {
-        self.valid = true;
-        self.max_iters = max_iters;
-        self.len = t.len;
-        self.b_i = t.b_i;
-        self.intra_i = t.intra_i;
-        self.agent_own = t.agent_own;
-        self.eps.clear();
-        self.eps.extend(eps.iter());
-        self.result = result;
-    }
-}
-
-/// One distinct Theorem 1 recurrence of the batched solver — the
-/// window-independent terms, the ε-row span into the shared arena — plus
-/// its fixed-point orbit state. Lanes with equal terms and equal ε rows
-/// share one `GroupOrbit`; a retired orbit keeps its outcome in `result`.
+/// One distinct Theorem 1 recurrence
+/// `r = L(λ) + B_i(r) + b_i + ⌈(I^intra_i + I^A_i(r)) / m_i⌉` of the
+/// batched solver — the window-independent terms, the ε-row span into the
+/// shared arena — plus its fixed-point orbit state. Lanes with equal terms
+/// and equal ε rows share one `GroupOrbit`; a retired orbit keeps its
+/// outcome in `result`.
 #[derive(Debug, Clone, Copy)]
 struct GroupOrbit {
     /// `L(λ)` (also the orbit's start iterate).
@@ -233,19 +152,6 @@ struct GroupOrbit {
     iter: u32,
     /// Outcome once retired (`None` = diverged/exhausted).
     result: Option<Time>,
-}
-
-impl GroupOrbit {
-    fn terms(&self, m_i: u64, horizon: Time) -> Theorem1Terms {
-        Theorem1Terms {
-            len: self.len,
-            b_i: self.b_i,
-            intra_i: self.intra_i,
-            agent_own: self.agent_own,
-            m_i,
-            horizon,
-        }
-    }
 }
 
 /// Arena-backed lane/group state of the batched lockstep solver. Each
@@ -298,6 +204,11 @@ impl LaneBatch {
         self.counts.resize(resources, 0);
     }
 
+    /// The ε row of one group.
+    fn row(&self, g: &GroupOrbit) -> &[(ProcessorId, Time)] {
+        &self.eps_arena[g.eps_start as usize..g.eps_end as usize]
+    }
+
     /// Interns one lane: finds (or creates) its recurrence-identity group
     /// and records the membership. Returns `Some(group)` when the lane
     /// founded a new group (whose `terminal` the caller still owes).
@@ -342,7 +253,7 @@ impl LaneBatch {
                 && cand.b_i == b_i
                 && cand.intra_i == intra_i
                 && cand.agent_own == agent_own
-                && &self.eps_arena[cand.eps_start as usize..cand.eps_end as usize] == eps
+                && self.row(cand) == eps
             {
                 self.group_of.push(entry);
                 return None;
@@ -381,15 +292,16 @@ fn theorem1_rhs(
     i: TaskId,
     tables: &DemandTables,
     eps: &[(ProcessorId, Time)],
-    t: &Theorem1Terms,
+    g: &GroupOrbit,
+    m_i: u64,
     r: Time,
 ) -> Time {
-    let b_inter = inter_task_blocking_tabled_row(ctx, i, eps, tables, r);
-    let agents = t.agent_own.saturating_add(tables.agent_at(ctx, i, r));
-    t.len
+    let b_inter = inter_task_blocking_row(ctx, i, eps, tables, r);
+    let agents = g.agent_own.saturating_add(tables.agent_at(ctx, i, r));
+    g.len
         .saturating_add(b_inter)
-        .saturating_add(t.b_i)
-        .saturating_add(t.intra_i.saturating_add(agents).div_ceil(t.m_i))
+        .saturating_add(g.b_i)
+        .saturating_add(g.intra_i.saturating_add(agents).div_ceil(m_i))
 }
 
 /// The window beyond which the recurrence's right-hand side is constant
@@ -403,61 +315,6 @@ fn demand_terminal_start(tables: &DemandTables, eps: &[(ProcessorId, Time)]) -> 
     Some(terminal)
 }
 
-/// Solves the Theorem 1 recurrence over the demand tables: the cold orbit
-/// of [`fixed_point`] with per-iterate table lookups instead of task-set
-/// scans, plus a demand-slope early exit once the window has outrun every
-/// η step (the right-hand side is constant from there on, so the outcome
-/// is decided without iterating further toward the deadline).
-///
-/// Mirrors [`fixed_point`]'s convergence, divergence *and* budget
-/// semantics exactly. Warm-start repeats are handled one level up (the
-/// [`WarmStart`] memo), where the previous recurrence can be compared for
-/// exact equality.
-fn solve_theorem1(
-    ctx: &AnalysisContext<'_>,
-    i: TaskId,
-    tables: &DemandTables,
-    eps: &[(ProcessorId, Time)],
-    t: &Theorem1Terms,
-    max_iters: usize,
-) -> Option<Time> {
-    let f = |r: Time| theorem1_rhs(ctx, i, tables, eps, t, r);
-    let start = t.len;
-    let horizon = t.horizon;
-    let terminal = demand_terminal_start(tables, eps);
-
-    let mut x = start;
-    if x > horizon {
-        return None;
-    }
-    let mut iter = 0usize;
-    while iter < max_iters {
-        let next = f(x);
-        if next == x {
-            return Some(x);
-        }
-        debug_assert!(next > x, "response-time recurrence must be inflationary");
-        if next > horizon {
-            return None;
-        }
-        if let Some(term) = terminal {
-            if x >= term {
-                // The right-hand side is constant on [x, horizon]: the next
-                // plain iteration must find f(next) == next. Short-circuit
-                // iff the plain budget would have reached it.
-                return if iter + 1 < max_iters {
-                    Some(next)
-                } else {
-                    None
-                };
-            }
-        }
-        x = next;
-        iter += 1;
-    }
-    None
-}
-
 /// The delay decomposition of Theorem 1 at the converged `r`, read from
 /// the demand tables.
 fn path_bound_at(
@@ -465,243 +322,32 @@ fn path_bound_at(
     i: TaskId,
     tables: &DemandTables,
     eps: &[(ProcessorId, Time)],
-    t: &Theorem1Terms,
+    g: &GroupOrbit,
     r: Time,
 ) -> PathBound {
-    let b_inter = inter_task_blocking_tabled_row(ctx, i, eps, tables, r);
-    let agents = t.agent_own.saturating_add(tables.agent_at(ctx, i, r));
+    let b_inter = inter_task_blocking_row(ctx, i, eps, tables, r);
+    let agents = g.agent_own.saturating_add(tables.agent_at(ctx, i, r));
     PathBound {
         wcrt: r,
         breakdown: DelayBreakdown {
-            path_len: t.len,
+            path_len: g.len,
             inter_task_blocking: b_inter,
-            intra_task_blocking: t.b_i,
-            intra_task_interference: t.intra_i,
+            intra_task_blocking: g.b_i,
+            intra_task_interference: g.intra_i,
             agent_interference: agents,
         },
     }
 }
 
-/// Evaluates Theorem 1 for one concrete path signature:
-/// `r = L(λ) + B_i(r) + b_i + ⌈(I^intra_i + I^A_i(r)) / m_i⌉`.
+/// Evaluates Theorem 1 for one concrete path signature,
+/// `r = L(λ) + B_i(r) + b_i + ⌈(I^intra_i + I^A_i(r)) / m_i⌉`, rescanning
+/// every window-dependent term on every fixed-point iterate — no demand
+/// tables, no request-bound memo. The reference the batched kernel is
+/// asserted bit-identical to (divergent `None` included) and measured
+/// against by the `fixed_point/*` component benches.
 ///
 /// Returns `None` when any request bound `W_{i,q}` or the response-time
 /// recurrence has no solution below the task's deadline.
-///
-/// Single-shot convenience wrapper: delegates to the per-iterate scan
-/// reference [`wcrt_for_signature_direct`] (bit-identical), since the
-/// demand-table construction cannot amortize over one evaluation.
-/// Enumeration loops should hold an [`EvalScratch`] and call
-/// [`wcrt_for_signature_with`] so the demand tables, memoized `W_{i,q}`
-/// fixed points and warm-start memo are shared across signatures.
-pub fn wcrt_for_signature(
-    ctx: &AnalysisContext<'_>,
-    i: TaskId,
-    sig: &PathSignature,
-    cfg: &AnalysisConfig,
-) -> Option<PathBound> {
-    wcrt_for_signature_direct(ctx, i, sig, cfg)
-}
-
-/// [`wcrt_for_signature`] with shared per-task evaluation state: request
-/// bounds are memoized in `scratch.cache`, the window-dependent demand is
-/// read from `scratch.tables`, and the fixed point warm-starts from the
-/// previous signature's converged `r`.
-///
-/// The scratch must have been [`reset`](EvalScratch::reset_for_task) since
-/// the last task/context change.
-pub fn wcrt_for_signature_with(
-    ctx: &AnalysisContext<'_>,
-    i: TaskId,
-    sig: &PathSignature,
-    cfg: &AnalysisConfig,
-    scratch: &mut EvalScratch,
-) -> Option<PathBound> {
-    let (r, terms) = eval_signature_with(ctx, i, sig, cfg, scratch)?;
-    Some(path_bound_at(
-        ctx,
-        i,
-        &scratch.tables,
-        scratch.eps.entries(),
-        &terms,
-        r,
-    ))
-}
-
-/// The solve-only core of [`wcrt_for_signature_with`]: converged `r` plus
-/// the window-independent terms, without materializing the breakdown (the
-/// enumeration only needs the breakdown of the binding path).
-fn eval_signature_with(
-    ctx: &AnalysisContext<'_>,
-    i: TaskId,
-    sig: &PathSignature,
-    cfg: &AnalysisConfig,
-    scratch: &mut EvalScratch,
-) -> Option<(Time, Theorem1Terms)> {
-    let task = ctx.task(i);
-    let horizon = task.deadline();
-    let m_i = ctx.cluster_size(i);
-    let EvalScratch {
-        cache,
-        per_request,
-        eps,
-        tables,
-        warm,
-        ..
-    } = scratch;
-    tables.ensure(ctx, i);
-
-    // Per-request blocking bounds β + γ(W) for every global resource the
-    // path requests (Lemma 2 feeding Eq. 4), memoized across signatures.
-    let path_counts = |q: ResourceId| sig.request_count(q);
-    per_request.clear();
-    for &(q, n) in sig.requests() {
-        if n == 0 || !ctx.tasks.is_global(q) {
-            continue;
-        }
-        let blocking = cache.blocking_bound_tabled(
-            ctx,
-            i,
-            q,
-            &path_counts,
-            horizon,
-            cfg.max_fixpoint_iterations,
-            tables,
-        )?;
-        per_request.push((q, blocking));
-    }
-    let per_request = &*per_request;
-    eps.rebuild(ctx, sig.requests().iter().copied(), |q| {
-        per_request
-            .iter()
-            .find(|&&(u, _)| u == q)
-            .map(|&(_, b)| b)
-            .unwrap_or(Time::ZERO)
-    });
-
-    let terms = Theorem1Terms {
-        len: sig.len(),
-        b_i: intra_task_blocking_sig_tabled(tables, sig),
-        intra_i: intra_task_interference_tabled(tables, sig),
-        agent_own: agent_interference_own_tabled(tables, sig),
-        m_i,
-        horizon,
-    };
-    let result = if warm.matches(&terms, eps, cfg.max_fixpoint_iterations) {
-        warm.result
-    } else {
-        let result = solve_theorem1(
-            ctx,
-            i,
-            tables,
-            eps.entries(),
-            &terms,
-            cfg.max_fixpoint_iterations,
-        );
-        warm.store(&terms, eps, cfg.max_fixpoint_iterations, result);
-        result
-    };
-    result.map(|r| (r, terms))
-}
-
-/// Evaluates the EN variant's single virtual path: length `L*_i`, every
-/// request-count-dependent term at its maximum over `N^λ_{i,q} ∈
-/// [0, N_{i,q}]`.
-pub fn wcrt_en(ctx: &AnalysisContext<'_>, i: TaskId, cfg: &AnalysisConfig) -> Option<PathBound> {
-    wcrt_en_with(ctx, i, cfg, &mut EvalScratch::new())
-}
-
-/// [`wcrt_en`] with shared per-task evaluation state.
-///
-/// A single EN evaluation cannot amortize demand-table construction, so
-/// the tables are only consulted when the EP enumeration already built
-/// them for this task (the truncation-fallback case); otherwise this is
-/// the per-iterate scan, which is bit-identical anyway.
-pub fn wcrt_en_with(
-    ctx: &AnalysisContext<'_>,
-    i: TaskId,
-    cfg: &AnalysisConfig,
-    scratch: &mut EvalScratch,
-) -> Option<PathBound> {
-    if !scratch.tables.prepared_for(i) {
-        return wcrt_en_direct(ctx, i, cfg);
-    }
-    let task = ctx.task(i);
-    let horizon = task.deadline();
-    let m_i = ctx.cluster_size(i);
-    let len = task.longest_path_len();
-    let EvalScratch {
-        cache,
-        eps,
-        tables,
-        warm,
-        ..
-    } = scratch;
-
-    // W^EN_{i,q}: intra term maximised at N^λ_q = 1 for ℓ_q itself (a path
-    // must request ℓ_q for W_{i,q} to matter) and N^λ_u = 0 for the rest.
-    let mut per_request: Vec<(ResourceId, u32, Time)> = Vec::new();
-    for q in task.resources() {
-        if !ctx.tasks.is_global(q) {
-            continue;
-        }
-        let n = task.total_requests(q);
-        if n == 0 {
-            continue;
-        }
-        let counts = move |u: ResourceId| u32::from(u == q);
-        let blocking = cache.blocking_bound_tabled(
-            ctx,
-            i,
-            q,
-            &counts,
-            horizon,
-            cfg.max_fixpoint_iterations,
-            tables,
-        )?;
-        per_request.push((q, n, blocking));
-    }
-    // ε maximised at N^λ_q = N_{i,q}.
-    eps.rebuild(ctx, per_request.iter().map(|&(q, n, _)| (q, n)), |q| {
-        per_request
-            .iter()
-            .find(|&&(u, _, _)| u == q)
-            .map(|&(_, _, b)| b)
-            .unwrap_or(Time::ZERO)
-    });
-
-    let terms = Theorem1Terms {
-        len,
-        b_i: intra_task_blocking_en(ctx, i),
-        intra_i: intra_task_interference_en(ctx, i),
-        agent_own: tables.own_en(),
-        m_i,
-        horizon,
-    };
-    let result = if warm.matches(&terms, eps, cfg.max_fixpoint_iterations) {
-        warm.result
-    } else {
-        let result = solve_theorem1(
-            ctx,
-            i,
-            tables,
-            eps.entries(),
-            &terms,
-            cfg.max_fixpoint_iterations,
-        );
-        warm.store(&terms, eps, cfg.max_fixpoint_iterations, result);
-        result
-    };
-    let r = result?;
-    Some(path_bound_at(ctx, i, tables, eps.entries(), &terms, r))
-}
-
-/// Reference implementation of [`wcrt_for_signature`]: every
-/// window-dependent term is rescanned on every fixed-point iterate — no
-/// demand tables, no request-bound memo, no warm start. The incremental
-/// path is asserted bit-identical to this function (including the
-/// divergent `None` case) by the equivalence tests and measured against it
-/// by the `fixed_point/*` component benches.
 pub fn wcrt_for_signature_direct(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
@@ -763,18 +409,18 @@ pub fn wcrt_for_signature_direct(
     })
 }
 
-/// Reference implementation of [`wcrt_en`] with per-iterate scans; see
-/// [`wcrt_for_signature_direct`].
-pub fn wcrt_en_direct(
-    ctx: &AnalysisContext<'_>,
-    i: TaskId,
-    cfg: &AnalysisConfig,
-) -> Option<PathBound> {
+/// Evaluates the EN variant's single virtual path: length `L*_i`, every
+/// request-count-dependent term at its maximum over `N^λ_{i,q} ∈
+/// [0, N_{i,q}]`, with per-iterate scans (see
+/// [`wcrt_for_signature_direct`]).
+pub fn wcrt_en(ctx: &AnalysisContext<'_>, i: TaskId, cfg: &AnalysisConfig) -> Option<PathBound> {
     let task = ctx.task(i);
     let horizon = task.deadline();
     let m_i = ctx.cluster_size(i);
     let len = task.longest_path_len();
 
+    // W^EN_{i,q}: intra term maximised at N^λ_q = 1 for ℓ_q itself (a path
+    // must request ℓ_q for W_{i,q} to matter) and N^λ_u = 0 for the rest.
     let mut per_request: Vec<(ResourceId, u32, Time)> = Vec::new();
     for q in task.resources() {
         if !ctx.tasks.is_global(q) {
@@ -789,6 +435,7 @@ pub fn wcrt_en_direct(
             request_blocking_bound(ctx, i, q, &counts, horizon, cfg.max_fixpoint_iterations)?;
         per_request.push((q, n, blocking));
     }
+    // ε maximised at N^λ_q = N_{i,q}.
     let eps = EpsilonTable::new(ctx, per_request.iter().map(|&(q, n, _)| (q, n)), |q| {
         per_request
             .iter()
@@ -823,9 +470,9 @@ pub fn wcrt_en_direct(
     })
 }
 
-/// Reference implementation of [`wcrt_over_signatures`] built on the
-/// per-iterate scans; the skip/max structure matches the incremental
-/// enumeration exactly (truncated tasks report the EN bound directly).
+/// The per-iterate scan reference for [`wcrt_over_signatures_batched`]:
+/// the same skip/max structure (truncated tasks report the EN bound
+/// directly) over [`wcrt_for_signature_direct`].
 pub fn wcrt_over_signatures_direct(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
@@ -833,7 +480,7 @@ pub fn wcrt_over_signatures_direct(
     cfg: &AnalysisConfig,
 ) -> Option<PathBound> {
     if sigs.truncated {
-        wcrt_en_direct(ctx, i, cfg)
+        wcrt_en(ctx, i, cfg)
     } else {
         // Without truncation the sweep has no EN mix-in: one shared loop.
         wcrt_over_signatures_sweep_direct(ctx, i, sigs, cfg)
@@ -864,7 +511,7 @@ pub fn wcrt_over_signatures_sweep_direct(
         }
     }
     if sigs.truncated {
-        let en = wcrt_en_direct(ctx, i, cfg)?;
+        let en = wcrt_en(ctx, i, cfg)?;
         if best.as_ref().is_none_or(|b| en.wcrt > b.wcrt) {
             best = Some(en);
         }
@@ -873,93 +520,25 @@ pub fn wcrt_over_signatures_sweep_direct(
 }
 
 /// The task-level bound `R_i = max_λ r_i(λ)` over a set of enumerated
-/// signatures. When the enumeration was truncated the (dominating) EN
-/// bound is reported directly — it provably binds the max, so the capped
-/// signature subset is never swept (see
-/// [`wcrt_over_signatures_sweep_direct`] for the retained sweeping
-/// reference).
-///
-/// Returns `None` when any contributing bound diverges beyond `D_i`.
-///
-/// Convenience wrapper over [`wcrt_over_signatures_with`] with throwaway
-/// scratch state.
-pub fn wcrt_over_signatures(
-    ctx: &AnalysisContext<'_>,
-    i: TaskId,
-    sigs: &dpcp_model::PathSignatures,
-    cfg: &AnalysisConfig,
-) -> Option<PathBound> {
-    wcrt_over_signatures_with(ctx, i, sigs, cfg, &mut EvalScratch::new())
-}
-
-/// [`wcrt_over_signatures`] with shared evaluation state.
-///
-/// Resets the memo, demand tables and warm-start hint for this task, then
-/// reuses them across every signature — including the EN fallback under
-/// truncation. The enumeration visits signatures in a monotone-friendly
-/// order (lexicographic over request profiles, so consecutive signatures
-/// differ in few terms and converge to nearby fixed points), which is what
-/// makes the warm start land often. The signature list must be
-/// duplicate-free so no Theorem 1 evaluation is spent twice on the same
-/// signature; both enumerators
-/// ([`enumerate_signatures_capped`](dpcp_model::enumerate_signatures_capped)
-/// and the DP
-/// [`enumerate_signatures_dp_capped`](dpcp_model::enumerate_signatures_dp_capped))
-/// guarantee that by construction. Under dominance pruning the list is a
-/// subset that provably still contains the binding signature, and the
-/// shared sort order places every dominator before the signatures it
-/// dominates, so the `>` tie-break below reports the identical binding
-/// [`PathBound`] with pruning on or off.
-pub fn wcrt_over_signatures_with(
-    ctx: &AnalysisContext<'_>,
-    i: TaskId,
-    sigs: &dpcp_model::PathSignatures,
-    cfg: &AnalysisConfig,
-    scratch: &mut EvalScratch,
-) -> Option<PathBound> {
-    scratch.reset_for_task();
-    if sigs.truncated {
-        // Truncated enumeration: the EN fallback term-wise dominates
-        // every per-signature bound, so it decides the max regardless of
-        // which capped subset survived — report it directly instead of
-        // sweeping signatures whose bounds cannot bind (the reported
-        // `TaskBound` carries the `truncated` tag). Verdict equality with
-        // the sweeping path is asserted against
-        // [`wcrt_over_signatures_sweep_direct`] by the equivalence tests.
-        return wcrt_en_with(ctx, i, cfg, scratch);
-    }
-    // Solve-only sweep: only the binding path's breakdown is reported, so
-    // the enumeration tracks `(r, index)` and materializes one breakdown
-    // at the end (re-evaluating the winner is one more memoized solve).
-    let mut best: Option<(Time, usize)> = None;
-    for (idx, sig) in sigs.signatures.iter().enumerate() {
-        let (r, _) = eval_signature_with(ctx, i, sig, cfg, scratch)?;
-        if best.is_none_or(|(b, _)| r > b) {
-            best = Some((r, idx));
-        }
-    }
-    match best {
-        Some((_, idx)) => Some(wcrt_for_signature_with(
-            ctx,
-            i,
-            &sigs.signatures[idx],
-            cfg,
-            scratch,
-        )?),
-        None => None,
-    }
-}
-
-/// The batched lockstep counterpart of [`wcrt_over_signatures_with`]:
-/// the task's whole signature frontier is materialized into
+/// signatures, solved by the batched lockstep kernel (see the module
+/// docs): the task's whole signature frontier is materialized into
 /// structure-of-arrays lanes, lanes with identical recurrences collapse
 /// into groups, and all distinct groups' fixed points advance together —
 /// converged groups retiring in place — before the single binding lane's
-/// breakdown is materialized. Bit-identical to the scalar sweep (and so
-/// to the `*_direct` scans) by construction; asserted by the seeded
-/// sweeps in `tests/batched_kernel.rs`.
+/// breakdown is materialized. Bit-identical to
+/// [`wcrt_over_signatures_direct`].
 ///
-/// This is the session default ([`AnalysisConfig::batched_fixpoint`]).
+/// When the enumeration was truncated the (dominating) EN bound is
+/// reported directly — it provably binds the max, so the capped signature
+/// subset is never swept (see [`wcrt_over_signatures_sweep_direct`] for
+/// the retained sweeping reference). Under dominance pruning the list is
+/// a subset that provably still contains the binding signature, and the
+/// shared sort order places every dominator before the signatures it
+/// dominates, so the earliest-maximum tie-break reports the identical
+/// binding [`PathBound`] with pruning on or off.
+///
+/// Returns `None` when any contributing bound diverges beyond `D_i`.
+/// Resets `scratch` for this task on entry.
 pub fn wcrt_over_signatures_batched(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
@@ -969,8 +548,11 @@ pub fn wcrt_over_signatures_batched(
 ) -> Option<PathBound> {
     scratch.reset_for_task();
     if sigs.truncated {
-        // Same truncated-task EN short-circuit as the scalar sweep.
-        return wcrt_en_with(ctx, i, cfg, scratch);
+        // Truncated enumeration: the EN fallback term-wise dominates every
+        // per-signature bound, so it decides the max regardless of which
+        // capped subset survived (the reported `TaskBound` carries the
+        // `truncated` tag).
+        return wcrt_en(ctx, i, cfg);
     }
     if sigs.signatures.is_empty() {
         return None;
@@ -985,16 +567,15 @@ pub fn wcrt_over_signatures_batched(
         eps,
         tables,
         batch,
-        ..
     } = scratch;
     tables.ensure(ctx, i);
 
     // Phases 1+2 — lane materialization and group collapse, interleaved:
-    // the same memoized request bounds and ε rebuild as the scalar path,
-    // with the per-signature term sums reading a dense scattered count
-    // row, and each lane interned into its recurrence-identity group on
-    // the spot. A signature whose request bound already diverges fails
-    // the whole task, exactly like the scalar sweep's `?`.
+    // memoized request bounds and an in-place ε rebuild per signature,
+    // the per-signature term sums reading a dense scattered count row,
+    // and each lane interned into its recurrence-identity group on the
+    // spot. A signature whose request bound already diverges fails the
+    // whole task, exactly like the reference sweep's `?`.
     batch.begin(sigs.signatures.len(), ctx.tasks.resource_count());
     let mut counts = std::mem::take(&mut batch.counts);
     for sig in &sigs.signatures {
@@ -1035,21 +616,21 @@ pub fn wcrt_over_signatures_batched(
             counts[q.index()] = 0;
         }
         if let Some(g) = batch.intern_lane(sig.len(), b_i, intra_i, agent_own, eps.entries()) {
-            // Orbit birth: replay `solve_theorem1`'s pre-checks and its
-            // first iteration on the spot. Most orbits converge — or
-            // diverge — on that first step, and a divergent orbit fails
-            // the whole task immediately (the scalar sweep's `?` fires at
-            // its first divergent signature just the same, and `None` is
-            // the verdict either way). Only orbits still iterating after
-            // the birth step join the lockstep rounds.
+            // Orbit birth: `fixed_point`'s start check and its first
+            // iteration, on the spot. Most orbits converge — or diverge —
+            // on that first step, and a divergent orbit fails the whole
+            // task immediately (the reference sweep's `?` fires at its
+            // first divergent signature just the same, and `None` is the
+            // verdict either way). Only orbits still iterating after the
+            // birth step join the lockstep rounds.
             let gi = g as usize;
             let go = batch.groups[gi];
             if go.x > horizon || max_iters == 0 {
                 batch.counts = counts;
                 return None;
             }
-            let row = &batch.eps_arena[go.eps_start as usize..go.eps_end as usize];
-            let next = theorem1_rhs(ctx, i, tables, row, &go.terms(m_i, horizon), go.x);
+            let row = batch.row(&go);
+            let next = theorem1_rhs(ctx, i, tables, row, &go, m_i, go.x);
             if next == go.x {
                 batch.groups[gi].result = Some(go.x);
             } else {
@@ -1073,8 +654,7 @@ pub fn wcrt_over_signatures_batched(
                         return None;
                     }
                 } else if 1 >= max_iters {
-                    // Budget exhaustion is divergence, as in the scalar
-                    // loop.
+                    // Budget exhaustion is divergence, as in `fixed_point`.
                     batch.counts = counts;
                     return None;
                 } else {
@@ -1089,17 +669,16 @@ pub fn wcrt_over_signatures_batched(
     batch.counts = counts;
 
     // Phase 3 — lockstep advance over the compacted active list. Every
-    // orbit continues `solve_theorem1` exactly where its birth step left
-    // off: same convergence / divergence / budget checks, same
-    // demand-slope early exit. Converged orbits swap out of the list in
-    // place; a divergent one fails the task immediately, as above.
+    // orbit continues exactly where its birth step left off: same
+    // convergence / divergence / budget checks, same demand-slope early
+    // exit. Converged orbits swap out of the list in place; a divergent
+    // one fails the task immediately, as above.
     while !batch.active.is_empty() {
         let mut k = 0;
         while k < batch.active.len() {
             let gi = batch.active[k] as usize;
             let g = batch.groups[gi];
-            let row = &batch.eps_arena[g.eps_start as usize..g.eps_end as usize];
-            let next = theorem1_rhs(ctx, i, tables, row, &g.terms(m_i, horizon), g.x);
+            let next = theorem1_rhs(ctx, i, tables, batch.row(&g), &g, m_i, g.x);
             let result = if next == g.x {
                 g.x
             } else {
@@ -1128,8 +707,8 @@ pub fn wcrt_over_signatures_batched(
     }
 
     // Phase 4 — winner materialization: a divergent lane fails the task
-    // (the scalar sweep's `?`), otherwise the earliest maximum binds and
-    // only its breakdown is built. The winning lane's terms are its
+    // (the reference sweep's `?`), otherwise the earliest maximum binds
+    // and only its breakdown is built. The winning lane's terms are its
     // group's terms, by recurrence identity.
     let mut best: Option<(Time, u32)> = None;
     for &g in &batch.group_of {
@@ -1139,23 +718,14 @@ pub fn wcrt_over_signatures_batched(
         }
     }
     let (r, g) = best?;
-    let g = batch.groups[g as usize];
-    let row = &batch.eps_arena[g.eps_start as usize..g.eps_end as usize];
-    Some(path_bound_at(
-        ctx,
-        i,
-        tables,
-        row,
-        &g.terms(m_i, horizon),
-        r,
-    ))
+    let g = &batch.groups[g as usize];
+    Some(path_bound_at(ctx, i, tables, batch.row(g), g, r))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::AnalysisVariant;
-    use dpcp_model::{enumerate_signatures, fig1, TaskId};
+    use dpcp_model::{enumerate_signatures, fig1, PathSignatures, TaskId};
 
     fn cfg() -> AnalysisConfig {
         AnalysisConfig::default()
@@ -1166,6 +736,10 @@ mod tests {
         (part, ts)
     }
 
+    fn batched(ctx: &AnalysisContext<'_>, i: TaskId, sigs: &PathSignatures) -> Option<PathBound> {
+        wcrt_over_signatures_batched(ctx, i, sigs, &cfg(), &mut EvalScratch::new())
+    }
+
     #[test]
     fn fig1_longest_path_bound_is_reasonable() {
         let (part, ts) = fig1_setup();
@@ -1173,7 +747,7 @@ mod tests {
         let i = TaskId::new(0);
         let ti = ts.task(i);
         let sig = dpcp_model::PathSignature::from_path(ti, ti.longest_path());
-        let bound = wcrt_for_signature(&ctx, i, &sig, &cfg()).unwrap();
+        let bound = wcrt_for_signature_direct(&ctx, i, &sig, &cfg()).unwrap();
         // The path itself takes 10u; everything on top is bounded delay.
         assert!(bound.wcrt >= fig1::unit() * 10);
         assert!(bound.wcrt <= ti.deadline());
@@ -1190,7 +764,7 @@ mod tests {
         let ti = ts.task(i);
         let v = dpcp_model::VertexId::new;
         let sig = dpcp_model::PathSignature::from_path(ti, &[v(0), v(1), v(5), v(7)]);
-        let bound = wcrt_for_signature(&ctx, i, &sig, &cfg()).unwrap();
+        let bound = wcrt_for_signature_direct(&ctx, i, &sig, &cfg()).unwrap();
         assert!(bound.breakdown.inter_task_blocking > Time::ZERO);
         assert!(bound.wcrt <= ti.deadline());
     }
@@ -1203,7 +777,7 @@ mod tests {
             let i = TaskId::new(idx);
             let sigs = enumerate_signatures(ts.task(i), 64);
             assert!(!sigs.truncated);
-            let ep = wcrt_over_signatures(&ctx, i, &sigs, &cfg()).unwrap();
+            let ep = batched(&ctx, i, &sigs).unwrap();
             let en = wcrt_en(&ctx, i, &cfg()).unwrap();
             assert!(
                 en.wcrt >= ep.wcrt,
@@ -1221,7 +795,7 @@ mod tests {
         let i = TaskId::new(1);
         let en = wcrt_en(&ctx, i, &cfg()).unwrap();
         for sig in enumerate_signatures(ts.task(i), 64).signatures {
-            let ep = wcrt_for_signature(&ctx, i, &sig, &cfg()).unwrap();
+            let ep = wcrt_for_signature_direct(&ctx, i, &sig, &cfg()).unwrap();
             assert!(en.wcrt >= ep.wcrt);
         }
     }
@@ -1253,12 +827,10 @@ mod tests {
         .unwrap();
         let ctx = AnalysisContext::new(&ts, &part);
         let sigs = enumerate_signatures(ts.task(TaskId::new(0)), 16);
-        let bound = wcrt_over_signatures(&ctx, TaskId::new(0), &sigs, &cfg()).unwrap();
+        let bound = batched(&ctx, TaskId::new(0), &sigs).unwrap();
         // Path (v0,v1): 5 + ⌈4/2⌉ = 7ms; path (v2): 4 + ⌈5/2⌉ = 6.5ms.
         // The maximum over paths binds: 7ms.
         assert_eq!(bound.wcrt, Time::from_ms(7));
-        let variant_check = AnalysisVariant::EnumeratePaths;
-        assert_eq!(variant_check, AnalysisVariant::EnumeratePaths);
     }
 
     #[test]
@@ -1298,50 +870,24 @@ mod tests {
             i
         };
         let sigs = enumerate_signatures(ts.task(lower), 16);
-        assert!(wcrt_over_signatures(&ctx, lower, &sigs, &cfg()).is_none());
+        assert!(batched(&ctx, lower, &sigs).is_none());
         // The per-iterate scan agrees on the divergent outcome.
         assert!(wcrt_over_signatures_direct(&ctx, lower, &sigs, &cfg()).is_none());
     }
 
     #[test]
-    fn incremental_equals_direct_on_fig1() {
-        // Per-signature, per-task and EN bounds — breakdowns included —
-        // must be bit-identical between the table-driven warm-started
-        // solver and the per-iterate scans.
+    fn batched_equals_direct_on_fig1() {
+        // Per-task bounds — breakdowns included — must be bit-identical
+        // between the batched kernel and the per-iterate scans.
         let (part, ts) = fig1_setup();
         let ctx = AnalysisContext::new(&ts, &part);
         let mut scratch = EvalScratch::new();
         for idx in 0..2 {
             let i = TaskId::new(idx);
             let sigs = enumerate_signatures(ts.task(i), 64);
-            let inc = wcrt_over_signatures_with(&ctx, i, &sigs, &cfg(), &mut scratch);
+            let fast = wcrt_over_signatures_batched(&ctx, i, &sigs, &cfg(), &mut scratch);
             let dir = wcrt_over_signatures_direct(&ctx, i, &sigs, &cfg());
-            assert_eq!(inc, dir, "task {idx} EP");
-            scratch.reset_for_task();
-            let inc_en = wcrt_en_with(&ctx, i, &cfg(), &mut scratch);
-            let dir_en = wcrt_en_direct(&ctx, i, &cfg());
-            assert_eq!(inc_en, dir_en, "task {idx} EN");
-            scratch.reset_for_task();
-        }
-    }
-
-    #[test]
-    fn warm_start_hint_does_not_change_results() {
-        // Feed every signature twice through one scratch: the second pass
-        // sees a warm hint from an identical recurrence (the hint IS the
-        // fixed point) and must return the same bound as a cold scratch.
-        let (part, ts) = fig1_setup();
-        let ctx = AnalysisContext::new(&ts, &part);
-        let i = TaskId::new(1);
-        let sigs = enumerate_signatures(ts.task(i), 64);
-        let mut warm = EvalScratch::new();
-        warm.reset_for_task();
-        for sig in &sigs.signatures {
-            let first = wcrt_for_signature_with(&ctx, i, sig, &cfg(), &mut warm);
-            let again = wcrt_for_signature_with(&ctx, i, sig, &cfg(), &mut warm);
-            let cold = wcrt_for_signature_direct(&ctx, i, sig, &cfg());
-            assert_eq!(first, cold);
-            assert_eq!(again, cold);
+            assert_eq!(fast, dir, "task {idx} EP");
         }
     }
 }

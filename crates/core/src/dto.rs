@@ -532,6 +532,37 @@ mod tests {
     }
 
     #[test]
+    fn absent_defaulted_members_parse_and_unknown_members_are_ignored() {
+        let req = request(set(vec![diamond(0, 10, [0, 1, 2, 3]).unwrap()]));
+        let json = serde_json::to_string(&req).expect("serialize");
+        // Serialization always emits the member…
+        let member = "\"prune_dominated\":true,";
+        assert!(json.contains(member), "{json}");
+        // …but a body without it parses: `#[serde(default)]` fills in
+        // `bool::default()`, i.e. the unpruned enumeration.
+        let absent: AnalysisRequest =
+            serde_json::from_str(&json.replacen(member, "", 1)).expect("absent member parses");
+        let unpruned = AnalysisConfig {
+            prune_dominated: false,
+            ..AnalysisConfig::ep()
+        };
+        assert_eq!(absent.config, unpruned);
+        // An explicit but ill-typed member is still an error.
+        let null = json.replacen(member, "\"prune_dominated\":null,", 1);
+        assert!(serde_json::from_str::<AnalysisRequest>(&null).is_err());
+        // A member this build does not know (the retired solver switch)
+        // is accepted and ignored: same request, same key.
+        let legacy = json.replacen(
+            member,
+            "\"prune_dominated\":true,\"batched_fixpoint\":false,",
+            1,
+        );
+        let legacy: AnalysisRequest = serde_json::from_str(&legacy).expect("legacy body parses");
+        assert_eq!(legacy, req);
+        assert_eq!(legacy.structural_key(), req.structural_key());
+    }
+
+    #[test]
     fn schema_version_defaults_and_validates() {
         let tasks = set(vec![diamond(0, 10, [0, 1, 2, 3]).unwrap()]);
         let mut req = request(tasks);

@@ -135,12 +135,7 @@ pub(crate) fn analyze_mixed_impl(
                     crate::analysis::evaluate_ep_arm(&ctx, i, cfg, cache, scratch)
                 }
                 AnalysisVariant::EnumerateRequestCounts => {
-                    scratch.reset_for_task();
-                    (
-                        crate::analysis::wcrt::wcrt_en_with(&ctx, i, cfg, scratch),
-                        1,
-                        false,
-                    )
+                    (crate::analysis::wcrt::wcrt_en(&ctx, i, cfg), 1, false)
                 }
             }
         } else {

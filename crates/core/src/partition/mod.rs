@@ -49,8 +49,8 @@ pub trait SchedAnalyzer {
     /// [`analyze`](Self::analyze) with caller-provided evaluation scratch.
     ///
     /// Analyses that maintain per-task evaluation state ([`EvalScratch`]:
-    /// request-bound memo, demand prefix tables, warm-start hints) reuse
-    /// the caller's allocation across partitioning rounds and across
+    /// request-bound memo, demand prefix tables, batched-kernel arenas)
+    /// reuse the caller's allocation across partitioning rounds and across
     /// methods; protocols without such state ignore the scratch.
     fn analyze_with_scratch(
         &self,

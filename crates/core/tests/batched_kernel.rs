@@ -1,15 +1,15 @@
 //! Bit-identity of the batched lockstep kernel
-//! ([`wcrt_over_signatures_batched`]) against the scalar warm-started
-//! sweep and the per-iterate direct scans, over seeded generator sweeps.
+//! ([`wcrt_over_signatures_batched`]) against the per-iterate direct
+//! scans, over seeded generator sweeps.
 //!
-//! The batched kernel is the session default
-//! (`AnalysisConfig::batched_fixpoint`); these sweeps are the contract
-//! that flipping the flag can never change a reported bound, a verdict,
-//! or a binding-path breakdown — across DAG shapes, heavy/light mixes,
-//! truncated (EN-fallback) tasks and divergent (`None`) recurrences.
+//! The batched kernel is the only EP solver every analysis runs; these
+//! sweeps are the contract that it reports exactly the reference's
+//! bound, verdict and binding-path breakdown — across DAG shapes,
+//! heavy/light mixes, truncated (EN-fallback) tasks and divergent
+//! (`None`) recurrences.
 
 use dpcp_core::analysis::wcrt::{
-    wcrt_over_signatures_batched, wcrt_over_signatures_direct, wcrt_over_signatures_with,
+    wcrt_for_signature_direct, wcrt_over_signatures_batched, wcrt_over_signatures_direct,
 };
 use dpcp_core::analysis::{AnalysisContext, EvalScratch, SignatureCache};
 use dpcp_core::partition::{assign_resources, layout_clusters, ResourceHeuristic};
@@ -61,8 +61,8 @@ struct Coverage {
     multi_sig: usize,
 }
 
-/// Asserts batched == scalar == direct on every task of the instance,
-/// recording which regimes the tasks fell into.
+/// Asserts batched == direct on every task of the instance, recording
+/// which regimes the tasks fell into.
 fn assert_instance_identical(inst: &Instance, cfg: &AnalysisConfig, cov: &mut Coverage) {
     let ctx = AnalysisContext::new(&inst.tasks, &inst.partition);
     let cache = SignatureCache::new(&inst.tasks, cfg);
@@ -70,16 +70,8 @@ fn assert_instance_identical(inst: &Instance, cfg: &AnalysisConfig, cov: &mut Co
     for t in inst.tasks.iter() {
         let i = t.id();
         let sigs = cache.signatures(i);
-        let scalar = wcrt_over_signatures_with(&ctx, i, sigs, cfg, &mut scratch);
         let batched = wcrt_over_signatures_batched(&ctx, i, sigs, cfg, &mut scratch);
         let direct = wcrt_over_signatures_direct(&ctx, i, sigs, cfg);
-        assert_eq!(
-            batched,
-            scalar,
-            "batched vs scalar diverged on task {i} ({} sigs, truncated={})",
-            sigs.signatures.len(),
-            sigs.truncated
-        );
         assert_eq!(
             batched,
             direct,
@@ -102,10 +94,10 @@ fn assert_instance_identical(inst: &Instance, cfg: &AnalysisConfig, cov: &mut Co
 }
 
 /// Seeded sweep across the four DAG shapes: every task's batched bound is
-/// bit-identical to the scalar sweep and the direct scans, including
-/// divergent (`None`) recurrences at the overloaded utilization.
+/// bit-identical to the direct scans, including divergent (`None`)
+/// recurrences at the overloaded utilization.
 #[test]
-fn batched_matches_scalar_and_direct_across_shapes() {
+fn batched_matches_direct_across_shapes() {
     let cfg = AnalysisConfig::ep();
     let mut cov = Coverage::default();
     let shapes = [
@@ -160,7 +152,7 @@ fn batched_matches_on_mixed_light_sets() {
     assert!(cov.tasks >= 10, "sweep too thin: {} tasks", cov.tasks);
 }
 
-/// A tight signature cap forces truncation: batched and scalar must take
+/// A tight signature cap forces truncation: batched and direct must take
 /// the identical EN-fallback short-circuit (and report identical bounds).
 #[test]
 fn batched_matches_on_truncated_en_fallback() {
@@ -181,11 +173,11 @@ fn batched_matches_on_truncated_en_fallback() {
     );
 }
 
-/// The warm-start-group property: collapsing identical lanes into one
+/// The group-collapse property: collapsing identical lanes into one
 /// group never changes any lane's result. Two observable forms:
 ///
 /// 1. every lane solved alone (a singleton frontier — no collapse
-///    possible) reports the same value the scalar solver gives it, and
+///    possible) reports the same value the direct scan gives it, and
 /// 2. duplicating every lane (maximal collapse: each group absorbs a
 ///    clone) leaves the task-level binding bound bit-identical.
 #[test]
@@ -205,16 +197,16 @@ fn group_collapse_never_changes_a_lane_result() {
             continue;
         }
         // (1) per-lane: singleton frontiers — batched degenerates to one
-        // group of one lane and must equal the scalar solve of that lane.
+        // group of one lane and must equal the direct solve of that lane.
         for sig in &sigs.signatures {
             let alone = PathSignatures {
                 signatures: vec![sig.clone()],
                 truncated: false,
                 paths_visited: 0,
             };
-            let scalar = wcrt_over_signatures_with(&ctx, i, &alone, &cfg, &mut scratch);
+            let direct = wcrt_for_signature_direct(&ctx, i, sig, &cfg);
             let batched = wcrt_over_signatures_batched(&ctx, i, &alone, &cfg, &mut scratch);
-            assert_eq!(batched, scalar, "singleton lane diverged on task {i}");
+            assert_eq!(batched, direct, "singleton lane diverged on task {i}");
             lanes += 1;
         }
         // (2) whole-group: duplicate every lane. Interning maps each

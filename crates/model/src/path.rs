@@ -167,8 +167,7 @@ impl PathSignature {
 
 /// The deterministic output order shared by both enumerators: length
 /// descending, then request vector ascending, then non-critical length
-/// ascending. The order is analysis-friendly twice over: the warm-start
-/// memo sees monotone request profiles, and under dominance pruning a
+/// ascending. The order is analysis-friendly: under dominance pruning a
 /// dominator always sorts *before* the signatures it dominates (longer
 /// first; on equal length and requests, smaller non-critical first), so the
 /// binding-path tie-break (`>` keeps the earliest maximum) is unaffected by
@@ -305,9 +304,9 @@ pub fn enumerate_signatures_dp(task: &DagTask, cap: usize) -> PathSignatures {
 /// the sinks the way the DFS carries its first-`cap` subset. A truncated
 /// result therefore holds few signatures (the surviving thin spine plus the
 /// ensured longest), not `cap` of them. This is outcome-preserving: a
-/// truncated enumeration makes the analysis's `wcrt_over_signatures` mix
-/// in the EN fallback, whose bound dominates *every* per-path bound
-/// term-wise, so the capped subset the DFS returns costs Theorem 1
+/// truncated enumeration makes the analysis report the EN fallback, whose
+/// bound dominates *every* per-path bound term-wise, so the capped subset
+/// the DFS returns costs Theorem 1
 /// evaluations without ever changing the task verdict (asserted by the
 /// default-cap sweep in `tests/signature_dp.rs`). The DP may also truncate
 /// where the DFS would not (a transient frontier blowup that later merges

@@ -96,6 +96,40 @@ fn reencoded_submission_hits_the_structural_tier() {
 }
 
 #[test]
+fn retired_solver_switch_is_accepted_ignored_and_never_emitted() {
+    let server = spawn_server();
+    let addr = server.local_addr().to_string();
+    let config = serde_json::to_string(&AnalysisConfig::ep()).expect("serialize");
+    assert!(!config.contains("batched_fixpoint"), "{config}");
+
+    // A client built against an older schema still sends the switch; the
+    // server parses past it. Its bytes differ from the current encoding,
+    // so the second request can only hit through the structural tier.
+    let current = serde_json::to_string(&fig1_request("DPCP-p-EP")).expect("serialize");
+    let legacy = current.replacen(
+        "\"search_probe_budget\"",
+        "\"batched_fixpoint\":false,\"search_probe_budget\"",
+        1,
+    );
+    assert_ne!(legacy, current, "the legacy body carries the member");
+    let (status, headers, cold) =
+        roundtrip(&addr, "POST", "/analyze", legacy.as_bytes()).expect("roundtrip");
+    assert_eq!(status, 200);
+    assert_eq!(cache_header(&headers), Some("MISS"));
+    let (status, headers, warm) =
+        roundtrip(&addr, "POST", "/analyze", current.as_bytes()).expect("roundtrip");
+    assert_eq!(status, 200);
+    assert_eq!(
+        cache_header(&headers),
+        Some("HIT"),
+        "the switch is not part of the structural key"
+    );
+    assert_eq!(warm, cold, "structural hits serve the resident bytes");
+
+    server.shutdown();
+}
+
+#[test]
 fn distinct_protocols_miss_separately() {
     let server = spawn_server();
     let addr = server.local_addr().to_string();

@@ -1,18 +1,18 @@
 //! Incremental-vs-direct equivalence for the Theorem 1 solver.
 //!
-//! The table-driven, warm-started fixed-point engine
-//! (`wcrt_over_signatures_with` / `wcrt_en_with`) must be bit-identical to
-//! the per-iterate scan reference (`wcrt_over_signatures_direct` /
-//! `wcrt_en_direct`) — WCRT values *and* the full `DelayBreakdown`,
-//! including the divergent `None` outcome. The sweep covers the task sets
-//! the five compared methods evaluate: every method analyses the same
-//! generated sets, under both partition shapes Algorithm 1 produces
-//! (WFD resource homes for DPCP-p-EP/EN, local execution for
-//! SPIN-SON/LPP/FED-FP).
+//! The table-driven batched kernel (`wcrt_over_signatures_batched`: demand
+//! prefix tables, memoized request bounds, lockstep group orbits) must be
+//! bit-identical to the per-iterate scan reference
+//! (`wcrt_over_signatures_direct`) — WCRT values *and* the full
+//! `DelayBreakdown`, including the divergent `None` outcome. The sweep
+//! covers the task sets the five compared methods evaluate: every method
+//! analyses the same generated sets, under both partition shapes
+//! Algorithm 1 produces (WFD resource homes for DPCP-p-EP/EN, local
+//! execution for SPIN-SON/LPP/FED-FP).
 
 use dpcp_p::core::analysis::wcrt::{
-    wcrt_en_direct, wcrt_en_with, wcrt_over_signatures_direct, wcrt_over_signatures_sweep_direct,
-    wcrt_over_signatures_with,
+    wcrt_en, wcrt_over_signatures_batched, wcrt_over_signatures_direct,
+    wcrt_over_signatures_sweep_direct,
 };
 use dpcp_p::core::analysis::{AnalysisContext, EvalScratch, SignatureCache};
 use dpcp_p::core::partition::{assign_resources, layout_clusters, ResourceHeuristic};
@@ -58,38 +58,24 @@ fn method_partitions(tasks: &TaskSet, platform: &Platform) -> Vec<Partition> {
     parts
 }
 
-/// Compares the incremental solver against the direct scan for every task
-/// of one `(task set, partition)` pair, EP and EN, feeding the analysis
-/// order's evolving `R_j` bounds exactly like `analyze_with_cache`.
-/// Returns how many divergent (`None`) task bounds were encountered.
+/// Compares the batched kernel against the direct scan for every task of
+/// one `(task set, partition)` pair, feeding the analysis order's evolving
+/// `R_j` bounds exactly like `AnalysisSession::analyze`. Returns how many
+/// divergent (`None`) task bounds were encountered.
 fn assert_equivalent(tasks: &TaskSet, partition: &Partition, label: &str) -> usize {
-    let ep_cfg = AnalysisConfig::ep();
-    let en_cfg = AnalysisConfig::en();
-    let cache = SignatureCache::new(tasks, &ep_cfg);
+    let cfg = AnalysisConfig::ep();
+    let cache = SignatureCache::new(tasks, &cfg);
     let mut ctx = AnalysisContext::new(tasks, partition);
     let mut scratch = EvalScratch::new();
     let mut divergent = 0usize;
     for i in tasks.by_decreasing_priority() {
         let sigs = cache.signatures(i);
-        let incremental = wcrt_over_signatures_with(&ctx, i, sigs, &ep_cfg, &mut scratch);
-        let direct = wcrt_over_signatures_direct(&ctx, i, sigs, &ep_cfg);
-        assert_eq!(incremental, direct, "{label}: EP bound of {i}");
+        let batched = wcrt_over_signatures_batched(&ctx, i, sigs, &cfg, &mut scratch);
+        let direct = wcrt_over_signatures_direct(&ctx, i, sigs, &cfg);
+        assert_eq!(batched, direct, "{label}: EP bound of {i}");
 
-        // EN right after the EP sweep reads the prepared demand tables
-        // (the truncation-fallback path)…
-        let incremental_en = wcrt_en_with(&ctx, i, &en_cfg, &mut scratch);
-        let direct_en = wcrt_en_direct(&ctx, i, &en_cfg);
-        assert_eq!(
-            incremental_en, direct_en,
-            "{label}: EN (tabled) bound of {i}"
-        );
-        // …and after a reset it takes the scan path; both must agree.
-        scratch.reset_for_task();
-        let cold_en = wcrt_en_with(&ctx, i, &en_cfg, &mut scratch);
-        assert_eq!(cold_en, direct_en, "{label}: EN (cold) bound of {i}");
-
-        divergent += usize::from(incremental.is_none()) + usize::from(incremental_en.is_none());
-        if let Some(b) = &incremental {
+        divergent += usize::from(batched.is_none());
+        if let Some(b) = &batched {
             ctx.set_response_bound(i, b.wcrt);
         }
     }
@@ -104,7 +90,7 @@ fn seeded_sweep_incremental_equals_direct() {
     let mut divergent = 0usize;
     // Low, contested and overloaded utilizations: the overloaded points
     // produce genuinely divergent recurrences, so the `None` path of the
-    // incremental solver is exercised by generated workloads too.
+    // batched kernel is exercised by generated workloads too.
     for (pi, utilization) in [2.0, 5.0, 7.5].into_iter().enumerate() {
         for seed in 0..6u64 {
             let mut rng = StdRng::seed_from_u64(0x51EE_D000 + seed * 131 + pi as u64);
@@ -131,7 +117,7 @@ fn seeded_sweep_incremental_equals_direct() {
 #[test]
 fn divergent_system_matches_direct_none() {
     // The guaranteed-divergent fixture: one processor per task, a shared
-    // resource loaded far beyond its deadline. Incremental and direct must
+    // resource loaded far beyond its deadline. Batched and direct must
     // both return `None` for the lower-priority task.
     use dpcp_p::model::{DagTask, ProcessorId, RequestSpec, ResourceId, TaskId, Time, VertexSpec};
     let mk = |id: usize| {
@@ -191,8 +177,8 @@ fn truncated_tasks_report_the_en_bound_with_sweep_equal_verdicts() {
             let cache = SignatureCache::new(&tasks, &cfg);
             for (idx, partition) in method_partitions(&tasks, &platform).iter().enumerate() {
                 let label = format!("u={utilization} seed={seed} partition#{idx}");
-                // Thread response bounds exactly like analyze_with_cache
-                // so the per-task comparison sees the same contexts.
+                // Thread response bounds exactly like the session so the
+                // per-task comparison sees the same contexts.
                 let report = AnalysisSession::new(cfg.clone())
                     .analyze_with_signatures(&tasks, partition, &cache);
                 let mut ctx = dpcp_p::core::analysis::AnalysisContext::new(&tasks, partition);
@@ -216,7 +202,7 @@ fn truncated_tasks_report_the_en_bound_with_sweep_equal_verdicts() {
                             "{label}: skip changed the verdict of {i}"
                         );
                         // The reported bound IS the EN fallback's.
-                        let en = wcrt_en_direct(&ctx, i, &cfg);
+                        let en = wcrt_en(&ctx, i, &cfg);
                         assert_eq!(bound.wcrt, en.map(|b| b.wcrt), "{label}: {i} not EN");
                         assert_eq!(bound.signatures_evaluated, 1, "{label}: {i}");
                     } else {
