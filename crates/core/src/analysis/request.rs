@@ -4,52 +4,12 @@
 //! enumeration.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
+use dpcp_model::path::FxHasher;
 use dpcp_model::{ResourceId, TaskId, Time};
 
 use super::context::AnalysisContext;
-
-/// A small multiply-rotate hasher (the FxHash construction) for the
-/// request-bound memo: its keys are short `Vec<u32>` request profiles, for
-/// which the default SipHash costs more than the memoized computation it
-/// guards.
-#[derive(Debug, Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(26) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().expect("exact chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = 0u64;
-            for (i, &b) in rest.iter().enumerate() {
-                word |= u64::from(b) << (8 * i);
-            }
-            self.add(word);
-        }
-    }
-}
 
 type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 

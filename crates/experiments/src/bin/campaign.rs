@@ -19,10 +19,9 @@
 //! applies the manifest's quick overrides (CI smoke scale); run and
 //! merge must agree on it.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dpcp_experiments::campaign::{merge_dir, run_shard, write_merged_outputs, CampaignError};
+use dpcp_experiments::campaign::write_merged_outputs;
 use dpcp_experiments::cli::SweepArgs;
 use dpcp_experiments::manifest::{CampaignManifest, CellSpec};
 
@@ -108,14 +107,6 @@ fn print_methods() {
     }
 }
 
-fn load_manifest(path: &PathBuf) -> Result<CampaignManifest, CampaignError> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        CampaignError::from_message(format!("cannot read manifest {}: {e}", path.display()))
-    })?;
-    CampaignManifest::from_json(&text)
-        .map_err(|e| CampaignError::from_message(format!("{}: {e}", path.display())))
-}
-
 fn describe_grid(manifest: &CampaignManifest, cells: &[CellSpec], quick: bool) {
     let scenarios = cells
         .iter()
@@ -146,12 +137,7 @@ fn main() -> ExitCode {
         print_methods();
         return ExitCode::SUCCESS;
     }
-    let manifest_path = args
-        .shared
-        .manifest
-        .clone()
-        .expect("parse_args enforces presence");
-    let manifest = match load_manifest(&manifest_path) {
+    let manifest = match args.shared.load_manifest(CampaignManifest::from_json) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("{e}");
@@ -177,42 +163,13 @@ fn main() -> ExitCode {
             }
             Ok(())
         }
-        Command::Run => {
-            let started = std::time::Instant::now();
-            let shard = args.shared.shard;
-            run_shard(&manifest, &cells, shard, &out, |done, total| {
-                println!(
-                    "  shard {shard}: {done}/{total} cells  ({:.1?})",
-                    started.elapsed()
-                );
+        Command::Run => args.shared.run_shard(&manifest, &cells, &out).map(|_| ()),
+        Command::Merge => args
+            .shared
+            .merge(&manifest, &cells, &out, |outcome, dir| {
+                write_merged_outputs(&outcome.results, &outcome.failures, dir)
             })
-            .map(|stats| {
-                println!(
-                    "shard {shard} complete: {} owned, {} resumed from checkpoint, {} evaluated, \
-                     {} failed ({:.1?}) → {}",
-                    stats.owned,
-                    stats.resumed,
-                    stats.evaluated,
-                    stats.failed,
-                    started.elapsed(),
-                    shard.path(&out).display(),
-                );
-            })
-        }
-        Command::Merge => merge_dir(&manifest, &cells, &out).and_then(|outcome| {
-            let final_dir = args
-                .shared
-                .final_dir
-                .clone()
-                .unwrap_or_else(|| out.join("merged"));
-            write_merged_outputs(&outcome.results, &outcome.failures, &final_dir).map(|written| {
-                println!("merged {} cells:", outcome.results.len());
-                for path in written {
-                    println!("  wrote {}", path.display());
-                }
-                println!("{}", outcome.failure_summary());
-            })
-        }),
+            .map(|_| ()),
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,

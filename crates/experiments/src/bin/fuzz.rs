@@ -28,8 +28,7 @@ use std::process::ExitCode;
 use dpcp_experiments::campaign::CampaignError;
 use dpcp_experiments::cli::SweepArgs;
 use dpcp_experiments::fuzz::{
-    fuzz_merge_dir, release_label, replay_bundle, run_fuzz_shard, write_fuzz_outputs, FuzzManifest,
-    ReproBundle, Verdict,
+    release_label, replay_bundle, write_fuzz_outputs, FuzzManifest, FuzzRun, ReproBundle, Verdict,
 };
 
 struct Args {
@@ -110,14 +109,6 @@ fn parse_args() -> Args {
     }
 }
 
-fn load_manifest(path: &PathBuf) -> Result<FuzzManifest, CampaignError> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        CampaignError::from_message(format!("cannot read manifest {}: {e}", path.display()))
-    })?;
-    FuzzManifest::from_json(&text)
-        .map_err(|e| CampaignError::from_message(format!("{}: {e}", path.display())))
-}
-
 fn replay(path: &PathBuf) -> Result<bool, CampaignError> {
     let text = std::fs::read_to_string(path).map_err(|e| {
         CampaignError::from_message(format!("cannot read bundle {}: {e}", path.display()))
@@ -167,12 +158,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let manifest_path = args
-        .shared
-        .manifest
-        .clone()
-        .expect("parse_args enforces presence");
-    let manifest = match load_manifest(&manifest_path) {
+    let manifest = match args.shared.load_manifest(FuzzManifest::from_json) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("{e}");
@@ -181,6 +167,10 @@ fn main() -> ExitCode {
     };
     let cells = manifest.cells(args.shared.quick);
     let out = args.shared.out_or("results/fuzz", &manifest.name);
+    let sweep = FuzzRun {
+        manifest: &manifest,
+        canary: args.canary,
+    };
     println!(
         "fuzz campaign '{}'{}{}: {} cells, {} samples/point, seed {}",
         manifest.name,
@@ -213,64 +203,27 @@ fn main() -> ExitCode {
             }
             Ok(ExitCode::SUCCESS)
         }
-        Command::Run => {
-            let started = std::time::Instant::now();
-            let shard = args.shared.shard;
-            run_fuzz_shard(
-                &manifest,
-                &cells,
-                shard,
-                &out,
-                args.canary,
-                |done, total| {
-                    println!(
-                        "  shard {shard}: {done}/{total} cells  ({:.1?})",
-                        started.elapsed()
-                    );
-                },
-            )
-            .map(|stats| {
-                println!(
-                    "shard {shard} complete: {} owned, {} resumed from checkpoint, {} evaluated, \
-                     {} failed ({:.1?}) → {}",
-                    stats.owned,
-                    stats.resumed,
-                    stats.evaluated,
-                    stats.failed,
-                    started.elapsed(),
-                    shard.path(&out).display(),
-                );
-                ExitCode::SUCCESS
-            })
-        }
-        Command::Merge => {
-            fuzz_merge_dir(&manifest, &cells, &out, args.canary).and_then(|outcome| {
-                let final_dir = args
-                    .shared
-                    .final_dir
-                    .clone()
-                    .unwrap_or_else(|| out.join("merged"));
-                write_fuzz_outputs(&outcome, &final_dir).map(|written| {
-                    println!("merged {} cells:", outcome.results.len());
-                    for path in written {
-                        println!("  wrote {}", path.display());
-                    }
-                    println!("{}", outcome.failure_summary());
-                    let violations = outcome.total_violations();
-                    println!("soundness violations: {violations}");
-                    if violations > 0 {
-                        eprintln!(
-                            "SOUNDNESS FAILURE: {violations} violation(s) — repro bundles written \
+        Command::Run => args
+            .shared
+            .run_shard(&sweep, &cells, &out)
+            .map(|_| ExitCode::SUCCESS),
+        Command::Merge => args
+            .shared
+            .merge(&sweep, &cells, &out, write_fuzz_outputs)
+            .map(|(outcome, final_dir)| {
+                let violations = outcome.total_violations();
+                println!("soundness violations: {violations}");
+                if violations > 0 {
+                    eprintln!(
+                        "SOUNDNESS FAILURE: {violations} violation(s) — repro bundles written \
                          under {}",
-                            final_dir.join("bundles").display()
-                        );
-                        ExitCode::FAILURE
-                    } else {
-                        ExitCode::SUCCESS
-                    }
-                })
-            })
-        }
+                        final_dir.join("bundles").display()
+                    );
+                    ExitCode::FAILURE
+                } else {
+                    ExitCode::SUCCESS
+                }
+            }),
     };
     match outcome {
         Ok(code) => code,

@@ -16,13 +16,16 @@
 //! cells and appends the rest — a crashed multi-hour sweep loses at most
 //! one wave of cells. `merge` folds any number of shard files back into
 //! the final tables and asserts the grid is complete.
+//!
+//! The engine is generic over [`Sweep`]; the differential fuzzer
+//! ([`crate::fuzz::FuzzRun`]) runs on it too.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::harness::{AcceptanceCurve, Method, PointResult};
 use crate::manifest::{CampaignManifest, CellSpec};
@@ -107,9 +110,50 @@ impl core::fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-/// The identity line at the top of every shard file; a resume or merge
-/// against a different campaign/grid/scale is rejected instead of
-/// silently mixing results.
+/// A sweep the shard engine runs, resumes and merges: the campaign
+/// ([`CampaignManifest`]) or the fuzzer ([`crate::fuzz::FuzzRun`]). The
+/// checkpoint format, recovery, panic isolation, waves and merge are the
+/// engine's, so a fix to any of them lands once for both.
+pub trait Sweep: Sync {
+    /// One unit of work in the expanded grid.
+    type Cell: Sync;
+    /// A completed cell, as checkpointed.
+    type Output: Serialize + Deserialize + Send;
+    /// The identity line at the top of every shard file.
+    type Header: Serialize + Deserialize;
+
+    /// The header of a shard of `cells` with the given grid fingerprint.
+    fn header(&self, cells: &[Self::Cell], fingerprint: String, shard: ShardSpec) -> Self::Header;
+
+    /// A cell's grid position (the resume/merge key).
+    fn index(cell: &Self::Cell) -> usize;
+
+    /// Everything that defines what a cell means, hashed into the grid
+    /// fingerprint (see [`grid_fingerprint`]).
+    fn identity(cell: &Self::Cell) -> Value;
+
+    /// Evaluates one cell. An `Err` is retried like a panic and then
+    /// checkpointed as a [`CellFailure`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CampaignError`] when the cell cannot be evaluated.
+    fn evaluate(&self, cell: &Self::Cell) -> Result<Self::Output, CampaignError>;
+
+    /// The `(scenario, ablation)` labels of this cell's [`CellFailure`].
+    fn labels(cell: &Self::Cell) -> (String, String);
+
+    /// A checkpointed output's grid position.
+    fn output_index(output: &Self::Output) -> usize;
+
+    /// Does a checkpointed output describe `cell`? Merge checks this on
+    /// top of the fingerprint.
+    fn output_matches(cell: &Self::Cell, output: &Self::Output) -> bool;
+}
+
+/// The identity line at the top of every campaign shard file; a resume
+/// or merge against a different campaign/grid/scale is rejected instead
+/// of silently mixing results.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardHeader {
     /// Manifest name.
@@ -130,24 +174,30 @@ pub struct ShardHeader {
     pub shard: ShardSpec,
 }
 
-/// FNV-1a fingerprint of the fully expanded grid: a resume or merge
-/// after a manifest edit that re-points any cell (different utilization
-/// points, ablation config, methods, heuristic or sample scale) is
-/// rejected up front instead of silently mixing results evaluated under
-/// the old meaning. FNV-1a is implemented inline so the hash is stable
-/// across builds and toolchains (std's hasher is not).
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] when a cell identity fails to serialize
-/// (propagated instead of panicking — a malformed cell must not abort a
-/// shard).
-pub fn grid_fingerprint(cells: &[CellSpec]) -> Result<String, CampaignError> {
-    let mut hasher = Fnv1a::new();
-    for cell in cells {
+impl Sweep for CampaignManifest {
+    type Cell = CellSpec;
+    type Output = CellResult;
+    type Header = ShardHeader;
+
+    fn header(&self, cells: &[CellSpec], fingerprint: String, shard: ShardSpec) -> ShardHeader {
+        ShardHeader {
+            campaign: self.name.clone(),
+            seed: self.seed,
+            grid: cells.len(),
+            samples_per_point: cells.first().map_or(0, |c| c.eval.samples_per_point),
+            fingerprint,
+            shard,
+        }
+    }
+
+    fn index(cell: &CellSpec) -> usize {
+        cell.index
+    }
+
+    fn identity(cell: &CellSpec) -> Value {
         // Nested ≤4-tuples: the vendored serde implements tuples only up
         // to arity four.
-        let identity = serde_json::to_string(&(
+        (
             (cell.index, &cell.scenario, &cell.ablation),
             (&cell.methods, cell.heuristic, &cell.eval.ep_config),
             (
@@ -156,38 +206,55 @@ pub fn grid_fingerprint(cells: &[CellSpec]) -> Result<String, CampaignError> {
                 cell.eval.generation_retries,
                 &cell.utilizations,
             ),
-        ))
-        .map_err(|e| {
-            CampaignError::new(format!(
-                "cell {} identity fails to serialize: {e}",
-                cell.index
-            ))
-        })?;
-        hasher.eat(identity.as_bytes());
-        hasher.eat(b"\n");
+        )
+            .serialize()
     }
-    Ok(hasher.finish())
+
+    fn evaluate(&self, cell: &CellSpec) -> Result<CellResult, CampaignError> {
+        Ok(evaluate_cell(cell))
+    }
+
+    fn labels(cell: &CellSpec) -> (String, String) {
+        (cell.scenario.label(), cell.ablation.clone())
+    }
+
+    fn output_index(output: &CellResult) -> usize {
+        output.index
+    }
+
+    fn output_matches(cell: &CellSpec, output: &CellResult) -> bool {
+        output.scenario == cell.scenario && output.ablation == cell.ablation
+    }
 }
 
-/// Streaming FNV-1a, shared by the campaign and fuzz grid fingerprints.
-/// Implemented inline so the hash is stable across builds and toolchains.
-pub(crate) struct Fnv1a(u64);
-
-impl Fnv1a {
-    pub(crate) fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a fingerprint of the fully expanded grid, over every cell's
+/// [`Sweep::identity`]: a resume or merge after a manifest edit that
+/// re-points any cell (different utilization points, ablation config,
+/// methods, heuristic or sample scale) is rejected up front instead of
+/// silently mixing results evaluated under the old meaning. FNV-1a is
+/// implemented inline so the hash is stable across builds and toolchains
+/// (std's hasher is not).
+///
+/// # Errors
+///
+/// Returns [`CampaignError`] when a cell identity fails to serialize
+/// (propagated instead of panicking — a malformed cell must not abort a
+/// shard).
+pub fn grid_fingerprint<S: Sweep>(cells: &[S::Cell]) -> Result<String, CampaignError> {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for cell in cells {
+        let identity = serde_json::to_string(&S::identity(cell)).map_err(|e| {
+            CampaignError::new(format!(
+                "cell {} identity fails to serialize: {e}",
+                S::index(cell)
+            ))
+        })?;
+        for &b in identity.as_bytes().iter().chain(b"\n") {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-
-    pub(crate) fn finish(&self) -> String {
-        format!("{:016x}", self.0)
-    }
+    Ok(format!("{hash:016x}"))
 }
 
 /// One completed cell: the scenario×ablation identity plus its full
@@ -216,8 +283,8 @@ impl CellResult {
     }
 }
 
-/// A recorded per-cell failure: the cell panicked (or its identity
-/// failed to serialize) after the bounded deterministic retry, and the
+/// A recorded per-cell failure: the cell panicked (or its evaluation
+/// returned an error) after the bounded deterministic retry, and the
 /// shard kept going instead of aborting. Failures are checkpointed like
 /// results — a resume skips them, keeping checkpoint bytes stable — and
 /// surfaced in the merge summary.
@@ -228,7 +295,7 @@ pub struct CellFailure {
     /// The failed cell's scenario label (kept so the merge summary can
     /// name the cell without re-expanding the grid).
     pub scenario: String,
-    /// The failed cell's ablation label.
+    /// The failed cell's ablation label (a fuzz cell's release label).
     pub ablation: String,
     /// The captured panic/error message.
     pub error: String,
@@ -236,13 +303,37 @@ pub struct CellFailure {
     pub retries: usize,
 }
 
-/// One JSONL line: exactly one of the fields is populated. `failed` is
+/// One JSONL line: exactly one of the members is non-null. `failed` is
 /// absent in pre-existing checkpoints and deserializes to `None`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct LineRecord {
-    header: Option<ShardHeader>,
-    cell: Option<CellResult>,
+struct LineRecord<H, R> {
+    header: Option<H>,
+    cell: Option<R>,
     failed: Option<CellFailure>,
+}
+
+/// A checkpoint line of sweep `S`.
+type Record<S> = LineRecord<<S as Sweep>::Header, <S as Sweep>::Output>;
+
+// The vendored derive does not take generic types; these two impls are
+// what it would generate for the three members.
+impl<H: Serialize, R: Serialize> Serialize for LineRecord<H, R> {
+    fn serialize(&self) -> Value {
+        Value::Object(vec![
+            ("header".to_string(), self.header.serialize()),
+            ("cell".to_string(), self.cell.serialize()),
+            ("failed".to_string(), self.failed.serialize()),
+        ])
+    }
+}
+
+impl<H: Deserialize, R: Deserialize> Deserialize for LineRecord<H, R> {
+    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
+        Ok(LineRecord {
+            header: Deserialize::deserialize(value.field("header"))?,
+            cell: Deserialize::deserialize(value.field("cell"))?,
+            failed: Deserialize::deserialize(value.field("failed"))?,
+        })
+    }
 }
 
 /// Evaluates one cell (all utilization points, samples rayon-fanned).
@@ -279,98 +370,63 @@ pub fn run_cells(cells: &[CellSpec]) -> Vec<CellResult> {
     cells.par_iter().map(evaluate_cell).collect()
 }
 
-fn header_for(
-    manifest: &CampaignManifest,
-    cells: &[CellSpec],
-    shard: ShardSpec,
-) -> Result<ShardHeader, CampaignError> {
-    Ok(ShardHeader {
-        campaign: manifest.name.clone(),
-        seed: manifest.seed,
-        grid: cells.len(),
-        samples_per_point: cells.first().map(|c| c.eval.samples_per_point).unwrap_or(0),
-        fingerprint: grid_fingerprint(cells)?,
-        shard,
-    })
+/// A replayed checkpoint: each completed cell's output or recorded
+/// failure, by grid index.
+type Completed<R> = BTreeMap<usize, Result<R, CellFailure>>;
+
+/// Does `found` describe the same sweep as `expect`? Every member but the
+/// shard coordinates (merge reads every shard of a split) must match —
+/// the grid fingerprint and a fuzz run's canary scale included.
+fn same_sweep<H: Serialize>(found: &H, expect: &H) -> bool {
+    let members = |header: &H| match header.serialize() {
+        Value::Object(members) => members.into_iter().filter(|(k, _)| k != "shard").collect(),
+        _ => Vec::new(),
+    };
+    members(found) == members(expect)
 }
 
-/// The replayed contents of one shard checkpoint: completed cells plus
-/// recorded failures, both keyed by grid index.
-#[derive(Debug, Default)]
-struct ShardContents {
-    cells: BTreeMap<usize, CellResult>,
-    failures: BTreeMap<usize, CellFailure>,
+/// The header on a checkpoint's first line; `None` for an empty file or
+/// a torn header line (a writer killed during the very first append).
+fn read_header<S: Sweep>(text: &str) -> Option<S::Header> {
+    let first = text.lines().next()?;
+    serde_json::from_str::<Record<S>>(first).ok()?.header
 }
 
-/// Parses a shard checkpoint file: the header plus every completed cell.
+/// Parses a shard checkpoint: the header plus every completed cell.
 /// Unparseable lines are tolerated (an interrupted writer leaves at most
 /// one torn tail line; resuming re-evaluates that cell), but a missing
 /// or mismatched header is an error.
-fn read_shard_file(path: &Path, expect: &ShardHeader) -> Result<ShardContents, CampaignError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CampaignError::new(format!("cannot read {}: {e}", path.display())))?;
-    parse_checkpoint(&text, path, expect)
-}
-
-/// The parsing half of [`read_shard_file`], over already-loaded text
-/// (resume reads the checkpoint exactly once).
-fn parse_checkpoint(
+fn parse_checkpoint<S: Sweep>(
     text: &str,
     path: &Path,
-    expect: &ShardHeader,
-) -> Result<ShardContents, CampaignError> {
-    let mut lines = text.lines();
-    let header_line = lines
-        .next()
-        .ok_or_else(|| CampaignError::new(format!("{} is empty", path.display())))?;
-    let header: LineRecord = serde_json::from_str(header_line)
-        .map_err(|e| CampaignError::new(format!("{}: bad header: {e}", path.display())))?;
-    let header = header.header.ok_or_else(|| {
+    expect: &S::Header,
+) -> Result<Completed<S::Output>, CampaignError> {
+    let header = read_header::<S>(text).ok_or_else(|| {
         CampaignError::new(format!("{}: first line is not a header", path.display()))
     })?;
-    // Shard coordinates may differ (merge reads every shard of a split);
-    // everything that defines the result space must match — including
-    // the grid fingerprint, which pins every cell's full configuration.
-    if header.campaign != expect.campaign
-        || header.seed != expect.seed
-        || header.grid != expect.grid
-        || header.samples_per_point != expect.samples_per_point
-        || header.fingerprint != expect.fingerprint
-    {
+    if !same_sweep(&header, expect) {
+        let json = |h: &S::Header| serde_json::to_string(h).unwrap_or_default();
         return Err(CampaignError::new(format!(
-            "{}: header mismatch — the checkpoint was written by a different campaign \
-             or an edited manifest \
-             (file: campaign '{}' seed {} grid {} samples {} fingerprint {}; \
-             expected: campaign '{}' seed {} grid {} samples {} fingerprint {})",
+            "{}: header mismatch — the checkpoint was written by a different sweep or an \
+             edited manifest (file: {}; expected: {})",
             path.display(),
-            header.campaign,
-            header.seed,
-            header.grid,
-            header.samples_per_point,
-            header.fingerprint,
-            expect.campaign,
-            expect.seed,
-            expect.grid,
-            expect.samples_per_point,
-            expect.fingerprint,
+            json(&header),
+            json(expect),
         )));
     }
-    let mut contents = ShardContents::default();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(record) = serde_json::from_str::<LineRecord>(line) else {
+    let mut completed = Completed::new();
+    for line in text.lines().skip(1) {
+        let Ok(record) = serde_json::from_str::<Record<S>>(line) else {
             continue; // torn tail line from an interrupted run
         };
-        if let Some(cell) = record.cell {
-            contents.cells.insert(cell.index, cell);
+        if let Some(output) = record.cell {
+            completed.insert(S::output_index(&output), Ok(output));
         }
         if let Some(failed) = record.failed {
-            contents.failures.insert(failed.index, failed);
+            completed.insert(failed.index, Err(failed));
         }
     }
-    Ok(contents)
+    Ok(completed)
 }
 
 /// An interrupted writer can leave a torn final line with no trailing
@@ -378,41 +434,26 @@ fn parse_checkpoint(
 /// the fragment and corrupt *that* record too. Terminate the fragment
 /// before any append (the fragment itself is then skipped as one
 /// unparseable line and its cell is re-evaluated).
-pub(crate) fn heal_torn_tail(path: &Path, text: &str) -> Result<(), CampaignError> {
+fn heal_torn_tail(path: &Path, text: &str) -> Result<(), CampaignError> {
     if !text.is_empty() && !text.ends_with('\n') {
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| CampaignError::new(format!("cannot open {}: {e}", path.display())))?;
-        file.write_all(b"\n")
-            .map_err(|e| CampaignError::new(format!("cannot append to {}: {e}", path.display())))?;
+        append(path, "\n")?;
     }
     Ok(())
 }
 
-/// Is the checkpoint's first line a well-formed header? `false` for an
-/// empty file or a torn header line (a writer killed during the very
-/// first append) — such a file holds no recoverable cells and is safely
-/// recreated from scratch; a *parseable* header is never second-guessed
-/// here, so mismatch protection stays intact.
-fn has_wellformed_header(text: &str) -> bool {
-    text.lines().next().is_some_and(|first| {
-        serde_json::from_str::<LineRecord>(first)
-            .ok()
-            .is_some_and(|record| record.header.is_some())
-    })
+fn append_line(path: &Path, record: &impl Serialize) -> Result<(), CampaignError> {
+    let line = serde_json::to_string(record)
+        .map_err(|e| CampaignError::new(format!("cannot serialize record: {e}")))?;
+    append(path, &(line + "\n"))
 }
 
-fn append_line(path: &Path, record: &LineRecord) -> Result<(), CampaignError> {
+fn append(path: &Path, text: &str) -> Result<(), CampaignError> {
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
         .map_err(|e| CampaignError::new(format!("cannot open {}: {e}", path.display())))?;
-    let line = serde_json::to_string(record)
-        .map_err(|e| CampaignError::new(format!("cannot serialize record: {e}")))?;
-    file.write_all(line.as_bytes())
-        .and_then(|()| file.write_all(b"\n"))
+    file.write_all(text.as_bytes())
         .and_then(|()| file.flush())
         .map_err(|e| CampaignError::new(format!("cannot append to {}: {e}", path.display())))
 }
@@ -428,13 +469,13 @@ pub struct ShardRunStats {
     pub resumed: usize,
     /// Cells evaluated by this invocation.
     pub evaluated: usize,
-    /// Cells that panicked past the retry budget and were recorded as
-    /// [`CellFailure`]s by this invocation.
+    /// Cells that panicked or errored past the retry budget and were
+    /// recorded as [`CellFailure`]s by this invocation.
     pub failed: usize,
 }
 
 /// Captures the panic payload as a human-readable message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -444,98 +485,101 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Bounded deterministic retry budget for a panicking cell (the inputs
+/// Bounded deterministic retry budget for a failing cell (the inputs
 /// are pure functions of the seed, so a second attempt only guards
 /// against environmental flukes like allocation failure).
-pub(crate) const CELL_RETRIES: usize = 1;
+const CELL_RETRIES: usize = 1;
 
 /// Evaluates one cell panic-isolated: a panic anywhere in generation,
-/// analysis or the rayon fan-out is caught, retried once, and then
-/// reported as a [`CellFailure`] instead of unwinding the shard.
-fn evaluate_cell_isolated(cell: &CellSpec) -> Result<CellResult, CellFailure> {
+/// analysis or the rayon fan-out — or an `Err` from
+/// [`Sweep::evaluate`] — is caught, retried once, and then reported as a
+/// [`CellFailure`] instead of unwinding the shard.
+fn evaluate_isolated<S: Sweep>(sweep: &S, cell: &S::Cell) -> Result<S::Output, CellFailure> {
     let mut last = String::new();
     for _ in 0..=CELL_RETRIES {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| evaluate_cell(cell))) {
-            Ok(result) => return Ok(result),
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sweep.evaluate(cell))) {
+            Ok(Ok(output)) => return Ok(output),
+            Ok(Err(e)) => last = e.to_string(),
             Err(payload) => last = panic_message(payload.as_ref()),
         }
     }
+    let (scenario, ablation) = S::labels(cell);
     Err(CellFailure {
-        index: cell.index,
-        scenario: cell.scenario.label(),
-        ablation: cell.ablation.clone(),
+        index: S::index(cell),
+        scenario,
+        ablation,
         error: last,
         retries: CELL_RETRIES,
     })
 }
 
-/// Runs (or resumes) one shard of a campaign, checkpointing each
-/// completed cell to `dir/shard_<i>_of_<n>.jsonl`. `progress` is called
-/// after every cell with `(cells done, cells owned)` — resumed cells
-/// first, then evaluated cells in index order.
+/// Runs (or resumes) one shard of a sweep, checkpointing each completed
+/// cell to `dir/shard_<i>_of_<n>.jsonl`. `progress` is called after
+/// every cell with `(cells done, cells owned)` — resumed cells first,
+/// then evaluated cells in index order.
 ///
 /// Pending cells are evaluated in *waves* over the ambient rayon pool
-/// (wave width = pool width), a cell-level work layer on top of the
-/// per-sample parallelism inside each utilization point. Each wave's
-/// results are appended in index order, so the checkpoint bytes are
-/// identical to a sequential run for any pool width (asserted in
-/// `tests/campaign.rs`) and a crash loses at most one wave.
+/// (wave width = pool width), a cell-level work layer on top of any
+/// parallelism inside a cell. Each wave's results are appended in index
+/// order, so the checkpoint bytes are identical to a sequential run for
+/// any pool width (asserted in `tests/campaign.rs`) and a crash loses at
+/// most one wave.
 ///
 /// # Errors
 ///
 /// Returns [`CampaignError`] on I/O failures or when the directory holds
-/// a checkpoint of a *different* campaign (name, seed, grid or sample
-/// scale mismatch).
-pub fn run_shard(
-    manifest: &CampaignManifest,
-    cells: &[CellSpec],
+/// a checkpoint of a *different* sweep (name, seed, grid, sample scale,
+/// fingerprint or canary mismatch).
+pub fn run_shard<S: Sweep>(
+    sweep: &S,
+    cells: &[S::Cell],
     shard: ShardSpec,
     dir: &Path,
     mut progress: impl FnMut(usize, usize),
 ) -> Result<ShardRunStats, CampaignError> {
     std::fs::create_dir_all(dir)
         .map_err(|e| CampaignError::new(format!("cannot create {}: {e}", dir.display())))?;
-    let header = header_for(manifest, cells, shard)?;
+    let header = sweep.header(cells, grid_fingerprint::<S>(cells)?, shard);
     let path = shard.path(dir);
     // One read serves the header check, the torn-tail heal and the
     // completed-cell replay.
-    let existing = if path.exists() {
-        Some(
-            std::fs::read_to_string(&path)
-                .map_err(|e| CampaignError::new(format!("cannot read {}: {e}", path.display())))?,
-        )
-    } else {
-        None
+    let existing = match std::fs::read_to_string(&path) {
+        Ok(text) => Some(text),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => {
+            return Err(CampaignError::new(format!(
+                "cannot read {}: {e}",
+                path.display()
+            )))
+        }
     };
-    let completed = if let Some(text) = existing.filter(|t| has_wellformed_header(t)) {
+    // A checkpoint whose *header* append was itself interrupted (empty
+    // file / torn first line) holds nothing recoverable and is recreated
+    // rather than bricking the shard; a parseable header is never
+    // second-guessed here, so mismatch protection stays intact.
+    let completed = if let Some(text) = existing.filter(|t| read_header::<S>(t).is_some()) {
         heal_torn_tail(&path, &text)?;
-        parse_checkpoint(&text, &path, &header)?
+        parse_checkpoint::<S>(&text, &path, &header)?
     } else {
-        // Fresh shard — or a checkpoint whose *header* append was itself
-        // interrupted (empty file / torn first line): nothing is
-        // recoverable from it, so recreate rather than brick the shard.
         std::fs::write(&path, "")
             .map_err(|e| CampaignError::new(format!("cannot create {}: {e}", path.display())))?;
-        append_line(
-            &path,
-            &LineRecord {
-                header: Some(header.clone()),
-                cell: None,
-                failed: None,
-            },
-        )?;
-        ShardContents::default()
+        let record: Record<S> = LineRecord {
+            header: Some(header),
+            cell: None,
+            failed: None,
+        };
+        append_line(&path, &record)?;
+        Completed::new()
     };
-    let owned: Vec<&CellSpec> = cells.iter().filter(|c| shard.owns(c.index)).collect();
+    let owned: Vec<&S::Cell> = cells.iter().filter(|c| shard.owns(S::index(c))).collect();
     let mut stats = ShardRunStats {
         owned: owned.len(),
         ..ShardRunStats::default()
     };
     let mut done = 0usize;
-    let mut pending: Vec<&CellSpec> = Vec::with_capacity(owned.len());
+    let mut pending: Vec<&S::Cell> = Vec::with_capacity(owned.len());
     for cell in owned {
-        if completed.cells.contains_key(&cell.index) || completed.failures.contains_key(&cell.index)
-        {
+        if completed.contains_key(&S::index(cell)) {
             stats.resumed += 1;
             done += 1;
             progress(done, stats.owned);
@@ -550,28 +594,25 @@ pub fn run_shard(
         // checkpoint bytes) deterministic for any pool width. Each cell
         // is panic-isolated: a poisoned input records a failure line
         // instead of killing the shard.
-        let results: Vec<Result<CellResult, CellFailure>> = wave
+        let results: Vec<Result<S::Output, CellFailure>> = wave
             .par_iter()
-            .map(|cell| evaluate_cell_isolated(cell))
+            .map(|cell| evaluate_isolated(sweep, cell))
             .collect();
         for result in results {
-            let record = match result {
-                Ok(cell) => {
+            let (cell, failed) = match result {
+                Ok(output) => {
                     stats.evaluated += 1;
-                    LineRecord {
-                        header: None,
-                        cell: Some(cell),
-                        failed: None,
-                    }
+                    (Some(output), None)
                 }
                 Err(failure) => {
                     stats.failed += 1;
-                    LineRecord {
-                        header: None,
-                        cell: None,
-                        failed: Some(failure),
-                    }
+                    (None, Some(failure))
                 }
+            };
+            let record: Record<S> = LineRecord {
+                header: None,
+                cell,
+                failed,
             };
             append_line(&path, &record)?;
             done += 1;
@@ -586,16 +627,16 @@ pub fn run_shard(
 /// count as *covered* for the completeness check but are excluded from
 /// the result tables and surfaced in the summary instead).
 #[derive(Debug, Clone, PartialEq)]
-pub struct MergeOutcome {
+pub struct MergeOutcome<R = CellResult> {
     /// Successfully evaluated cells, in index order.
-    pub results: Vec<CellResult>,
+    pub results: Vec<R>,
     /// Recorded failures, in index order.
     pub failures: Vec<CellFailure>,
 }
 
-impl MergeOutcome {
-    /// A short human-readable error/retry summary (printed by
-    /// `campaign merge`).
+impl<R> MergeOutcome<R> {
+    /// A short human-readable error/retry summary (printed by `campaign
+    /// merge` and `fuzz merge`).
     pub fn failure_summary(&self) -> String {
         if self.failures.is_empty() {
             return "0 errored cells".to_string();
@@ -625,12 +666,12 @@ impl MergeOutcome {
 /// Returns [`CampaignError`] when no checkpoint exists, a header
 /// mismatches the manifest, or the grid is incomplete (lists the missing
 /// cell indices — the shards still to run).
-pub fn merge_dir(
-    manifest: &CampaignManifest,
-    cells: &[CellSpec],
+pub fn merge_dir<S: Sweep>(
+    sweep: &S,
+    cells: &[S::Cell],
     dir: &Path,
-) -> Result<MergeOutcome, CampaignError> {
-    let expect = header_for(manifest, cells, ShardSpec::single())?;
+) -> Result<MergeOutcome<S::Output>, CampaignError> {
+    let expect = sweep.header(cells, grid_fingerprint::<S>(cells)?, ShardSpec::single());
     let mut shard_files: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| CampaignError::new(format!("cannot read {}: {e}", dir.display())))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -647,38 +688,30 @@ pub fn merge_dir(
             dir.display()
         )));
     }
-    let mut merged: BTreeMap<usize, CellResult> = BTreeMap::new();
-    let mut failed: BTreeMap<usize, CellFailure> = BTreeMap::new();
+    let mut merged = Completed::new();
     for path in &shard_files {
-        let contents = read_shard_file(path, &expect)?;
-        for (index, cell) in contents.cells {
-            merged.insert(index, cell);
-        }
-        for (index, failure) in contents.failures {
-            failed.insert(index, failure);
-        }
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| CampaignError::new(format!("cannot read {}: {e}", path.display())))?;
+        merged.extend(parse_checkpoint::<S>(&text, path, &expect)?);
     }
     // Belt-and-braces on top of the fingerprint: every merged cell must
     // agree with the expanded spec at its index on what it evaluated.
     for cell in cells {
-        if let Some(result) = merged.get(&cell.index) {
-            if result.scenario != cell.scenario || result.ablation != cell.ablation {
+        if let Some(Ok(output)) = merged.get(&S::index(cell)) {
+            if !S::output_matches(cell, output) {
+                let (scenario, ablation) = S::labels(cell);
                 return Err(CampaignError::new(format!(
-                    "cell {} identity mismatch: checkpoint holds ({}, {}), manifest expands to \
-                     ({}, {})",
-                    cell.index,
-                    result.scenario.label(),
-                    result.ablation,
-                    cell.scenario.label(),
-                    cell.ablation,
+                    "cell {} identity mismatch: the checkpoint holds a different cell than the \
+                     manifest expands to ({scenario}, {ablation})",
+                    S::index(cell),
                 )));
             }
         }
     }
     let missing: Vec<usize> = cells
         .iter()
-        .map(|c| c.index)
-        .filter(|i| !merged.contains_key(i) && !failed.contains_key(i))
+        .map(S::index)
+        .filter(|i| !merged.contains_key(i))
         .collect();
     if !missing.is_empty() {
         return Err(CampaignError::new(format!(
@@ -689,10 +722,30 @@ pub fn merge_dir(
             if missing.len() > 16 { ", …" } else { "" }
         )));
     }
+    let (results, failures): (Vec<_>, Vec<_>) = merged.into_values().partition(Result::is_ok);
     Ok(MergeOutcome {
-        results: merged.into_values().collect(),
-        failures: failed.into_values().collect(),
+        results: results.into_iter().flatten().collect(),
+        failures: failures.into_iter().filter_map(Result::err).collect(),
     })
+}
+
+/// Results and failures — disjoint and each index-ordered — merged into
+/// one index-ordered row sequence, as the summary CSVs list them.
+pub(crate) fn rows_by_index<'a, R>(
+    results: &'a [R],
+    index: impl Fn(&R) -> usize,
+    failures: &'a [CellFailure],
+) -> Vec<Result<&'a R, &'a CellFailure>> {
+    let mut rows = Vec::with_capacity(results.len() + failures.len());
+    let mut pending = failures.iter().peekable();
+    for result in results {
+        while let Some(f) = pending.next_if(|f| f.index < index(result)) {
+            rows.push(Err(f));
+        }
+        rows.push(Ok(result));
+    }
+    rows.extend(pending.map(Err));
+    rows
 }
 
 /// The merged long-format CSV: one row per `(cell, method, point)`.
@@ -735,32 +788,26 @@ pub fn summary_csv(results: &[CellResult], failures: &[CellFailure]) -> String {
     // Results and failures are disjoint and index-ordered; interleave by
     // grid index while preserving the registry method order within each
     // cell (exactly the legacy row order, with `,0,0` appended).
-    let failure_row =
-        |f: &CellFailure| format!("{},{},{},-,0,1,0\n", f.index, f.scenario, f.ablation);
-    let mut pending = failures.iter().peekable();
-    for cell in results {
-        while let Some(f) = pending.peek() {
-            if f.index < cell.index {
-                out.push_str(&failure_row(f));
-                pending.next();
-            } else {
-                break;
+    for row in rows_by_index(results, |c| c.index, failures) {
+        match row {
+            Ok(cell) => {
+                let curve = cell.curve();
+                for &method in &cell.methods {
+                    out.push_str(&format!(
+                        "{},{},{},{},{},0,0\n",
+                        cell.index,
+                        cell.scenario.label(),
+                        cell.ablation,
+                        method.name(),
+                        curve.total_accepted(method),
+                    ));
+                }
             }
+            Err(f) => out.push_str(&format!(
+                "{},{},{},-,0,1,0\n",
+                f.index, f.scenario, f.ablation
+            )),
         }
-        let curve = cell.curve();
-        for &method in &cell.methods {
-            out.push_str(&format!(
-                "{},{},{},{},{},0,0\n",
-                cell.index,
-                cell.scenario.label(),
-                cell.ablation,
-                method.name(),
-                curve.total_accepted(method),
-            ));
-        }
-    }
-    for f in pending {
-        out.push_str(&failure_row(f));
     }
     out
 }
@@ -851,28 +898,36 @@ pub fn write_merged_outputs(
     failures: &[CellFailure],
     dir: &Path,
 ) -> Result<Vec<PathBuf>, CampaignError> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| CampaignError::new(format!("cannot create {}: {e}", dir.display())))?;
+    let mut files = vec![
+        ("merged.csv".to_string(), merged_csv(results)),
+        ("summary.csv".to_string(), summary_csv(results, failures)),
+    ];
+    files.extend(results.iter().map(|cell| {
+        let name = format!(
+            "curve_{:04}_{}_{}.csv",
+            cell.index,
+            cell.scenario.label(),
+            cell.ablation
+        );
+        (name, cell.curve().to_csv_for(&cell.methods))
+    }));
+    write_files(dir, files)
+}
+
+/// Writes each `(path under dir, contents)` pair; returns the paths.
+pub(crate) fn write_files(
+    dir: &Path,
+    files: impl IntoIterator<Item = (String, String)>,
+) -> Result<Vec<PathBuf>, CampaignError> {
     let mut written = Vec::new();
-    let mut write = |name: String, contents: String| -> Result<(), CampaignError> {
+    for (name, contents) in files {
         let path = dir.join(name);
+        let parent = path.parent().unwrap_or(dir);
+        std::fs::create_dir_all(parent)
+            .map_err(|e| CampaignError::new(format!("cannot create {}: {e}", parent.display())))?;
         std::fs::write(&path, contents)
             .map_err(|e| CampaignError::new(format!("cannot write {}: {e}", path.display())))?;
         written.push(path);
-        Ok(())
-    };
-    write("merged.csv".to_string(), merged_csv(results))?;
-    write("summary.csv".to_string(), summary_csv(results, failures))?;
-    for cell in results {
-        write(
-            format!(
-                "curve_{:04}_{}_{}.csv",
-                cell.index,
-                cell.scenario.label(),
-                cell.ablation
-            ),
-            cell.curve().to_csv_for(&cell.methods),
-        )?;
     }
     Ok(written)
 }

@@ -6,7 +6,9 @@
 //! carry one hand-rolled copy of the parsing each. [`SweepArgs`] is the
 //! single copy: a binary's argument loop *offers* every flag to
 //! [`SweepArgs::try_flag`] first and only matches binary-specific flags
-//! itself, so the shared surface can never drift between binaries.
+//! itself, so the shared surface can never drift between binaries. The
+//! `run`/`merge` subcommands of `campaign` and `fuzz` share
+//! [`SweepArgs::run_shard`] and [`SweepArgs::merge`] the same way.
 //!
 //! ```
 //! use dpcp_experiments::cli::SweepArgs;
@@ -29,9 +31,13 @@
 //! # Ok::<(), dpcp_experiments::cli::CliError>(())
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
-use crate::campaign::ShardSpec;
+use crate::campaign::{
+    merge_dir, run_shard, CampaignError, MergeOutcome, ShardRunStats, ShardSpec, Sweep,
+};
+use crate::manifest::ManifestError;
 
 /// A malformed value for one of the shared flags (e.g. a `--shard`
 /// spec that is not `i/n`). The sweep binaries print it and exit 2.
@@ -123,6 +129,84 @@ impl SweepArgs {
         self.out
             .clone()
             .unwrap_or_else(|| PathBuf::from(root).join(name))
+    }
+
+    /// Reads the `--manifest` file and parses it with `parse`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CampaignError`] naming the file when it is missing,
+    /// unreadable or invalid.
+    pub fn load_manifest<T>(
+        &self,
+        parse: impl FnOnce(&str) -> Result<T, ManifestError>,
+    ) -> Result<T, CampaignError> {
+        let path = self
+            .manifest
+            .as_deref()
+            .ok_or_else(|| CampaignError::from_message("--manifest is required"))?;
+        let text = std::fs::read_to_string(path).map_err(|e| {
+            CampaignError::from_message(format!("cannot read manifest {}: {e}", path.display()))
+        })?;
+        parse(&text).map_err(|e| CampaignError::from_message(format!("{}: {e}", path.display())))
+    }
+
+    /// The `run` subcommand: [`run_shard`] on the `--shard` slice, with a
+    /// progress line per cell and a completion line that CI greps.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`run_shard`]'s errors.
+    pub fn run_shard<S: Sweep>(
+        &self,
+        sweep: &S,
+        cells: &[S::Cell],
+        out: &Path,
+    ) -> Result<ShardRunStats, CampaignError> {
+        let started = Instant::now();
+        let shard = self.shard;
+        let stats = run_shard(sweep, cells, shard, out, |done, total| {
+            println!(
+                "  shard {shard}: {done}/{total} cells  ({:.1?})",
+                started.elapsed()
+            );
+        })?;
+        println!(
+            "shard {shard} complete: {} owned, {} resumed from checkpoint, {} evaluated, \
+             {} failed ({:.1?}) → {}",
+            stats.owned,
+            stats.resumed,
+            stats.evaluated,
+            stats.failed,
+            started.elapsed(),
+            shard.path(out).display(),
+        );
+        Ok(stats)
+    }
+
+    /// The `merge` subcommand: [`merge_dir`], then `write` into `--final`
+    /// (default `out/merged`), printing what was written and the failure
+    /// summary. Returns the outcome and the output directory.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`merge_dir`]'s and `write`'s errors.
+    pub fn merge<S: Sweep>(
+        &self,
+        sweep: &S,
+        cells: &[S::Cell],
+        out: &Path,
+        write: impl FnOnce(&MergeOutcome<S::Output>, &Path) -> Result<Vec<PathBuf>, CampaignError>,
+    ) -> Result<(MergeOutcome<S::Output>, PathBuf), CampaignError> {
+        let outcome = merge_dir(sweep, cells, out)?;
+        let final_dir = self.final_dir.clone().unwrap_or_else(|| out.join("merged"));
+        let written = write(&outcome, &final_dir)?;
+        println!("merged {} cells:", outcome.results.len());
+        for path in written {
+            println!("  wrote {}", path.display());
+        }
+        println!("{}", outcome.failure_summary());
+        Ok((outcome, final_dir))
     }
 }
 

@@ -11,19 +11,19 @@
 //! failure that ships with a minimized, self-contained JSON repro
 //! bundle (see [`ReproBundle`] and the `fuzz replay` subcommand).
 //!
-//! The sweep mirrors the campaign discipline end to end: a
-//! [`FuzzManifest`] expands to an ordered cell grid, shards checkpoint
-//! append-only JSONL with header-pinned identity, cells run
-//! panic-isolated in waves, and every byte of the merged output is a
-//! pure function of `(manifest, canary)` — identical across any
-//! shard/thread/resume split.
+//! The sweep runs on the campaign's shard engine: a [`FuzzManifest`]
+//! expands to an ordered cell grid, and a [`FuzzRun`] (manifest plus
+//! canary) implements [`Sweep`], so shards checkpoint append-only JSONL
+//! with header-pinned identity, cells run panic-isolated in waves, and
+//! every byte of the merged output is a pure function of
+//! `(manifest, canary)` — identical across any shard/thread/resume
+//! split. This module only adds the fuzz cell, its header and its
+//! outputs.
 
 use std::collections::BTreeSet;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use dpcp_core::partition::{PartitionOutcome, ResourceHeuristic};
 use dpcp_core::{AnalysisConfig, AnalysisRequest, AnalysisSession};
@@ -34,11 +34,10 @@ use dpcp_model::{
 use dpcp_sim::{simulate, ReleaseModel, SimConfig};
 
 use crate::campaign::{
-    heal_torn_tail, panic_message, CampaignError, CellFailure, Fnv1a, ShardRunStats, ShardSpec,
-    CELL_RETRIES,
+    rows_by_index, write_files, CampaignError, CellFailure, MergeOutcome, ShardSpec, Sweep,
 };
-use crate::harness::{sample_seed, standard_registry};
-use crate::manifest::{AxisSpec, ManifestError, QuickOverrides};
+use crate::harness::{generate_task_set, sample_seed, standard_registry};
+use crate::manifest::{validate_sweep, write_only_error, AxisSpec, ManifestError, QuickOverrides};
 
 /// Seed-domain separator between the generation stream and the
 /// simulation stream: the simulator must never replay the generator's
@@ -112,26 +111,12 @@ impl FuzzManifest {
     /// constraint.
     pub fn validate(&self) -> Result<(), ManifestError> {
         let err = |m: &str| Err(ManifestError::new(m));
-        if self.name.is_empty()
-            || !self
-                .name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-        {
-            return err("name must be non-empty and filesystem-safe ([A-Za-z0-9_-])");
-        }
-        if self.samples_per_point == 0 {
-            return err("samples_per_point must be positive");
-        }
-        self.axes.validate()?;
-        if self.normalized_utilization.is_empty()
-            || self
-                .normalized_utilization
-                .iter()
-                .any(|&p| !p.is_finite() || p <= 0.0 || p > 1.0)
-        {
-            return err("normalized utilizations must lie in (0, 1]");
-        }
+        validate_sweep(
+            &self.name,
+            self.samples_per_point,
+            &self.axes,
+            Some(&self.normalized_utilization),
+        )?;
         if let Some(models) = &self.release {
             if models.is_empty() {
                 return err("release, when present, must be non-empty");
@@ -170,17 +155,11 @@ impl FuzzManifest {
             )));
         };
         if self.axes.draws_reads() && !protocol.supports_rw() {
-            return Err(ManifestError::new(format!(
-                "method '{method}' is write-only but the rw_share axis \
-                 generates reader-writer task sets; fuzz an rw-aware \
-                 method instead ({})",
-                standard_registry()
-                    .iter()
-                    .filter(|p| p.supports_rw())
-                    .map(|p| p.name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )));
+            return Err(write_only_error(
+                method,
+                "the rw_share axis",
+                "fuzz an rw-aware method instead",
+            ));
         }
         Ok(())
     }
@@ -188,25 +167,13 @@ impl FuzzManifest {
     /// Expands the manifest into the ordered fuzz cell grid: scenarios
     /// (campaign axis order) × release models, dense indices.
     pub fn cells(&self, quick: bool) -> Vec<FuzzCellSpec> {
-        let mut samples = self.samples_per_point;
-        let mut normalized = self.normalized_utilization.clone();
-        let mut scenarios = self.axes.scenarios();
-        if quick {
-            let overrides = self.quick.clone().unwrap_or(QuickOverrides {
-                samples_per_point: Some(2),
-                normalized_utilization: None,
-                limit_scenarios: None,
-            });
-            if let Some(s) = overrides.samples_per_point {
-                samples = s.max(1);
-            }
-            if let Some(points) = overrides.normalized_utilization {
-                normalized = points;
-            }
-            if let Some(limit) = overrides.limit_scenarios {
-                scenarios.truncate(limit.max(1));
-            }
-        }
+        let (samples, scenarios, quick_points) = QuickOverrides::scale(
+            quick,
+            self.quick.as_ref(),
+            self.samples_per_point,
+            &self.axes,
+        );
+        let normalized = quick_points.unwrap_or_else(|| self.normalized_utilization.clone());
         let releases = self
             .release
             .clone()
@@ -849,9 +816,6 @@ fn evaluate_fuzz_point(
     utilization: f64,
     canary: Option<f64>,
 ) -> Result<FuzzPointResult, CampaignError> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
     let platform = Platform::new(cell.scenario.m)
         .map_err(|e| CampaignError::from_message(format!("cell {} platform: {e}", cell.index)))?;
     let mut out = FuzzPointResult {
@@ -866,15 +830,14 @@ fn evaluate_fuzz_point(
         gaps: Vec::new(),
     };
     for sample in 0..cell.samples_per_point {
-        let mut tasks = None;
-        for retry in 0..=cell.generation_retries {
-            let mut rng = StdRng::seed_from_u64(sample_seed(cell.seed, point, sample, retry));
-            if let Ok(set) = cell.scenario.sample_task_set(utilization, &mut rng) {
-                tasks = Some(set);
-                break;
-            }
-        }
-        let Some(tasks) = tasks else {
+        let Some(tasks) = generate_task_set(
+            &cell.scenario,
+            utilization,
+            cell.seed,
+            point,
+            sample,
+            cell.generation_retries,
+        ) else {
             out.generation_failures += 1;
             continue;
         };
@@ -929,7 +892,7 @@ fn evaluate_fuzz_point(
                 out.violations.push(FuzzViolation {
                     sample,
                     bundle: ReproBundle {
-                        campaign: String::new(), // filled by the shard runner
+                        campaign: String::new(), // filled by evaluate_fuzz_cell
                         seed: cell.seed,
                         cell: cell.index,
                         point,
@@ -1013,7 +976,7 @@ pub fn evaluate_fuzz_cell(
 }
 
 // ---------------------------------------------------------------------------
-// Sharded execution + checkpointing
+// The sweep: shard identity + the engine's hooks
 // ---------------------------------------------------------------------------
 
 /// The identity line at the top of every fuzz shard file. The canary
@@ -1037,25 +1000,46 @@ pub struct FuzzShardHeader {
     pub shard: ShardSpec,
 }
 
-/// One fuzz JSONL line: exactly one of the fields is populated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct FuzzLineRecord {
-    header: Option<FuzzShardHeader>,
-    cell: Option<FuzzCellResult>,
-    failed: Option<CellFailure>,
+/// A fuzz sweep as the shard engine runs it
+/// ([`run_shard`](crate::campaign::run_shard),
+/// [`merge_dir`](crate::campaign::merge_dir)): the manifest plus the
+/// canary bound-scale (`None` in production sweeps).
+#[derive(Debug, Clone, Copy)]
+pub struct FuzzRun<'a> {
+    /// The fuzz manifest (its name lands in every repro bundle).
+    pub manifest: &'a FuzzManifest,
+    /// Test-only bound weakening (see [`FuzzOracleConfig::canary_scale`]).
+    pub canary: Option<f64>,
 }
 
-/// FNV-1a fingerprint of the expanded fuzz grid (same discipline as the
-/// campaign fingerprint: any manifest edit that changes what a cell
-/// means changes this).
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] when a cell identity fails to serialize.
-pub fn fuzz_grid_fingerprint(cells: &[FuzzCellSpec]) -> Result<String, CampaignError> {
-    let mut hasher = Fnv1a::new();
-    for cell in cells {
-        let identity = serde_json::to_string(&(
+impl Sweep for FuzzRun<'_> {
+    type Cell = FuzzCellSpec;
+    type Output = FuzzCellResult;
+    type Header = FuzzShardHeader;
+
+    fn header(
+        &self,
+        cells: &[FuzzCellSpec],
+        fingerprint: String,
+        shard: ShardSpec,
+    ) -> FuzzShardHeader {
+        FuzzShardHeader {
+            campaign: self.manifest.name.clone(),
+            seed: self.manifest.seed,
+            grid: cells.len(),
+            samples_per_point: cells.first().map_or(0, |c| c.samples_per_point),
+            fingerprint,
+            canary: self.canary,
+            shard,
+        }
+    }
+
+    fn index(cell: &FuzzCellSpec) -> usize {
+        cell.index
+    }
+
+    fn identity(cell: &FuzzCellSpec) -> Value {
+        (
             (cell.index, &cell.scenario, cell.release, &cell.method),
             (
                 cell.samples_per_point,
@@ -1064,251 +1048,36 @@ pub fn fuzz_grid_fingerprint(cells: &[FuzzCellSpec]) -> Result<String, CampaignE
                 &cell.utilizations,
             ),
             (cell.sim_duration.as_ns(), cell.max_events),
-        ))
-        .map_err(|e| {
-            CampaignError::from_message(format!(
-                "fuzz cell {} identity fails to serialize: {e}",
-                cell.index
-            ))
-        })?;
-        hasher.eat(identity.as_bytes());
-        hasher.eat(b"\n");
+        )
+            .serialize()
     }
-    Ok(hasher.finish())
-}
 
-fn fuzz_header_for(
-    manifest: &FuzzManifest,
-    cells: &[FuzzCellSpec],
-    shard: ShardSpec,
-    canary: Option<f64>,
-) -> Result<FuzzShardHeader, CampaignError> {
-    Ok(FuzzShardHeader {
-        campaign: manifest.name.clone(),
-        seed: manifest.seed,
-        grid: cells.len(),
-        samples_per_point: cells.first().map(|c| c.samples_per_point).unwrap_or(0),
-        fingerprint: fuzz_grid_fingerprint(cells)?,
-        canary,
-        shard,
-    })
-}
-
-#[derive(Debug, Default)]
-struct FuzzShardContents {
-    cells: std::collections::BTreeMap<usize, FuzzCellResult>,
-    failures: std::collections::BTreeMap<usize, CellFailure>,
-}
-
-fn fuzz_parse_checkpoint(
-    text: &str,
-    path: &Path,
-    expect: &FuzzShardHeader,
-) -> Result<FuzzShardContents, CampaignError> {
-    let mut lines = text.lines();
-    let header_line = lines
-        .next()
-        .ok_or_else(|| CampaignError::from_message(format!("{} is empty", path.display())))?;
-    let header: FuzzLineRecord = serde_json::from_str(header_line)
-        .map_err(|e| CampaignError::from_message(format!("{}: bad header: {e}", path.display())))?;
-    let header = header.header.ok_or_else(|| {
-        CampaignError::from_message(format!("{}: first line is not a header", path.display()))
-    })?;
-    if header.campaign != expect.campaign
-        || header.seed != expect.seed
-        || header.grid != expect.grid
-        || header.samples_per_point != expect.samples_per_point
-        || header.fingerprint != expect.fingerprint
-        || header.canary != expect.canary
-    {
-        return Err(CampaignError::from_message(format!(
-            "{}: header mismatch — the checkpoint was written by a different fuzz campaign, \
-             an edited manifest, or a different canary scale",
-            path.display()
-        )));
+    fn evaluate(&self, cell: &FuzzCellSpec) -> Result<FuzzCellResult, CampaignError> {
+        evaluate_fuzz_cell(cell, &self.manifest.name, self.canary)
     }
-    let mut contents = FuzzShardContents::default();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(record) = serde_json::from_str::<FuzzLineRecord>(line) else {
-            continue; // torn tail line from an interrupted run
-        };
-        if let Some(cell) = record.cell {
-            contents.cells.insert(cell.index, cell);
-        }
-        if let Some(failed) = record.failed {
-            contents.failures.insert(failed.index, failed);
-        }
-    }
-    Ok(contents)
-}
 
-fn fuzz_has_wellformed_header(text: &str) -> bool {
-    text.lines().next().is_some_and(|first| {
-        serde_json::from_str::<FuzzLineRecord>(first)
-            .ok()
-            .is_some_and(|record| record.header.is_some())
-    })
-}
-
-fn fuzz_append_line(path: &Path, record: &FuzzLineRecord) -> Result<(), CampaignError> {
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| CampaignError::from_message(format!("cannot open {}: {e}", path.display())))?;
-    let line = serde_json::to_string(record)
-        .map_err(|e| CampaignError::from_message(format!("cannot serialize record: {e}")))?;
-    file.write_all(line.as_bytes())
-        .and_then(|()| file.write_all(b"\n"))
-        .and_then(|()| file.flush())
-        .map_err(|e| {
-            CampaignError::from_message(format!("cannot append to {}: {e}", path.display()))
-        })
-}
-
-/// Evaluates one fuzz cell panic-isolated with the bounded deterministic
-/// retry, mirroring the campaign runner.
-fn evaluate_fuzz_cell_isolated(
-    cell: &FuzzCellSpec,
-    campaign: &str,
-    canary: Option<f64>,
-) -> Result<FuzzCellResult, CellFailure> {
-    let mut last = String::new();
-    for _ in 0..=CELL_RETRIES {
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            evaluate_fuzz_cell(cell, campaign, canary)
-        }));
-        match attempt {
-            Ok(Ok(result)) => return Ok(result),
-            Ok(Err(e)) => last = e.to_string(),
-            Err(payload) => last = panic_message(payload.as_ref()),
-        }
+    fn labels(cell: &FuzzCellSpec) -> (String, String) {
+        (cell.scenario.label(), release_label(cell.release))
     }
-    Err(CellFailure {
-        index: cell.index,
-        scenario: cell.scenario.label(),
-        ablation: release_label(cell.release),
-        error: last,
-        retries: CELL_RETRIES,
-    })
-}
 
-/// Runs (or resumes) one shard of a fuzz campaign, checkpointing each
-/// completed cell (or recorded failure) to `dir/shard_<i>_of_<n>.jsonl`.
-/// Mirrors the campaign runner: wave-parallel over the ambient rayon
-/// pool with index-ordered appends, so checkpoint bytes are identical
-/// for any pool width; panic-isolated cells record failures instead of
-/// killing the shard.
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] on I/O failures or a checkpoint identity
-/// mismatch (including a canary-scale mismatch).
-pub fn run_fuzz_shard(
-    manifest: &FuzzManifest,
-    cells: &[FuzzCellSpec],
-    shard: ShardSpec,
-    dir: &Path,
-    canary: Option<f64>,
-    mut progress: impl FnMut(usize, usize),
-) -> Result<ShardRunStats, CampaignError> {
-    std::fs::create_dir_all(dir).map_err(|e| {
-        CampaignError::from_message(format!("cannot create {}: {e}", dir.display()))
-    })?;
-    let header = fuzz_header_for(manifest, cells, shard, canary)?;
-    let path = shard.path(dir);
-    let existing = if path.exists() {
-        Some(std::fs::read_to_string(&path).map_err(|e| {
-            CampaignError::from_message(format!("cannot read {}: {e}", path.display()))
-        })?)
-    } else {
-        None
-    };
-    let completed = if let Some(text) = existing.filter(|t| fuzz_has_wellformed_header(t)) {
-        heal_torn_tail(&path, &text)?;
-        fuzz_parse_checkpoint(&text, &path, &header)?
-    } else {
-        std::fs::write(&path, "").map_err(|e| {
-            CampaignError::from_message(format!("cannot create {}: {e}", path.display()))
-        })?;
-        fuzz_append_line(
-            &path,
-            &FuzzLineRecord {
-                header: Some(header.clone()),
-                cell: None,
-                failed: None,
-            },
-        )?;
-        FuzzShardContents::default()
-    };
-    let owned: Vec<&FuzzCellSpec> = cells.iter().filter(|c| shard.owns(c.index)).collect();
-    let mut stats = ShardRunStats {
-        owned: owned.len(),
-        ..ShardRunStats::default()
-    };
-    let mut done = 0usize;
-    let mut pending: Vec<&FuzzCellSpec> = Vec::with_capacity(owned.len());
-    for cell in owned {
-        if completed.cells.contains_key(&cell.index) || completed.failures.contains_key(&cell.index)
-        {
-            stats.resumed += 1;
-            done += 1;
-            progress(done, stats.owned);
-        } else {
-            pending.push(cell);
-        }
+    fn output_index(output: &FuzzCellResult) -> usize {
+        output.index
     }
-    let width = rayon::current_num_threads().max(1);
-    for wave in pending.chunks(width) {
-        let results: Vec<Result<FuzzCellResult, CellFailure>> = wave
-            .par_iter()
-            .map(|cell| evaluate_fuzz_cell_isolated(cell, &manifest.name, canary))
-            .collect();
-        for result in results {
-            let record = match result {
-                Ok(cell) => {
-                    stats.evaluated += 1;
-                    FuzzLineRecord {
-                        header: None,
-                        cell: Some(cell),
-                        failed: None,
-                    }
-                }
-                Err(failure) => {
-                    stats.failed += 1;
-                    FuzzLineRecord {
-                        header: None,
-                        cell: None,
-                        failed: Some(failure),
-                    }
-                }
-            };
-            fuzz_append_line(&path, &record)?;
-            done += 1;
-            progress(done, stats.owned);
-        }
+
+    fn output_matches(cell: &FuzzCellSpec, output: &FuzzCellResult) -> bool {
+        output.scenario == cell.scenario && output.release == cell.release
     }
-    Ok(stats)
 }
 
 // ---------------------------------------------------------------------------
-// Merge + outputs
+// Merge outputs
 // ---------------------------------------------------------------------------
 
 /// A completed fuzz merge: index-ordered cell results plus recorded
 /// failures.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FuzzMergeOutcome {
-    /// Successfully evaluated cells, in index order.
-    pub results: Vec<FuzzCellResult>,
-    /// Recorded per-cell failures, in index order.
-    pub failures: Vec<CellFailure>,
-}
+pub type FuzzMergeOutcome = MergeOutcome<FuzzCellResult>;
 
-impl FuzzMergeOutcome {
+impl MergeOutcome<FuzzCellResult> {
     /// Total soundness violations across the grid.
     pub fn total_violations(&self) -> usize {
         self.results.iter().map(FuzzCellResult::violations).sum()
@@ -1324,87 +1093,6 @@ impl FuzzMergeOutcome {
             .map(|v| &v.bundle)
             .collect()
     }
-
-    /// A short error/retry summary (printed by `fuzz merge`).
-    pub fn failure_summary(&self) -> String {
-        if self.failures.is_empty() {
-            return "0 errored cells".to_string();
-        }
-        let retries: usize = self.failures.iter().map(|f| f.retries).sum();
-        let mut out = format!(
-            "{} errored cell(s) after {} retr{}:",
-            self.failures.len(),
-            retries,
-            if retries == 1 { "y" } else { "ies" }
-        );
-        for f in &self.failures {
-            out.push_str(&format!(
-                "\n  cell {} ({}, {}): {}",
-                f.index, f.scenario, f.ablation, f.error
-            ));
-        }
-        out
-    }
-}
-
-/// Collects every fuzz shard checkpoint in `dir` and folds them into the
-/// complete grid.
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] when no checkpoint exists, a header (or
-/// canary scale) mismatches, or the grid is incomplete.
-pub fn fuzz_merge_dir(
-    manifest: &FuzzManifest,
-    cells: &[FuzzCellSpec],
-    dir: &Path,
-    canary: Option<f64>,
-) -> Result<FuzzMergeOutcome, CampaignError> {
-    let expect = fuzz_header_for(manifest, cells, ShardSpec::single(), canary)?;
-    let mut shard_files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| CampaignError::from_message(format!("cannot read {}: {e}", dir.display())))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("shard_") && n.ends_with(".jsonl"))
-        })
-        .collect();
-    shard_files.sort();
-    if shard_files.is_empty() {
-        return Err(CampaignError::from_message(format!(
-            "no shard checkpoints in {}",
-            dir.display()
-        )));
-    }
-    let mut merged: std::collections::BTreeMap<usize, FuzzCellResult> = Default::default();
-    let mut failed: std::collections::BTreeMap<usize, CellFailure> = Default::default();
-    for path in &shard_files {
-        let text = std::fs::read_to_string(path).map_err(|e| {
-            CampaignError::from_message(format!("cannot read {}: {e}", path.display()))
-        })?;
-        let contents = fuzz_parse_checkpoint(&text, path, &expect)?;
-        merged.extend(contents.cells);
-        failed.extend(contents.failures);
-    }
-    let missing: Vec<usize> = cells
-        .iter()
-        .map(|c| c.index)
-        .filter(|i| !merged.contains_key(i) && !failed.contains_key(i))
-        .collect();
-    if !missing.is_empty() {
-        return Err(CampaignError::from_message(format!(
-            "fuzz grid incomplete: {} of {} cells missing (indices {:?}{})",
-            missing.len(),
-            cells.len(),
-            &missing[..missing.len().min(16)],
-            if missing.len() > 16 { ", …" } else { "" }
-        )));
-    }
-    Ok(FuzzMergeOutcome {
-        results: merged.into_values().collect(),
-        failures: failed.into_values().collect(),
-    })
 }
 
 /// Nearest-rank percentile of an unsorted slice (`q ∈ (0, 1]`); `0.0`
@@ -1457,41 +1145,31 @@ pub fn fuzz_summary_csv(results: &[FuzzCellResult], failures: &[CellFailure]) ->
     let mut out = String::from(
         "cell,scenario,release,sound,rejected,budget_exceeded,violations,gap_max,errored_cells\n",
     );
-    let failure_row = |f: &CellFailure| {
-        format!(
-            "{},{},{},0,0,0,0,0.0000,1\n",
-            f.index, f.scenario, f.ablation
-        )
-    };
-    let mut pending = failures.iter().peekable();
-    for cell in results {
-        while let Some(f) = pending.peek() {
-            if f.index < cell.index {
-                out.push_str(&failure_row(f));
-                pending.next();
-            } else {
-                break;
+    for row in rows_by_index(results, |c| c.index, failures) {
+        match row {
+            Ok(cell) => {
+                let gaps: Vec<f64> = cell
+                    .points
+                    .iter()
+                    .flat_map(|p| p.gaps.iter().copied())
+                    .collect();
+                out.push_str(&format!(
+                    "{},{},{},{},{},{},{},{:.4},0\n",
+                    cell.index,
+                    cell.scenario.label(),
+                    release_label(cell.release),
+                    cell.points.iter().map(|p| p.sound).sum::<usize>(),
+                    cell.points.iter().map(|p| p.rejected).sum::<usize>(),
+                    cell.points.iter().map(|p| p.budget_exceeded).sum::<usize>(),
+                    cell.violations(),
+                    percentile(&gaps, 1.0),
+                ));
             }
+            Err(f) => out.push_str(&format!(
+                "{},{},{},0,0,0,0,0.0000,1\n",
+                f.index, f.scenario, f.ablation
+            )),
         }
-        let gaps: Vec<f64> = cell
-            .points
-            .iter()
-            .flat_map(|p| p.gaps.iter().copied())
-            .collect();
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{:.4},0\n",
-            cell.index,
-            cell.scenario.label(),
-            release_label(cell.release),
-            cell.points.iter().map(|p| p.sound).sum::<usize>(),
-            cell.points.iter().map(|p| p.rejected).sum::<usize>(),
-            cell.points.iter().map(|p| p.budget_exceeded).sum::<usize>(),
-            cell.violations(),
-            percentile(&gaps, 1.0),
-        ));
-    }
-    for f in pending {
-        out.push_str(&failure_row(f));
     }
     out
 }
@@ -1507,39 +1185,22 @@ pub fn write_fuzz_outputs(
     outcome: &FuzzMergeOutcome,
     dir: &Path,
 ) -> Result<Vec<PathBuf>, CampaignError> {
-    std::fs::create_dir_all(dir).map_err(|e| {
-        CampaignError::from_message(format!("cannot create {}: {e}", dir.display()))
-    })?;
-    let mut written = Vec::new();
-    let mut write = |path: PathBuf, contents: String| -> Result<(), CampaignError> {
-        std::fs::write(&path, contents).map_err(|e| {
-            CampaignError::from_message(format!("cannot write {}: {e}", path.display()))
-        })?;
-        written.push(path);
-        Ok(())
-    };
-    write(
-        dir.join("fuzz_merged.csv"),
-        fuzz_merged_csv(&outcome.results),
-    )?;
-    write(
-        dir.join("fuzz_summary.csv"),
-        fuzz_summary_csv(&outcome.results, &outcome.failures),
-    )?;
-    let bundles = outcome.bundles();
-    if !bundles.is_empty() {
-        let bundle_dir = dir.join("bundles");
-        std::fs::create_dir_all(&bundle_dir).map_err(|e| {
-            CampaignError::from_message(format!("cannot create {}: {e}", bundle_dir.display()))
-        })?;
-        for bundle in bundles {
-            let text = serde_json::to_string(bundle).map_err(|e| {
-                CampaignError::from_message(format!("cannot serialize bundle: {e}"))
-            })?;
-            write(bundle_dir.join(bundle.file_name()), text)?;
-        }
+    let mut files = vec![
+        (
+            "fuzz_merged.csv".to_string(),
+            fuzz_merged_csv(&outcome.results),
+        ),
+        (
+            "fuzz_summary.csv".to_string(),
+            fuzz_summary_csv(&outcome.results, &outcome.failures),
+        ),
+    ];
+    for bundle in outcome.bundles() {
+        let text = serde_json::to_string(bundle)
+            .map_err(|e| CampaignError::from_message(format!("cannot serialize bundle: {e}")))?;
+        files.push((format!("bundles/{}", bundle.file_name()), text));
     }
-    Ok(written)
+    write_files(dir, files)
 }
 
 #[cfg(test)]

@@ -338,6 +338,24 @@ pub(crate) fn sample_seed(base: u64, point: usize, sample: usize, retry: usize) 
     x ^ (x >> 31)
 }
 
+/// Draws the task set of one sample: the generator gets up to
+/// `retries + 1` attempts, each on its own `(seed, point, sample, retry)`
+/// stream; `None` when every attempt is rejected. The campaign harness
+/// and the fuzz oracle share this, so both sweeps see the same sets.
+pub(crate) fn generate_task_set(
+    scenario: &Scenario,
+    utilization: f64,
+    seed: u64,
+    point: usize,
+    sample: usize,
+    retries: usize,
+) -> Option<TaskSet> {
+    (0..=retries).find_map(|retry| {
+        let mut rng = StdRng::seed_from_u64(sample_seed(seed, point, sample, retry));
+        scenario.sample_task_set(utilization, &mut rng).ok()
+    })
+}
+
 /// The associatively merged outcome of a batch of samples; the identity
 /// element of the parallel reduce is `PointAccum::default()`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -375,16 +393,14 @@ fn evaluate_sample(
     heuristic: ResourceHeuristic,
     methods: &[Method],
 ) -> PointAccum {
-    let mut generated = None;
-    for retry in 0..=cfg.generation_retries {
-        let seed = sample_seed(cfg.seed, point_index, sample, retry);
-        let mut rng = StdRng::seed_from_u64(seed);
-        if let Ok(ts) = scenario.sample_task_set(utilization, &mut rng) {
-            generated = Some(ts);
-            break;
-        }
-    }
-    match generated {
+    match generate_task_set(
+        scenario,
+        utilization,
+        cfg.seed,
+        point_index,
+        sample,
+        cfg.generation_retries,
+    ) {
         Some(ts) => {
             let mut session = AnalysisSession::new(cfg.ep_config.clone());
             let accepted = evaluate_task_set(&ts, platform, heuristic, methods, &mut session);

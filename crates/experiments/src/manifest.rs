@@ -19,7 +19,7 @@ use dpcp_gen::scenario::Scenario;
 use dpcp_gen::GraphShape;
 use serde::{Deserialize, Serialize};
 
-use crate::harness::{EvalConfig, Method};
+use crate::harness::{standard_registry, EvalConfig, Method};
 
 /// The scenario axes of a campaign; the grid is the cartesian product in
 /// the fixed order `m → nr_range → u_avg → access_prob → max_requests →
@@ -319,6 +319,87 @@ pub struct QuickOverrides {
     pub limit_scenarios: Option<usize>,
 }
 
+impl QuickOverrides {
+    /// The grid scale a manifest expands at: `(samples per point,
+    /// scenarios, quick-mode utilization points)`. Without `--quick` this
+    /// is the declared scale; with it, the manifest's `declared`
+    /// overrides apply (a 2-sample cap when it declares none). Shared by
+    /// the campaign and fuzz manifests.
+    pub(crate) fn scale(
+        quick: bool,
+        declared: Option<&QuickOverrides>,
+        samples_per_point: usize,
+        axes: &AxisSpec,
+    ) -> (usize, Vec<Scenario>, Option<Vec<f64>>) {
+        let mut scenarios = axes.scenarios();
+        if !quick {
+            return (samples_per_point, scenarios, None);
+        }
+        let overrides = declared.cloned().unwrap_or(QuickOverrides {
+            samples_per_point: Some(2),
+            normalized_utilization: None,
+            limit_scenarios: None,
+        });
+        if let Some(limit) = overrides.limit_scenarios {
+            scenarios.truncate(limit.max(1));
+        }
+        let samples = overrides
+            .samples_per_point
+            .map_or(samples_per_point, |s| s.max(1));
+        (samples, scenarios, overrides.normalized_utilization)
+    }
+}
+
+/// Is `name` non-empty and made of `[A-Za-z0-9_-]` only? Manifest names
+/// and labels become CSV cells and output-path components.
+pub(crate) fn is_filesystem_safe(name: &str) -> bool {
+    !name.is_empty()
+        && name
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+}
+
+/// Rejects a write-only `method` on a grid whose `axis` draws reads (a
+/// write-only analysis would silently price reads as writes), naming the
+/// registry's rw-aware methods and the `remedy`.
+pub(crate) fn write_only_error(method: &str, axis: &str, remedy: &str) -> ManifestError {
+    let rw_aware: Vec<&str> = standard_registry()
+        .iter()
+        .filter(|p| p.supports_rw())
+        .map(|p| p.name())
+        .collect();
+    ManifestError(format!(
+        "method '{method}' is write-only but {axis} generates reader-writer task sets; \
+         {remedy} ({})",
+        rw_aware.join(", ")
+    ))
+}
+
+/// The checks every sweep manifest shares: a filesystem-safe name, a
+/// positive sample count, valid axes and, when given, normalized
+/// utilization points in `(0, 1]`.
+pub(crate) fn validate_sweep(
+    name: &str,
+    samples_per_point: usize,
+    axes: &AxisSpec,
+    normalized: Option<&[f64]>,
+) -> Result<(), ManifestError> {
+    let err = |m: &str| Err(ManifestError(m.to_string()));
+    if !is_filesystem_safe(name) {
+        return err("name must be non-empty and filesystem-safe ([A-Za-z0-9_-])");
+    }
+    if samples_per_point == 0 {
+        return err("samples_per_point must be positive");
+    }
+    axes.validate()?;
+    if normalized
+        .is_some_and(|points| points.is_empty() || !points.iter().all(|&p| p > 0.0 && p <= 1.0))
+    {
+        return err("normalized utilizations must lie in (0, 1]");
+    }
+    Ok(())
+}
+
 /// A declarative experiment sweep: scenario axes × ablations × methods,
 /// with the sample count and seed discipline pinned.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -414,25 +495,14 @@ impl CampaignManifest {
     /// constraint.
     pub fn validate(&self) -> Result<(), ManifestError> {
         let err = |m: &str| Err(ManifestError(m.to_string()));
-        if self.name.is_empty()
-            || !self
-                .name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-        {
-            return err("name must be non-empty and filesystem-safe ([A-Za-z0-9_-])");
-        }
-        if self.samples_per_point == 0 {
-            return err("samples_per_point must be positive");
-        }
+        validate_sweep(
+            &self.name,
+            self.samples_per_point,
+            &self.axes,
+            self.normalized_utilization.as_deref(),
+        )?;
         if self.methods.is_empty() {
             return err("methods must be non-empty");
-        }
-        self.axes.validate()?;
-        if let Some(points) = &self.normalized_utilization {
-            if points.is_empty() || points.iter().any(|&p| p <= 0.0 || p > 1.0) {
-                return err("normalized utilizations must lie in (0, 1]");
-            }
         }
         if let Some(ablations) = &self.ablations {
             if ablations.is_empty() {
@@ -440,13 +510,7 @@ impl CampaignManifest {
             }
             // Labels become CSV cells and output-file path components, so
             // they get the same charset discipline as the campaign name.
-            if ablations.iter().any(|a| {
-                a.label.is_empty()
-                    || !a
-                        .label
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-            }) {
+            if ablations.iter().any(|a| !is_filesystem_safe(&a.label)) {
                 return err(
                     "ablation labels must be non-empty and filesystem-safe ([A-Za-z0-9_-])",
                 );
@@ -470,33 +534,24 @@ impl CampaignManifest {
             for ablation in self.ablation_list() {
                 let methods = ablation.methods.as_ref().unwrap_or(&self.methods);
                 if let Some(m) = methods.iter().find(|m| !m.supports_rw()) {
-                    return Err(ManifestError(format!(
-                        "method '{}' is write-only but the rw_share axis \
-                         generates reader-writer task sets; restrict the \
-                         manifest to rw-aware methods ({})",
+                    return Err(write_only_error(
                         m.name(),
-                        Method::ALL
-                            .iter()
-                            .filter(|m| m.supports_rw())
-                            .map(|m| m.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )));
+                        "the rw_share axis",
+                        "restrict the manifest to rw-aware methods",
+                    ));
                 }
             }
         }
         if let Some(grids) = &self.extra {
             for grid in grids {
-                if let Some(label) = &grid.label {
-                    if label.is_empty()
-                        || !label
-                            .chars()
-                            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-                    {
-                        return err(
-                            "extra-grid labels must be non-empty and filesystem-safe ([A-Za-z0-9_-])",
-                        );
-                    }
+                if grid
+                    .label
+                    .as_deref()
+                    .is_some_and(|l| !is_filesystem_safe(l))
+                {
+                    return err(
+                        "extra-grid labels must be non-empty and filesystem-safe ([A-Za-z0-9_-])",
+                    );
                 }
                 if grid.methods.is_empty() {
                     return err("an extra grid's methods must be non-empty");
@@ -504,18 +559,11 @@ impl CampaignManifest {
                 grid.axes.validate()?;
                 if grid.axes.draws_reads() {
                     if let Some(m) = grid.methods.iter().find(|m| !m.supports_rw()) {
-                        return Err(ManifestError(format!(
-                            "method '{}' is write-only but an extra grid's \
-                             rw_share axis generates reader-writer task sets; \
-                             restrict that grid to rw-aware methods ({})",
+                        return Err(write_only_error(
                             m.name(),
-                            Method::ALL
-                                .iter()
-                                .filter(|m| m.supports_rw())
-                                .map(|m| m.name())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        )));
+                            "an extra grid's rw_share axis",
+                            "restrict that grid to rw-aware methods",
+                        ));
                     }
                 }
             }
@@ -536,33 +584,28 @@ impl CampaignManifest {
     /// outputs fold back naturally. `quick` applies the manifest's
     /// [`QuickOverrides`] (or a 2-sample cap when none are declared).
     pub fn cells(&self, quick: bool) -> Vec<CellSpec> {
-        let mut samples = self.samples_per_point;
-        let mut normalized = self.normalized_utilization.clone();
-        let mut scenarios = self.axes.scenarios();
-        if quick {
-            let overrides = self.quick.clone().unwrap_or(QuickOverrides {
-                samples_per_point: Some(2),
-                normalized_utilization: None,
-                limit_scenarios: None,
-            });
-            if let Some(s) = overrides.samples_per_point {
-                samples = s.max(1);
-            }
-            if let Some(points) = overrides.normalized_utilization {
-                normalized = Some(points);
-            }
-            if let Some(limit) = overrides.limit_scenarios {
-                scenarios.truncate(limit.max(1));
-            }
-        }
+        let (samples, scenarios, quick_points) = QuickOverrides::scale(
+            quick,
+            self.quick.as_ref(),
+            self.samples_per_point,
+            &self.axes,
+        );
+        let normalized = quick_points.or_else(|| self.normalized_utilization.clone());
         let retries = self.generation_retries.unwrap_or(8);
         let ablations = self.ablation_list();
+        let utilizations = |scenario: &Scenario| match &normalized {
+            Some(points) => points.iter().map(|p| p * scenario.m as f64).collect(),
+            None => scenario.utilization_points(),
+        };
+        let eval = |ep_config| EvalConfig {
+            samples_per_point: samples,
+            seed: self.seed,
+            threads: 0,
+            generation_retries: retries,
+            ep_config,
+        };
         let mut cells = Vec::with_capacity(scenarios.len() * ablations.len());
         for scenario in &scenarios {
-            let utilizations: Vec<f64> = match &normalized {
-                Some(points) => points.iter().map(|p| p * scenario.m as f64).collect(),
-                None => scenario.utilization_points(),
-            };
             for ablation in &ablations {
                 cells.push(CellSpec {
                     index: cells.len(),
@@ -575,14 +618,8 @@ impl CampaignManifest {
                     heuristic: ablation
                         .heuristic
                         .unwrap_or(ResourceHeuristic::WorstFitDecreasing),
-                    eval: EvalConfig {
-                        samples_per_point: samples,
-                        seed: self.seed,
-                        threads: 0,
-                        generation_retries: retries,
-                        ep_config: ablation.ep_config(),
-                    },
-                    utilizations: utilizations.clone(),
+                    eval: eval(ablation.ep_config()),
+                    utilizations: utilizations(scenario),
                 });
             }
         }
@@ -594,24 +631,14 @@ impl CampaignManifest {
         for grid in self.extra.as_deref().unwrap_or_default() {
             let label = grid.label.clone().unwrap_or_else(|| "default".to_string());
             for scenario in grid.axes.scenarios() {
-                let utilizations: Vec<f64> = match &normalized {
-                    Some(points) => points.iter().map(|p| p * scenario.m as f64).collect(),
-                    None => scenario.utilization_points(),
-                };
                 cells.push(CellSpec {
                     index: cells.len(),
+                    utilizations: utilizations(&scenario),
                     scenario,
                     ablation: label.clone(),
                     methods: grid.methods.clone(),
                     heuristic: ResourceHeuristic::WorstFitDecreasing,
-                    eval: EvalConfig {
-                        samples_per_point: samples,
-                        seed: self.seed,
-                        threads: 0,
-                        generation_retries: retries,
-                        ep_config: AnalysisConfig::ep(),
-                    },
-                    utilizations,
+                    eval: eval(AnalysisConfig::ep()),
                 });
             }
         }
@@ -643,13 +670,8 @@ pub fn fig2_panel_manifest(
         axes: AxisSpec::single(&scenario),
         normalized_utilization: None,
         ablations: Some(vec![AblationSpec {
-            label: "default".to_string(),
-            methods: None,
-            heuristic: None,
             prune_dominated: Some(prune_dominated),
-            path_signature_cap: None,
-            path_visit_cap: None,
-            search_budget: None,
+            ..AblationSpec::default_cell()
         }]),
         quick: None,
         extra: None,
@@ -701,49 +723,33 @@ pub fn ablation_manifest(samples: usize, seed: u64) -> CampaignManifest {
             label: "WFD".to_string(),
             methods: ep_only.clone(),
             heuristic: Some(ResourceHeuristic::WorstFitDecreasing),
-            prune_dominated: None,
-            path_signature_cap: None,
-            path_visit_cap: None,
-            search_budget: None,
+            ..AblationSpec::default_cell()
         },
         AblationSpec {
             label: "FFD".to_string(),
             methods: ep_only.clone(),
             heuristic: Some(ResourceHeuristic::FirstFitDecreasing),
-            prune_dominated: None,
-            path_signature_cap: None,
-            path_visit_cap: None,
-            search_budget: None,
+            ..AblationSpec::default_cell()
         },
         AblationSpec {
             label: "BFD".to_string(),
             methods: ep_only.clone(),
             heuristic: Some(ResourceHeuristic::BestFitDecreasing),
-            prune_dominated: None,
-            path_signature_cap: None,
-            path_visit_cap: None,
-            search_budget: None,
+            ..AblationSpec::default_cell()
         },
     ];
     for cap in [1usize, 16, 128, 1024] {
         ablations.push(AblationSpec {
             label: format!("cap{cap}"),
             methods: ep_only.clone(),
-            heuristic: None,
-            prune_dominated: None,
             path_signature_cap: Some(cap),
-            path_visit_cap: None,
-            search_budget: None,
+            ..AblationSpec::default_cell()
         });
     }
     ablations.push(AblationSpec {
         label: "EN".to_string(),
         methods: Some(vec![Method::DpcpEn]),
-        heuristic: None,
-        prune_dominated: None,
-        path_signature_cap: None,
-        path_visit_cap: None,
-        search_budget: None,
+        ..AblationSpec::default_cell()
     });
     CampaignManifest {
         name: "ablation".to_string(),

@@ -660,12 +660,13 @@ fn transition_stamped(
 /// the DP's incoming-group index triples.
 const HEAD_SOURCE: u32 = u32::MAX;
 
-/// A small multiply-rotate hasher (the FxHash construction) for the DP's
-/// interner maps: their keys are a couple of machine words, for which the
-/// default SipHash costs more than the lookups it guards (the profile
-/// transition is on the per-group hot path).
+/// A small multiply-rotate hasher (the FxHash construction) for maps
+/// keyed by a few machine words, where the default SipHash costs more
+/// than the lookup it guards: the DP's interner maps here (the profile
+/// transition is on the per-group hot path) and the analysis crate's
+/// request-bound memo.
 #[derive(Debug, Default)]
-struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 

@@ -161,6 +161,27 @@ fn malformed_json_is_a_400() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_and_the_server_survives() {
+    // Without the parser's depth limit, 20,000 nested arrays overflow a
+    // worker's stack, and a stack overflow aborts the whole process.
+    let server = spawn_server();
+    let addr = server.local_addr().to_string();
+    let hostile = "[".repeat(20_000);
+    let (status, _, body) =
+        roundtrip(&addr, "POST", "/analyze", hostile.as_bytes()).expect("roundtrip");
+    assert_eq!(status, 400);
+    assert!(
+        std::str::from_utf8(&body)
+            .expect("utf-8")
+            .contains("nested deeper"),
+        "error body names the depth limit"
+    );
+    let (status, _, _) = roundtrip(&addr, "GET", "/healthz", b"").expect("server alive");
+    assert_eq!(status, 200);
+    server.shutdown();
+}
+
+#[test]
 fn unknown_protocol_is_a_422() {
     let server = spawn_server();
     let addr = server.local_addr().to_string();

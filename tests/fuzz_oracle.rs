@@ -1,15 +1,18 @@
 //! Differential-fuzzing integration tests: the oracle's determinism
 //! contract (merged CSV bytes invariant under shard split, pool width,
 //! and resume), the injected-bug canary (a deliberately weakened bound
-//! must be caught, minimized, and replayable), and repro-bundle
-//! round-tripping.
+//! must be caught, minimized, and replayable), repro-bundle
+//! round-tripping, and the shard-engine paths only fuzz takes (canary
+//! checkpoint identity, cells whose evaluation returns an error).
 
 use std::path::PathBuf;
 
-use dpcp_experiments::fuzz::{fuzz_merged_csv, ViolationKind};
+use dpcp_experiments::fuzz::{
+    fuzz_merged_csv, fuzz_summary_csv, write_fuzz_outputs, ViolationKind,
+};
 use dpcp_experiments::manifest::AxisSpec;
 use dpcp_experiments::{
-    fuzz_merge_dir, replay_bundle, run_fuzz_shard, FuzzManifest, ShardSpec, Verdict,
+    merge_dir, replay_bundle, run_shard, FuzzManifest, FuzzRun, ShardSpec, Verdict,
 };
 use dpcp_p::gen::scenario::Scenario;
 use dpcp_p::gen::GraphShape;
@@ -65,6 +68,10 @@ fn merged_fuzz_csv_is_invariant_under_shards_threads_and_resume() {
     manifest.validate().expect("tiny manifest is valid");
     let cells = manifest.cells(false);
     assert_eq!(cells.len(), 2);
+    let sweep = FuzzRun {
+        manifest: &manifest,
+        canary: None,
+    };
 
     // Reference: single shard on a single-worker pool.
     let single_dir = test_dir("single");
@@ -73,20 +80,11 @@ fn merged_fuzz_csv_is_invariant_under_shards_threads_and_resume() {
         .build()
         .unwrap();
     let stats = pool1
-        .install(|| {
-            run_fuzz_shard(
-                &manifest,
-                &cells,
-                ShardSpec::single(),
-                &single_dir,
-                None,
-                |_, _| {},
-            )
-        })
+        .install(|| run_shard(&sweep, &cells, ShardSpec::single(), &single_dir, |_, _| {}))
         .unwrap();
     assert_eq!(stats.evaluated, cells.len());
     assert_eq!(stats.failed, 0);
-    let reference = fuzz_merge_dir(&manifest, &cells, &single_dir, None).unwrap();
+    let reference = merge_dir(&sweep, &cells, &single_dir).unwrap();
     assert_eq!(reference.total_violations(), 0, "current stack is sound");
     // The canary test below needs at least one sound sample to weaken.
     let sound: usize = reference
@@ -107,18 +105,18 @@ fn merged_fuzz_csv_is_invariant_under_shards_threads_and_resume() {
     for shard in 0..2 {
         let spec = ShardSpec::parse(&format!("{shard}/2")).unwrap();
         pool4
-            .install(|| run_fuzz_shard(&manifest, &cells, spec, &split_dir, None, |_, _| {}))
+            .install(|| run_shard(&sweep, &cells, spec, &split_dir, |_, _| {}))
             .unwrap();
     }
-    let split = fuzz_merge_dir(&manifest, &cells, &split_dir, None).unwrap();
+    let split = merge_dir(&sweep, &cells, &split_dir).unwrap();
     assert_eq!(reference_csv, fuzz_merged_csv(&split.results));
 
     // Resume on a complete shard is a no-op and changes nothing.
     let spec = ShardSpec::parse("0/2").unwrap();
-    let resumed = run_fuzz_shard(&manifest, &cells, spec, &split_dir, None, |_, _| {}).unwrap();
+    let resumed = run_shard(&sweep, &cells, spec, &split_dir, |_, _| {}).unwrap();
     assert_eq!(resumed.evaluated, 0);
     assert_eq!(resumed.resumed, resumed.owned);
-    let after = fuzz_merge_dir(&manifest, &cells, &split_dir, None).unwrap();
+    let after = merge_dir(&sweep, &cells, &split_dir).unwrap();
     assert_eq!(reference_csv, fuzz_merged_csv(&after.results));
 
     for dir in [single_dir, split_dir] {
@@ -135,17 +133,13 @@ fn canary_bound_bug_is_caught_minimized_and_replayable() {
     let manifest = tiny_fuzz_manifest();
     let cells = manifest.cells(false);
     let canary = Some(0.05);
-    let dir = test_dir("canary");
-    run_fuzz_shard(
-        &manifest,
-        &cells,
-        ShardSpec::single(),
-        &dir,
+    let weakened = FuzzRun {
+        manifest: &manifest,
         canary,
-        |_, _| {},
-    )
-    .unwrap();
-    let outcome = fuzz_merge_dir(&manifest, &cells, &dir, canary).unwrap();
+    };
+    let dir = test_dir("canary");
+    run_shard(&weakened, &cells, ShardSpec::single(), &dir, |_, _| {}).unwrap();
+    let outcome = merge_dir(&weakened, &cells, &dir).unwrap();
     assert!(
         outcome.total_violations() > 0,
         "the weakened bound must be detected"
@@ -176,20 +170,116 @@ fn canary_bound_bug_is_caught_minimized_and_replayable() {
 
     // Without the canary the same cells are sound — the violation is the
     // injected bug, not a real soundness hole.
+    let production = FuzzRun {
+        manifest: &manifest,
+        canary: None,
+    };
     let clean_dir = test_dir("canary_clean");
-    run_fuzz_shard(
-        &manifest,
+    run_shard(
+        &production,
         &cells,
         ShardSpec::single(),
         &clean_dir,
-        None,
         |_, _| {},
     )
     .unwrap();
-    let clean = fuzz_merge_dir(&manifest, &cells, &clean_dir, None).unwrap();
+    let clean = merge_dir(&production, &cells, &clean_dir).unwrap();
     assert_eq!(clean.total_violations(), 0);
 
     for d in [dir, clean_dir] {
         let _ = std::fs::remove_dir_all(&d);
     }
+}
+
+#[test]
+fn canary_and_production_checkpoints_never_mix() {
+    // The canary scale is part of a fuzz checkpoint's identity: a
+    // directory written under a weakened bound must refuse a production
+    // resume or merge and vice versa, so a canary violation can never
+    // reach the production gate (nor a clean result mask a canary).
+    let mut manifest = tiny_fuzz_manifest();
+    manifest.samples_per_point = 1;
+    manifest.release = Some(vec![ReleaseModel::Periodic]);
+    let cells = manifest.cells(false);
+    let production = FuzzRun {
+        manifest: &manifest,
+        canary: None,
+    };
+    let weakened = FuzzRun {
+        manifest: &manifest,
+        canary: Some(0.05),
+    };
+    let canary_dir = test_dir("mix_canary");
+    let production_dir = test_dir("mix_production");
+    let single = ShardSpec::single();
+    run_shard(&weakened, &cells, single, &canary_dir, |_, _| {}).unwrap();
+    run_shard(&production, &cells, single, &production_dir, |_, _| {}).unwrap();
+    for (sweep, dir) in [(&production, &canary_dir), (&weakened, &production_dir)] {
+        let before = std::fs::read_to_string(single.path(dir)).unwrap();
+        let resume = run_shard(sweep, &cells, single, dir, |_, _| {}).unwrap_err();
+        assert!(resume.to_string().contains("header mismatch"), "{resume}");
+        let merge = merge_dir(sweep, &cells, dir).unwrap_err();
+        assert!(merge.to_string().contains("header mismatch"), "{merge}");
+        let after = std::fs::read_to_string(single.path(dir)).unwrap();
+        assert_eq!(before, after, "a refused resume touched the checkpoint");
+    }
+    // Under its own scale each directory still resumes as a no-op.
+    let resumed = run_shard(&weakened, &cells, single, &canary_dir, |_, _| {}).unwrap();
+    assert_eq!((resumed.resumed, resumed.evaluated), (cells.len(), 0));
+    merge_dir(&production, &cells, &production_dir).unwrap();
+
+    for dir in [canary_dir, production_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn erroring_fuzz_cell_is_checkpointed_as_a_failure_and_skipped_on_resume() {
+    // A cell whose evaluation returns `Err` (an m = 1 scenario: its
+    // platform cannot be built) is retried, then checkpointed as a
+    // `CellFailure` instead of aborting the shard; the merge reports it
+    // as an errored row and a resume leaves it alone.
+    let manifest = tiny_fuzz_manifest();
+    let mut cells = manifest.cells(false);
+    cells[0].scenario.m = 1;
+    let sweep = FuzzRun {
+        manifest: &manifest,
+        canary: None,
+    };
+    let dir = test_dir("errored");
+    let single = ShardSpec::single();
+    let stats = run_shard(&sweep, &cells, single, &dir, |_, _| {}).unwrap();
+    assert_eq!((stats.owned, stats.evaluated, stats.failed), (2, 1, 1));
+
+    let outcome = merge_dir(&sweep, &cells, &dir).unwrap();
+    assert_eq!(outcome.results.len(), 1);
+    assert_eq!(outcome.failures.len(), 1);
+    let failure = &outcome.failures[0];
+    assert_eq!((failure.index, failure.ablation.as_str()), (0, "per"));
+    assert!(failure.error.contains("platform"), "{}", failure.error);
+    assert!(outcome.failure_summary().contains("1 errored cell"));
+    write_fuzz_outputs(&outcome, &dir.join("merged")).unwrap();
+    let summary = std::fs::read_to_string(dir.join("merged/fuzz_summary.csv")).unwrap();
+    assert_eq!(
+        summary,
+        fuzz_summary_csv(&outcome.results, &outcome.failures)
+    );
+    let rows: Vec<&str> = summary.lines().collect();
+    assert!(rows[0].ends_with(",errored_cells"), "{}", rows[0]);
+    assert_eq!(
+        rows[1],
+        format!("0,{},per,0,0,0,0,0.0000,1", cells[0].scenario.label())
+    );
+    assert!(
+        rows[2].starts_with("1,") && rows[2].ends_with(",0"),
+        "{}",
+        rows[2]
+    );
+
+    let before = std::fs::read_to_string(single.path(&dir)).unwrap();
+    let stats = run_shard(&sweep, &cells, single, &dir, |_, _| {}).unwrap();
+    assert_eq!((stats.resumed, stats.evaluated, stats.failed), (2, 0, 0));
+    let after = std::fs::read_to_string(single.path(&dir)).unwrap();
+    assert_eq!(before, after, "resume mutated a checkpoint with a failure");
+    let _ = std::fs::remove_dir_all(&dir);
 }
