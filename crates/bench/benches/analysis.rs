@@ -9,6 +9,9 @@
 //! - `fixed_point` — the Theorem 1 solver: the per-iterate scan reference
 //!   on one signature and on a whole task frontier, against the batched
 //!   lockstep kernel (`EvalScratch`-held tables, memo and arenas),
+//! - `wire` — the layers a cold `/analyze` request crosses before any
+//!   analysis: the JSON parse of one fig2 panel-A body and the
+//!   structural key of the parsed request,
 //! - `harness_point` — a full `evaluate_point` fan-out, sequential vs
 //!   the ambient rayon pool.
 
@@ -20,7 +23,7 @@ use dpcp_core::analysis::wcrt::{
 };
 use dpcp_core::analysis::{AnalysisContext, EvalScratch, SignatureCache};
 use dpcp_core::partition::{assign_resources, ResourceHeuristic};
-use dpcp_core::{AnalysisConfig, AnalysisSession, SchedAnalyzer};
+use dpcp_core::{AnalysisConfig, AnalysisRequest, AnalysisSession, SchedAnalyzer};
 use dpcp_experiments::{evaluate_point, standard_registry, EvalConfig};
 use dpcp_gen::scenario::{Fig2Panel, Scenario};
 use dpcp_model::{
@@ -215,6 +218,26 @@ fn bench_fixed_point(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_wire(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire");
+    let request = AnalysisRequest {
+        schema: None,
+        protocol: "DPCP-p-EP".to_string(),
+        tasks: panel_task_set(Fig2Panel::A, 8.0, 13),
+        platform: Platform::new(16).unwrap(),
+        config: AnalysisConfig::ep(),
+        heuristic: ResourceHeuristic::WorstFitDecreasing,
+    };
+    let body = serde_json::to_string(&request).expect("requests serialize");
+    group.bench_function(BenchmarkId::new("parse_request", body.len()), |b| {
+        b.iter(|| black_box(serde_json::from_str::<AnalysisRequest>(black_box(&body))))
+    });
+    group.bench_function("structural_key", |b| {
+        b.iter(|| black_box(black_box(&request).structural_key()))
+    });
+    group.finish();
+}
+
 fn bench_harness_point(c: &mut Criterion) {
     let mut group = c.benchmark_group("harness_point");
     group.sample_size(10);
@@ -241,6 +264,7 @@ criterion_group!(
     bench_tables_cell,
     bench_components,
     bench_fixed_point,
+    bench_wire,
     bench_harness_point
 );
 criterion_main!(benches);

@@ -15,9 +15,12 @@
 //!   kernel, full task-set analysis under EP/EN, path
 //!   enumeration — the cache plus the `enumerate/*` triple contrasting the
 //!   DFS reference, the signature-domain DP and the dominance-pruned DP —
-//!   and the `placement/*` search-engine trio: the warm per-probe cost,
-//!   the seeded wrapper run and the budgeted probing loop),
-//!   measured through the same machinery as `cargo bench`;
+//!   the `placement/*` search-engine trio: the warm per-probe cost,
+//!   the seeded wrapper run and the budgeted probing loop — and the two
+//!   wire layers a cold `/analyze` crosses before any analysis,
+//!   `json/parse_request` on one fig2 panel-A body and
+//!   `dto/structural_key` on the parsed request), measured through the
+//!   same machinery as `cargo bench`;
 //! - `harness` — wall-clock of one Fig. 2 utilization point through
 //!   `evaluate_point`, sequential (`threads = 1`) vs the ambient rayon
 //!   pool, including the per-method acceptance ratios of both runs so the
@@ -47,7 +50,9 @@ use dpcp_core::analysis::wcrt::{
 };
 use dpcp_core::analysis::{AnalysisContext, EvalScratch, SignatureCache};
 use dpcp_core::partition::{assign_resources, layout_clusters, ResourceHeuristic};
-use dpcp_core::{AnalysisConfig, AnalysisSession, DpcpProtocol, PlacementSearch, SearchConfig};
+use dpcp_core::{
+    AnalysisConfig, AnalysisRequest, AnalysisSession, DpcpProtocol, PlacementSearch, SearchConfig,
+};
 use dpcp_experiments::{evaluate_point, EvalConfig, Method, PointResult};
 use dpcp_gen::scenario::{Fig2Panel, Scenario};
 use dpcp_model::{
@@ -307,6 +312,25 @@ fn component_benches(sample_size: usize) -> Vec<ComponentBench> {
                     .probes,
             )
         })
+    });
+    // The wire layers of a cold request: parsing the fixture's body
+    // (18 KiB) into an `AnalysisRequest`, and its structural key. Both
+    // are linear in the body; the gate catches a quadratic string decode
+    // or a WL refinement that runs to its round cap again.
+    let request = AnalysisRequest {
+        schema: None,
+        protocol: "DPCP-p-EP".to_string(),
+        tasks: tasks.clone(),
+        platform,
+        config: AnalysisConfig::ep(),
+        heuristic: ResourceHeuristic::WorstFitDecreasing,
+    };
+    let body = serde_json::to_string(&request).expect("requests serialize");
+    criterion.bench_function("json/parse_request", |b| {
+        b.iter(|| black_box(serde_json::from_str::<AnalysisRequest>(black_box(&body))))
+    });
+    criterion.bench_function("dto/structural_key", |b| {
+        b.iter(|| black_box(black_box(&request).structural_key()))
     });
     // The enumerator pair behind the cache: the depth-first reference vs
     // the signature-domain DP (same caps, same sorted output), plus the

@@ -23,6 +23,26 @@
 //! collisions are possible in principle but astronomically unlikely at
 //! cache scale, the same trade the campaign engine's grid fingerprint
 //! already makes.
+//!
+//! Refinement stops on a stable colour partition. Each round hashes a
+//! vertex's colour together with the sorted colours of its predecessors
+//! and successors, so a round can only split colour classes; the first
+//! round that does not increase the number of classes therefore leaves
+//! the partition unchanged for good, and refinement ends there. A
+//! discrete partition (every vertex its own class, the common case for
+//! generated DAGs, whose vertex WCETs differ) is stable before any round.
+//! Refinement never runs more than 24 rounds, a backstop for long,
+//! highly symmetric DAGs.
+//!
+//! # Key format
+//!
+//! Every key folds in a key-format version word, currently **2**, which
+//! moves whenever the construction changes key values. v1 ran every DAG
+//! of 24 or more vertices through all 24 rounds; v2 stops on a stable
+//! partition as above. Keys live only in process memory (the verdict
+//! cache) and in each verdict's `cache_key`; nothing persisted is keyed
+//! by them, so a version change moves the `cache_key` bytes and nothing
+//! else.
 
 use dpcp_model::{DagTask, Platform, TaskSet, VertexId};
 use serde::{Deserialize, Serialize};
@@ -222,13 +242,34 @@ const TAG_READ: u64 = 0x08;
 /// a non-search protocol keeps its pre-search key bit for bit.
 const TAG_SEARCH: u64 = 0x09;
 
-/// WL refinement rounds. Colours stabilise after at most the DAG
-/// diameter; generated DAGs are small, so a modest cap bounds worst-case
-/// cost without giving up discrimination on any set this repo produces.
+/// The version of the key construction, folded into every key. Bumped
+/// whenever a construction change moves key values, so a key computed by
+/// one build can never be mistaken for another build's key of the same
+/// problem. v2: WL refinement stops on a stable colour partition.
+const KEY_FORMAT: u64 = 2;
+
+/// Backstop on WL refinement rounds. Refinement stops as soon as the
+/// colour partition is stable, and every round before that adds a class,
+/// so the cap only bounds the cost of a long, highly symmetric DAG.
 const WL_ROUNDS_CAP: usize = 24;
 
 /// Canonical key of one task, invariant under vertex relabelling.
 fn task_key(task: &DagTask) -> u64 {
+    task_key_and_rounds(task).0
+}
+
+/// The number of distinct colours (colour classes) in `colors`, counted
+/// in `scratch` so refinement allocates nothing per round.
+fn count_classes(colors: &[u64], scratch: &mut Vec<u64>) -> usize {
+    scratch.clear();
+    scratch.extend_from_slice(colors);
+    scratch.sort_unstable();
+    scratch.dedup();
+    scratch.len()
+}
+
+/// [`task_key`] plus the WL refinement rounds it ran.
+fn task_key_and_rounds(task: &DagTask) -> (u64, usize) {
     let dag = task.dag();
     let n = dag.vertex_count();
 
@@ -251,10 +292,18 @@ fn task_key(task: &DagTask) -> u64 {
         .collect();
 
     // Weisfeiler–Lehman refinement: fold in the sorted colours of each
-    // vertex's predecessors and successors until stable (or the cap).
+    // vertex's predecessors and successors. A round only splits colour
+    // classes (a new colour hashes in the old one), so a round that leaves
+    // the class count unchanged has reached a stable partition and the
+    // refinement stops there; a discrete partition is stable from the
+    // start.
     let mut next = vec![0u64; n];
     let mut buf: Vec<u64> = Vec::new();
-    for _ in 0..n.min(WL_ROUNDS_CAP) {
+    let mut scratch: Vec<u64> = Vec::with_capacity(n);
+    let mut classes = count_classes(&colors, &mut scratch);
+    let mut rounds = 0;
+    while classes < n && rounds < WL_ROUNDS_CAP {
+        rounds += 1;
         for x in 0..n {
             let v = VertexId::new(x);
             let mut h = Fnv1a::new();
@@ -274,10 +323,12 @@ fn task_key(task: &DagTask) -> u64 {
             }
             next[x] = h.finish();
         }
-        if next == colors {
+        std::mem::swap(&mut colors, &mut next);
+        let refined = count_classes(&colors, &mut scratch);
+        if refined == classes {
             break;
         }
-        std::mem::swap(&mut colors, &mut next);
+        classes = refined;
     }
 
     let mut h = Fnv1a::new();
@@ -316,11 +367,12 @@ fn task_key(task: &DagTask) -> u64 {
     }
 
     // Vertex colour multiset.
-    let mut sorted = colors.clone();
-    sorted.sort_unstable();
+    scratch.clear();
+    scratch.extend_from_slice(&colors);
+    scratch.sort_unstable();
     h.write_usize(n);
-    for c in &sorted {
-        h.write_u64(*c);
+    for &c in &scratch {
+        h.write_u64(c);
     }
 
     // Directed edge multiset over final colours.
@@ -339,7 +391,7 @@ fn task_key(task: &DagTask) -> u64 {
         h.write_u64(to);
     }
 
-    h.finish()
+    (h.finish(), rounds)
 }
 
 /// The canonical structural hash of one analysis problem.
@@ -359,6 +411,7 @@ pub fn structural_key(
 
     let mut h = Fnv1a::new();
     h.write_u64(TAG_SET);
+    h.write_u64(KEY_FORMAT);
     h.write_usize(platform.processor_count());
     h.write_usize(tasks.resource_count());
     h.write_usize(keys.len());
@@ -388,7 +441,12 @@ pub fn structural_key(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpcp_gen::graph_gen::erdos_renyi_dag;
+    use dpcp_gen::scenario::{Fig2Panel, Scenario};
     use dpcp_model::{Dag, DagTask, ModelError, RequestSpec, ResourceId, TaskId, Time, VertexSpec};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     /// A diamond task 0 → {1, 2} → 3 with distinguishable middle
     /// vertices, built under an arbitrary relabelling `perm` (perm[x]
@@ -461,6 +519,53 @@ mod tests {
         );
     }
 
+    /// `task` with its vertices renumbered: `perm[x]` is the new index of
+    /// vertex `x`.
+    fn relabelled(task: &DagTask, perm: &[usize]) -> DagTask {
+        let dag = task.dag();
+        let n = dag.vertex_count();
+        let edges = (0..n).flat_map(|x| {
+            dag.successors(VertexId::new(x))
+                .iter()
+                .map(move |s| (perm[x], perm[s.index()]))
+        });
+        let mut specs = vec![None; n];
+        for (x, &to) in perm.iter().enumerate() {
+            specs[to] = Some(task.vertex(VertexId::new(x)).clone());
+        }
+        let mut builder = DagTask::builder(task.id(), task.period())
+            .deadline(task.deadline())
+            .priority(task.priority())
+            .dag(Dag::new(n, edges).unwrap())
+            .vertex_specs(specs.into_iter().map(|s| s.expect("perm is a bijection")));
+        for q in task.resources() {
+            builder = builder.critical_section(q, task.cs_length(q).unwrap());
+        }
+        builder.build().unwrap()
+    }
+
+    /// A task over `dag` whose vertices all take 1 ms except `marked`,
+    /// which also issues one request: only the DAG's shape tells the
+    /// vertices apart, so WL must refine for several rounds.
+    fn uniform(dag: Dag, marked: usize) -> DagTask {
+        let n = dag.vertex_count();
+        DagTask::builder(TaskId::new(0), Time::from_ms(1000))
+            .dag(dag)
+            .vertex_specs((0..n).map(|x| {
+                let requests = (x == marked).then(|| RequestSpec::new(ResourceId::new(0), 1));
+                VertexSpec::with_requests(Time::from_ms(1), requests)
+            }))
+            .critical_section(ResourceId::new(0), Time::from_us(10))
+            .build()
+            .unwrap()
+    }
+
+    fn shuffled(n: usize, rng: &mut StdRng) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..n).collect();
+        perm.shuffle(rng);
+        perm
+    }
+
     #[test]
     fn vertex_relabelling_keeps_the_key() {
         let a = set(vec![diamond(0, 10, [0, 1, 2, 3]).unwrap()]);
@@ -472,6 +577,85 @@ mod tests {
             request(b).structural_key(),
             "vertex relabelling must not matter"
         );
+
+        // Seeded generator DAGs of 40–90 vertices: a whole fig2 panel-A
+        // set (distinct vertex WCETs) and Erdős–Rényi shapes whose
+        // vertices only their edges tell apart, each renumbered at random.
+        let mut rng = StdRng::seed_from_u64(0x3e1a_be11);
+        let scenario = Scenario {
+            vertex_range: Some((40, 90)),
+            ..Scenario::fig2(Fig2Panel::A)
+        };
+        let fig2 = scenario
+            .sample_task_set(8.0, &mut rng)
+            .expect("seed generates");
+        let renumbered: Vec<DagTask> = fig2
+            .iter()
+            .map(|t| {
+                let n = t.dag().vertex_count();
+                assert!((40..=90).contains(&n), "{n} vertices");
+                relabelled(t, &shuffled(n, &mut rng))
+            })
+            .collect();
+        let renumbered = TaskSet::new(renumbered, fig2.resource_count()).unwrap();
+        assert_ne!(
+            serde_json::to_string(&renumbered).unwrap(),
+            serde_json::to_string(&fig2).unwrap()
+        );
+        let mut req = request(fig2);
+        req.platform = Platform::new(16).unwrap();
+        let key = req.structural_key();
+        req.tasks = renumbered;
+        assert_eq!(req.structural_key(), key, "fig2 set relabelled");
+
+        for n in [40, 65, 90] {
+            let task = uniform(erdos_renyi_dag(n, 0.1, &mut rng), n / 3);
+            let (key, rounds) = task_key_and_rounds(&task);
+            assert!(rounds > 1, "{n} vertices: {rounds} rounds");
+            let moved = relabelled(&task, &shuffled(n, &mut rng));
+            assert_eq!(task_key_and_rounds(&moved), (key, rounds), "{n} vertices");
+        }
+    }
+
+    #[test]
+    fn shapes_separated_only_after_several_rounds_keep_distinct_keys() {
+        // Two 30-vertex chains whose one request vertex sits at depth 5 or
+        // 25: the first round sees the same colour classes and edge
+        // multiset in both, so refinement must run on to tell them apart.
+        let near = uniform(Dag::chain(30).unwrap(), 5);
+        let far = uniform(Dag::chain(30).unwrap(), 25);
+        let (near_key, near_rounds) = task_key_and_rounds(&near);
+        let (far_key, far_rounds) = task_key_and_rounds(&far);
+        assert!(
+            near_rounds > 2 && far_rounds > 2,
+            "{near_rounds}, {far_rounds}"
+        );
+        assert_ne!(near_key, far_key);
+        // The mirror image of `far` (depth 4 from the head, reversed
+        // edges) is a different DAG too.
+        let mirrored = Dag::new(30, (1..30).map(|x| (x, x - 1))).unwrap();
+        assert_ne!(task_key_and_rounds(&uniform(mirrored, 25)).0, near_key);
+    }
+
+    #[test]
+    fn refinement_stops_on_a_stable_partition() {
+        // Generated fig2 DAGs: far fewer rounds than the backstop.
+        let mut rng = StdRng::seed_from_u64(7);
+        let tasks = Scenario::fig2(Fig2Panel::A)
+            .sample_task_set(8.0, &mut rng)
+            .expect("seed generates");
+        for task in tasks.iter() {
+            let (_, rounds) = task_key_and_rounds(task);
+            assert!(rounds <= 2, "{} took {rounds} rounds", task.id());
+        }
+        // A chain with one marked vertex refines one class per round and
+        // ends on the round that adds none — before the backstop.
+        let (_, rounds) = task_key_and_rounds(&uniform(Dag::chain(20).unwrap(), 0));
+        assert!(rounds > 2 && rounds < WL_ROUNDS_CAP, "{rounds} rounds");
+        // A fully symmetric shape (no edges, no vertex marked) is stable
+        // after one round.
+        let edgeless = uniform(Dag::new(30, []).unwrap(), usize::MAX);
+        assert_eq!(task_key_and_rounds(&edgeless).1, 1);
     }
 
     #[test]

@@ -192,6 +192,24 @@ impl ProtocolRegistry {
         session: &mut AnalysisSession,
         request: &AnalysisRequest,
     ) -> Result<AnalysisVerdict, RegistryError> {
+        self.respond_keyed(session, request, request.structural_key())
+    }
+
+    /// [`respond`](Self::respond) for a caller that already holds the
+    /// request's structural key (the server computes it for its cache
+    /// probe): the verdict is stamped with `key` instead of a second
+    /// computation of the same value. `key` must be
+    /// `request.structural_key()`.
+    ///
+    /// # Errors
+    ///
+    /// As [`respond`](Self::respond).
+    pub fn respond_keyed(
+        &self,
+        session: &mut AnalysisSession,
+        request: &AnalysisRequest,
+        key: u64,
+    ) -> Result<AnalysisVerdict, RegistryError> {
         let protocol = self
             .resolve(&request.protocol)
             .ok_or_else(|| RegistryError(format!("unknown protocol '{}'", request.protocol)))?;
@@ -207,7 +225,7 @@ impl ProtocolRegistry {
         });
         Ok(AnalysisVerdict::from_outcome(
             &request.protocol,
-            request.structural_key(),
+            key,
             &outcome,
         ))
     }

@@ -474,8 +474,9 @@ pub struct ShardRunStats {
     pub failed: usize,
 }
 
-/// Captures the panic payload as a human-readable message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Captures the panic payload as a human-readable message (also used by
+/// `dpcp-serve`'s per-request panic isolation).
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

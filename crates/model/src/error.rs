@@ -238,6 +238,14 @@ impl fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
+/// Deserialization rebuilds model types through their constructors, so a
+/// broken invariant in the input is a deserialization error naming it.
+impl From<ModelError> for serde::Error {
+    fn from(e: ModelError) -> Self {
+        serde::Error::custom(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,7 @@ use crate::time::Time;
 /// assert_eq!(dag.path_count(), 2.0);
 /// # Ok::<(), dpcp_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Dag {
     vertex_count: usize,
     /// `succs[x]` lists the direct successors of vertex `x`, sorted.
@@ -43,6 +43,27 @@ pub struct Dag {
     heads: Vec<VertexId>,
     /// Vertices with no successors, sorted.
     tails: Vec<VertexId>,
+}
+
+// Reads `vertex_count` and `succs` only and builds through `Dag::new`:
+// the derived members are serialized but recomputed on input, and the
+// edges are validated exactly as for a DAG built in code.
+impl Deserialize for Dag {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        let vertex_count = usize::deserialize(value.field("vertex_count"))?;
+        let succs = Vec::<Vec<VertexId>>::deserialize(value.field("succs"))?;
+        if succs.len() != vertex_count {
+            return Err(serde::Error::custom(format!(
+                "a DAG with {vertex_count} vertices lists successors of {}",
+                succs.len()
+            )));
+        }
+        let edges = succs
+            .iter()
+            .enumerate()
+            .flat_map(|(from, to)| to.iter().map(move |t| (from, t.index())));
+        Ok(Dag::new(vertex_count, edges)?)
+    }
 }
 
 impl Dag {

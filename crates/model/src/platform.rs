@@ -25,9 +25,19 @@ use crate::taskset::TaskSet;
 /// assert_eq!(p.processors().count(), 16);
 /// # Ok::<(), dpcp_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Platform {
     processors: usize,
+}
+
+// Built through `Platform::new`, so input declaring fewer than 2
+// processors is refused like code doing the same.
+impl Deserialize for Platform {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(Platform::new(usize::deserialize(
+            value.field("processors"),
+        )?)?)
+    }
 }
 
 impl Platform {

@@ -103,13 +103,25 @@ impl RequestSpec {
 }
 
 /// One vertex `v_{i,x}`: its WCET and the requests it may issue.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct VertexSpec {
     wcet: Time,
     /// Sorted by `(resource, mode)` with `Write < Read`, at most one entry
     /// per resource and mode, zero counts removed. Write-only vertices thus
     /// keep the exact pre-RW layout (sorted by resource, one entry each).
     requests: Vec<RequestSpec>,
+}
+
+// Built through `VertexSpec::with_requests`, so the request list is in
+// its canonical order (merged, sorted, zero counts dropped) whatever the
+// input's order.
+impl Deserialize for VertexSpec {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(VertexSpec::with_requests(
+            Time::deserialize(value.field("wcet"))?,
+            Vec::<RequestSpec>::deserialize(value.field("requests"))?,
+        ))
+    }
 }
 
 impl VertexSpec {
@@ -229,9 +241,11 @@ pub struct DagTask {
     total_reads: BTreeMap<ResourceId, u32>,
 }
 
-// Hand-written so the two RW maps — absent from every pre-RW artifact, and
-// surfaced as `Value::Null` by the vendored serde's missing-field lookup —
-// default to empty instead of failing the whole task.
+// Built through `DagTask::builder`, keeping the priority as sent: the
+// derived members (`wcet`, `longest_path*`, `total_*`) are serialized but
+// recomputed on input, and every constructor check applies. The two RW
+// maps are absent from every pre-RW artifact (the vendored serde reads a
+// missing member as `Value::Null`) and default to empty.
 impl Deserialize for DagTask {
     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
         fn map_or_empty<K: Deserialize + Ord, V: Deserialize>(
@@ -242,21 +256,21 @@ impl Deserialize for DagTask {
                 other => BTreeMap::deserialize(other),
             }
         }
-        Ok(DagTask {
-            id: TaskId::deserialize(value.field("id"))?,
-            period: Time::deserialize(value.field("period"))?,
-            deadline: Time::deserialize(value.field("deadline"))?,
-            priority: Priority::deserialize(value.field("priority"))?,
-            dag: Dag::deserialize(value.field("dag"))?,
-            vertices: Vec::deserialize(value.field("vertices"))?,
-            cs_lengths: BTreeMap::deserialize(value.field("cs_lengths"))?,
-            read_cs_lengths: map_or_empty(value.field("read_cs_lengths"))?,
-            wcet: Time::deserialize(value.field("wcet"))?,
-            longest_path_len: Time::deserialize(value.field("longest_path_len"))?,
-            longest_path: Vec::deserialize(value.field("longest_path"))?,
-            total_requests: BTreeMap::deserialize(value.field("total_requests"))?,
-            total_reads: map_or_empty(value.field("total_reads"))?,
-        })
+        let mut builder = DagTask::builder(
+            TaskId::deserialize(value.field("id"))?,
+            Time::deserialize(value.field("period"))?,
+        )
+        .deadline(Time::deserialize(value.field("deadline"))?)
+        .priority(Priority::deserialize(value.field("priority"))?)
+        .dag(Dag::deserialize(value.field("dag"))?)
+        .vertex_specs(Vec::<VertexSpec>::deserialize(value.field("vertices"))?);
+        for (q, len) in BTreeMap::deserialize(value.field("cs_lengths"))? {
+            builder = builder.critical_section(q, len);
+        }
+        for (q, len) in map_or_empty(value.field("read_cs_lengths"))? {
+            builder = builder.read_critical_section(q, len);
+        }
+        Ok(builder.build()?)
     }
 }
 

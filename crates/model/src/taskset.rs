@@ -60,7 +60,7 @@ impl PartialEq for TaskSet {
     }
 }
 
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize)]
 struct TaskSetInner {
     tasks: Vec<DagTask>,
     resource_count: usize,
@@ -77,11 +77,26 @@ impl Serialize for TaskSet {
     }
 }
 
+/// The largest resource universe a deserialized task set may declare.
+/// The set and the analysis allocate per declared resource, so an
+/// unchecked count read from input could demand gigabytes from a body of
+/// a few bytes; no generator or fixture comes near this.
+const MAX_WIRE_RESOURCES: usize = 1 << 16;
+
+// Input is checked like `TaskSet::new` checks it (dense ids, resources
+// inside the universe) and `users` is rebuilt, never read; the priorities
+// are kept as sent, since the sender's assignment policy made them.
 impl Deserialize for TaskSet {
     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(TaskSet {
-            inner: std::sync::Arc::new(TaskSetInner::deserialize(value)?),
-        })
+        let resource_count = usize::deserialize(value.field("resource_count"))?;
+        if resource_count > MAX_WIRE_RESOURCES {
+            return Err(serde::Error::custom(format!(
+                "a task set may declare at most {MAX_WIRE_RESOURCES} resources, \
+                 got {resource_count}"
+            )));
+        }
+        let tasks = Vec::<DagTask>::deserialize(value.field("tasks"))?;
+        Ok(TaskSet::assemble(tasks, resource_count)?)
     }
 }
 
@@ -110,6 +125,14 @@ impl TaskSet {
         resource_count: usize,
         assignment: PriorityAssignment,
     ) -> Result<Self, ModelError> {
+        assign_priorities(&mut tasks, assignment);
+        Self::assemble(tasks, resource_count)
+    }
+
+    /// Validates tasks whose priorities are already assigned and builds
+    /// the set (the shared tail of [`TaskSet::with_priorities`] and
+    /// deserialization).
+    fn assemble(tasks: Vec<DagTask>, resource_count: usize) -> Result<Self, ModelError> {
         for (i, t) in tasks.iter().enumerate() {
             if t.id() != TaskId::new(i) {
                 return Err(ModelError::NonDenseTaskIds {
@@ -127,8 +150,6 @@ impl TaskSet {
                 }
             }
         }
-        assign_priorities(&mut tasks, assignment);
-
         let mut users = vec![Vec::new(); resource_count];
         for t in &tasks {
             for q in t.resources() {
@@ -482,4 +503,159 @@ mod tests {
     }
 
     use crate::graph::Dag;
+    use crate::platform::Platform;
+    use serde::Value;
+
+    /// `value` with the member at `path` (member names and array indices)
+    /// replaced by `new`.
+    fn with_member(value: &Value, path: &[&str], new: Value) -> Value {
+        let Some((head, rest)) = path.split_first() else {
+            return new;
+        };
+        match value {
+            Value::Object(members) => Value::Object(
+                members
+                    .iter()
+                    .map(|(k, v)| {
+                        let v = if k == head {
+                            with_member(v, rest, new.clone())
+                        } else {
+                            v.clone()
+                        };
+                        (k.clone(), v)
+                    })
+                    .collect(),
+            ),
+            Value::Array(items) => {
+                let at: usize = head.parse().expect("array index");
+                Value::Array(
+                    items
+                        .iter()
+                        .enumerate()
+                        .map(|(i, v)| {
+                            if i == at {
+                                with_member(v, rest, new.clone())
+                            } else {
+                                v.clone()
+                            }
+                        })
+                        .collect(),
+                )
+            }
+            other => other.clone(),
+        }
+    }
+
+    fn ids(list: &[usize]) -> Value {
+        Value::Array(list.iter().map(|&x| Value::U64(x as u64)).collect())
+    }
+
+    /// Task 0 is a three-vertex chain issuing one request to resource 0
+    /// from vertex 1; task 1 uses resource 1. Deadline-monotonic
+    /// priorities, so the wire priorities are not the RM ones.
+    fn wire_set() -> TaskSet {
+        let chain = DagTask::builder(TaskId::new(0), Time::from_ms(40))
+            .deadline(Time::from_ms(10))
+            .dag(Dag::new(3, [(0, 1), (1, 2)]).unwrap())
+            .vertex(VertexSpec::new(Time::from_ms(1)))
+            .vertex(VertexSpec::with_requests(
+                Time::from_ms(2),
+                [RequestSpec::new(rid(0), 2)],
+            ))
+            .vertex(VertexSpec::new(Time::from_ms(3)))
+            .critical_section(rid(0), Time::from_us(50))
+            .build()
+            .unwrap();
+        let tasks = vec![chain, task_using(1, 20, Some((1, 1)))];
+        TaskSet::with_priorities(tasks, 2, PriorityAssignment::DeadlineMonotonic).unwrap()
+    }
+
+    fn refused(value: &Value) -> String {
+        TaskSet::deserialize(value)
+            .expect_err("input breaking an invariant must be refused")
+            .to_string()
+    }
+
+    #[test]
+    fn deserialization_keeps_wire_priorities_and_bytes() {
+        let ts = wire_set();
+        assert!(ts.task(TaskId::new(0)).priority() > ts.task(TaskId::new(1)).priority());
+        let wire = ts.serialize();
+        let back = TaskSet::deserialize(&wire).unwrap();
+        assert_eq!(back, ts);
+        assert_eq!(back.serialize(), wire);
+    }
+
+    #[test]
+    fn derived_members_are_recomputed_not_trusted() {
+        let ts = wire_set();
+        let mut wire = ts.serialize();
+        for (path, junk) in [
+            (&["users"][..], Value::Array(vec![])),
+            (&["tasks", "0", "wcet"], Value::U64(1)),
+            (&["tasks", "0", "longest_path"], ids(&[2])),
+            (&["tasks", "0", "total_requests"], Value::Array(vec![])),
+            (&["tasks", "0", "dag", "preds"], Value::Array(vec![])),
+            (&["tasks", "0", "dag", "topo"], ids(&[2, 1, 0])),
+            (&["tasks", "0", "dag", "heads"], ids(&[7])),
+            // Vertex 1's two requests to resource 0, split in two entries:
+            // merged back into the canonical one.
+            (
+                &["tasks", "0", "vertices", "1", "requests"],
+                Value::Array(vec![RequestSpec::new(rid(0), 1).serialize(); 2]),
+            ),
+        ] {
+            wire = with_member(&wire, path, junk);
+        }
+        assert_ne!(wire, ts.serialize());
+        assert_eq!(TaskSet::deserialize(&wire).unwrap(), ts);
+    }
+
+    #[test]
+    fn broken_invariants_are_deserialization_errors() {
+        let wire = wire_set().serialize();
+        let tamper = |path: &[&str], new: Value| refused(&with_member(&wire, path, new));
+        let succs = |lists: &[&[usize]]| Value::Array(lists.iter().map(|l| ids(l)).collect());
+
+        let cycle = tamper(&["tasks", "0", "dag", "succs"], succs(&[&[1], &[2], &[0]]));
+        assert!(cycle.contains("cycle"), "{cycle}");
+        let far = tamper(&["tasks", "0", "dag", "succs", "0"], ids(&[100_000]));
+        assert!(far.contains("100000 out of range"), "{far}");
+        let count = tamper(&["tasks", "0", "dag", "vertex_count"], Value::U64(4));
+        assert!(
+            count.contains("4 vertices lists successors of 3"),
+            "{count}"
+        );
+        let specs = tamper(
+            &["tasks", "0", "vertices"],
+            Value::Array(vec![VertexSpec::new(Time::from_ms(1)).serialize()]),
+        );
+        assert!(specs.contains("1 vertex specs"), "{specs}");
+        // A request on a resource the task declares no length for, and on
+        // one outside the set's universe.
+        let undeclared = tamper(
+            &["tasks", "0", "vertices", "1", "requests", "0", "resource"],
+            Value::U64(1),
+        );
+        assert!(undeclared.contains("declares no L value"), "{undeclared}");
+        let outside = tamper(&["resource_count"], Value::U64(1));
+        assert!(
+            outside.contains("outside the 1-resource universe"),
+            "{outside}"
+        );
+        let vast = tamper(&["resource_count"], Value::U64(1 << 40));
+        assert!(vast.contains("at most 65536 resources"), "{vast}");
+        let sparse = tamper(&["tasks", "1", "id"], Value::U64(0));
+        assert!(sparse.contains("dense"), "{sparse}");
+        let late = tamper(&["tasks", "0", "deadline"], Value::U64(u64::MAX));
+        assert!(late.contains("at most the period"), "{late}");
+
+        let no_processors = Value::Object(vec![("processors".into(), Value::U64(0))]);
+        let err = Platform::deserialize(&no_processors)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("at least 2 processors"), "{err}");
+        let platform = Platform::new(4).unwrap();
+        assert_eq!(Platform::deserialize(&platform.serialize()), Ok(platform));
+    }
 }

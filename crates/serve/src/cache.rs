@@ -20,9 +20,9 @@
 //! Two lookup tiers, because the structural key requires *parsing* the
 //! request and parsing dominates a hot submission's cost:
 //!
-//! 1. **raw tier** — an FNV hash of the request bytes indexes an alias
-//!    map onto the structural entry, so a byte-identical duplicate
-//!    short-circuits before JSON parsing;
+//! 1. **raw tier** — a keyed hash of the request bytes ([`raw_key`])
+//!    indexes an alias map onto the structural entry, so a
+//!    byte-identical duplicate short-circuits before JSON parsing;
 //! 2. **structural tier** — the canonical key computed after parse,
 //!    which also catches duplicates that permute task order or relabel
 //!    vertices.
@@ -30,9 +30,11 @@
 //! Evicting a structural entry drops its aliases, so the raw tier can
 //! never resurrect an evicted verdict.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -66,14 +68,14 @@ struct Index {
     aliases: HashMap<u64, u64>,
 }
 
-/// FNV-1a over raw request bytes — the parse-free cache tier's key.
+/// The parse-free cache tier's key: std's SipHash-1-3 of the raw request
+/// bytes under one random key per process (raw keys never leave it).
+///
+/// Keyed, so that no client can craft a body whose key collides with
+/// another client's submission and be served that client's verdict.
 pub fn raw_key(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    static KEY: OnceLock<RandomState> = OnceLock::new();
+    KEY.get_or_init(RandomState::new).hash_one(bytes)
 }
 
 /// A bounded, thread-safe verdict cache.

@@ -1,8 +1,9 @@
 //! Per-endpoint latency and throughput accounting for `/metrics`.
 //!
-//! Each endpoint keeps a bounded reservoir of microsecond latencies
-//! (a ring over the most recent [`LATENCY_WINDOW`] samples) plus
-//! monotonic request/error counters. Percentiles are computed on
+//! Each endpoint keeps a bounded reservoir of microsecond latencies (a
+//! ring over the most recent [`LATENCY_WINDOW`] samples, allocated once
+//! when the server starts, so its memory does not grow with throughput)
+//! plus monotonic request/error counters. Percentiles are computed on
 //! demand by sorting a copy of the window — `/metrics` is rare next to
 //! `/analyze`, so the snapshot pays, not the hot path.
 
@@ -14,22 +15,34 @@ use serde::Serialize;
 
 use crate::cache::CacheStats;
 
-/// Latency samples retained per endpoint (most recent wins).
-pub const LATENCY_WINDOW: usize = 65_536;
+/// Latency samples retained per endpoint (most recent wins): enough for
+/// 41 samples beyond p99 at 32 KiB per endpoint.
+pub const LATENCY_WINDOW: usize = 4_096;
 
 /// One endpoint's live accounting.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EndpointMetrics {
     requests: AtomicU64,
     errors: AtomicU64,
+    /// Filled up to [`LATENCY_WINDOW`], then overwritten in request
+    /// order; its capacity is reserved up front and never grows.
     window: Mutex<Vec<u64>>,
-    cursor: AtomicU64,
+}
+
+impl Default for EndpointMetrics {
+    fn default() -> Self {
+        EndpointMetrics {
+            requests: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+            window: Mutex::new(Vec::with_capacity(LATENCY_WINDOW)),
+        }
+    }
 }
 
 impl EndpointMetrics {
     /// Records one served request.
     pub fn record(&self, latency_us: u64, error: bool) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        let seen = self.requests.fetch_add(1, Ordering::Relaxed);
         if error {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -37,8 +50,7 @@ impl EndpointMetrics {
         if window.len() < LATENCY_WINDOW {
             window.push(latency_us);
         } else {
-            let at = (self.cursor.fetch_add(1, Ordering::Relaxed) as usize) % LATENCY_WINDOW;
-            window[at] = latency_us;
+            window[seen as usize % LATENCY_WINDOW] = latency_us;
         }
     }
 
@@ -84,6 +96,9 @@ pub struct MetricsSnapshot {
     pub uptime_secs: f64,
     /// Verdicts returned (cache hits included) per uptime second.
     pub verdicts_per_sec: f64,
+    /// `/analyze` dispatches that panicked (each answered `500`; the
+    /// worker replaced its session and kept serving).
+    pub panics: u64,
     /// Verdict-cache counters.
     pub cache: CacheStats,
     /// `/analyze` accounting.
@@ -100,6 +115,7 @@ pub struct MetricsSnapshot {
 pub struct Metrics {
     started: Instant,
     verdicts: AtomicU64,
+    panics: AtomicU64,
     /// `/analyze` accounting.
     pub analyze: EndpointMetrics,
     /// `/metrics` accounting.
@@ -113,6 +129,7 @@ impl Default for Metrics {
         Metrics {
             started: Instant::now(),
             verdicts: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
             analyze: EndpointMetrics::default(),
             metrics: EndpointMetrics::default(),
             healthz: EndpointMetrics::default(),
@@ -126,12 +143,18 @@ impl Metrics {
         self.verdicts.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one `/analyze` dispatch that panicked.
+    pub fn count_panic(&self) {
+        self.panics.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Builds the `/metrics` response body.
     pub fn snapshot(&self, cache: CacheStats) -> MetricsSnapshot {
         let uptime = self.started.elapsed().as_secs_f64().max(1e-9);
         MetricsSnapshot {
             uptime_secs: uptime,
             verdicts_per_sec: self.verdicts.load(Ordering::Relaxed) as f64 / uptime,
+            panics: self.panics.load(Ordering::Relaxed),
             cache,
             analyze: self.analyze.snapshot(),
             metrics: self.metrics.snapshot(),
@@ -164,5 +187,30 @@ mod tests {
         assert_eq!((snap.requests, snap.errors), (3, 1));
         assert_eq!(snap.p50_us, 20);
         assert_eq!(snap.p99_us, 30);
+    }
+
+    #[test]
+    fn latency_window_is_allocated_once_and_keeps_the_latest_samples() {
+        let endpoint = EndpointMetrics::default();
+        let capacity = endpoint.window.lock().capacity();
+        assert!(capacity >= LATENCY_WINDOW);
+        // Three windows' worth: only the last window's latencies remain.
+        for latency in 0..3 * LATENCY_WINDOW as u64 {
+            endpoint.record(latency, false);
+        }
+        let window = endpoint.window.lock().clone();
+        assert_eq!(window.len(), LATENCY_WINDOW);
+        assert_eq!(endpoint.window.lock().capacity(), capacity, "never grows");
+        assert_eq!(
+            window.iter().min(),
+            Some(&(2 * LATENCY_WINDOW as u64)),
+            "older samples are overwritten"
+        );
+        let snap = endpoint.snapshot();
+        assert_eq!(snap.requests, 3 * LATENCY_WINDOW as u64);
+        assert_eq!(
+            snap.p50_us,
+            2 * LATENCY_WINDOW as u64 + LATENCY_WINDOW as u64 / 2 - 1
+        );
     }
 }

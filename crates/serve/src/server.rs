@@ -9,12 +9,16 @@
 //! - `POST /analyze` — body is an [`AnalysisRequest`] in JSON; the
 //!   response is the [`AnalysisVerdict`](dpcp_core::AnalysisVerdict)
 //!   in JSON with an
-//!   `x-verdict-cache: HIT|MISS` header. Malformed JSON is `400`; an
-//!   unknown protocol name, an unsupported `schema` version (the
-//!   response lists the supported ones) or a reader-writer task set
-//!   routed to a write-only protocol is `422`.
-//! - `GET /metrics` — cache counters, per-endpoint p50/p99 latency and
-//!   verdicts/sec as JSON.
+//!   `x-verdict-cache: HIT|MISS` header. Malformed JSON, and a model
+//!   that breaks a constructor invariant (a cyclic DAG, a successor out
+//!   of range, a request on an undeclared resource, fewer than 2
+//!   processors), is `400` naming the problem; an unknown protocol name,
+//!   an unsupported `schema` version (the response lists the supported
+//!   ones) or a reader-writer task set routed to a write-only protocol is
+//!   `422`. A dispatch that panics is `500` naming the panic; the worker
+//!   replaces its session and keeps serving.
+//! - `GET /metrics` — cache counters, per-endpoint p50/p99 latency,
+//!   verdicts/sec and the count of panicked dispatches as JSON.
 //! - `GET /healthz` — liveness.
 //!
 //! Clients sending `Connection: keep-alive` get their connection reused
@@ -25,6 +29,7 @@
 
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -32,10 +37,11 @@ use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver};
 use dpcp_core::{AnalysisConfig, AnalysisRequest, AnalysisSession, ProtocolRegistry};
+use dpcp_experiments::campaign::panic_message;
 use parking_lot::Mutex;
 
 use crate::cache::VerdictCache;
-use crate::http::{read_request, write_response, Request};
+use crate::http::{read_request, write_response};
 use crate::metrics::Metrics;
 
 /// Server tuning.
@@ -243,12 +249,24 @@ fn serve_connection(
         let started = Instant::now();
         match (request.method.as_str(), request.path.as_str()) {
             ("POST", "/analyze") => {
-                let error = handle_analyze(
-                    stream, &request, registry, cache, metrics, session, keep_alive,
+                let reply = isolated(session, metrics, |session| {
+                    analyze(&request.body, registry, cache, session)
+                });
+                if reply.status == 200 {
+                    metrics.count_verdict();
+                }
+                let cache_header = reply.cache.map(|tag| ("x-verdict-cache", tag));
+                let _ = write_response(
+                    stream,
+                    reply.status,
+                    reply.reason,
+                    cache_header.as_slice(),
+                    reply.body.as_bytes(),
+                    keep_alive,
                 );
                 metrics
                     .analyze
-                    .record(started.elapsed().as_micros() as u64, error);
+                    .record(started.elapsed().as_micros() as u64, reply.status != 200);
             }
             ("GET", "/metrics") => {
                 let body = serde_json::to_string_pretty(&metrics.snapshot(cache.stats()))
@@ -278,80 +296,101 @@ fn serve_connection(
     }
 }
 
-/// Serves one `/analyze` request; returns whether it was an error.
-#[allow(clippy::too_many_arguments)]
-fn handle_analyze(
-    stream: &mut TcpStream,
-    request: &Request,
-    registry: &ProtocolRegistry,
-    cache: &VerdictCache,
-    metrics: &Metrics,
-    session: &mut AnalysisSession,
-    keep_alive: bool,
-) -> bool {
-    // Parse-free fast path: a byte-identical duplicate of a resident
-    // submission is served before any JSON work.
-    let raw = crate::cache::raw_key(&request.body);
-    if let Some(body) = cache.get_raw(raw) {
-        metrics.count_verdict();
-        let _ = write_response(
-            stream,
-            200,
-            "OK",
-            &[("x-verdict-cache", "HIT")],
-            body.as_bytes(),
-            keep_alive,
-        );
-        return false;
+/// One `/analyze` answer. It is computed in full before anything is
+/// written, so a dispatch that panics midway still gets a response.
+struct Reply {
+    status: u16,
+    reason: &'static str,
+    /// The `x-verdict-cache` header (`HIT`/`MISS`), on verdicts only.
+    cache: Option<&'static str>,
+    body: Arc<str>,
+}
+
+impl Reply {
+    fn verdict(cache: &'static str, body: Arc<str>) -> Reply {
+        Reply {
+            status: 200,
+            reason: "OK",
+            cache: Some(cache),
+            body,
+        }
     }
 
-    let text = match std::str::from_utf8(&request.body) {
-        Ok(text) => text,
-        Err(_) => {
-            let body = json_error("request body is not UTF-8");
-            let _ = write_response(stream, 400, "Bad Request", &[], body.as_bytes(), keep_alive);
-            return true;
+    fn error(status: u16, reason: &'static str, message: &str) -> Reply {
+        Reply {
+            status,
+            reason,
+            cache: None,
+            body: Arc::from(json_error(message).as_str()),
         }
+    }
+}
+
+/// Runs one `/analyze` dispatch with panics isolated. A panic anywhere in
+/// parse, key or analysis answers `500` with the panic's message, counts
+/// in `/metrics` and replaces the worker's session (a panic may have left
+/// its scratch half-updated), so the worker keeps serving.
+fn isolated(
+    session: &mut AnalysisSession,
+    metrics: &Metrics,
+    dispatch: impl FnOnce(&mut AnalysisSession) -> Reply,
+) -> Reply {
+    match std::panic::catch_unwind(AssertUnwindSafe(|| dispatch(session))) {
+        Ok(reply) => reply,
+        Err(payload) => {
+            metrics.count_panic();
+            *session = AnalysisSession::new(AnalysisConfig::ep());
+            Reply::error(
+                500,
+                "Internal Server Error",
+                &format!("analysis panicked: {}", panic_message(&*payload)),
+            )
+        }
+    }
+}
+
+/// Answers one `/analyze` body.
+fn analyze(
+    body: &[u8],
+    registry: &ProtocolRegistry,
+    cache: &VerdictCache,
+    session: &mut AnalysisSession,
+) -> Reply {
+    // Parse-free fast path: a byte-identical duplicate of a resident
+    // submission is served before any JSON work.
+    let raw = crate::cache::raw_key(body);
+    if let Some(body) = cache.get_raw(raw) {
+        return Reply::verdict("HIT", body);
+    }
+
+    let Ok(text) = std::str::from_utf8(body) else {
+        return Reply::error(400, "Bad Request", "request body is not UTF-8");
     };
+    // Model members are rebuilt through their constructors, so a body
+    // that breaks an invariant (a cyclic DAG, a successor out of range,
+    // a request on an undeclared resource) is refused here, by name.
     let analysis: AnalysisRequest = match serde_json::from_str(text) {
         Ok(request) => request,
         Err(e) => {
-            let body = json_error(&format!("malformed AnalysisRequest: {e}"));
-            let _ = write_response(stream, 400, "Bad Request", &[], body.as_bytes(), keep_alive);
-            return true;
+            let message = format!("malformed AnalysisRequest: {e}");
+            return Reply::error(400, "Bad Request", &message);
         }
     };
 
     // Schema gate before any structural work: an unknown wire version
     // must never be hashed into the cache or dispatched.
     if let Err(e) = analysis.check_schema() {
-        let body = json_error(&e);
-        let _ = write_response(
-            stream,
-            422,
-            "Unprocessable Entity",
-            &[],
-            body.as_bytes(),
-            keep_alive,
-        );
-        return true;
+        return Reply::error(422, "Unprocessable Entity", &e);
     }
 
+    // The one structural key of this request: the cache probe and the
+    // verdict's provenance stamp share it.
     let key = analysis.structural_key();
     if let Some(body) = cache.get(key, raw) {
-        metrics.count_verdict();
-        let _ = write_response(
-            stream,
-            200,
-            "OK",
-            &[("x-verdict-cache", "HIT")],
-            body.as_bytes(),
-            keep_alive,
-        );
-        return false;
+        return Reply::verdict("HIT", body);
     }
 
-    match registry.respond(session, &analysis) {
+    match registry.respond_keyed(session, &analysis, key) {
         Ok(verdict) => {
             let body: Arc<str> = Arc::from(
                 serde_json::to_string(&verdict)
@@ -360,29 +399,50 @@ fn handle_analyze(
             );
             // Under a key race the first writer wins, so concurrent
             // callers still serve identical bytes.
-            let body = cache.insert(key, raw, body);
-            metrics.count_verdict();
-            let _ = write_response(
-                stream,
-                200,
-                "OK",
-                &[("x-verdict-cache", "MISS")],
-                body.as_bytes(),
-                keep_alive,
-            );
-            false
+            Reply::verdict("MISS", cache.insert(key, raw, body))
         }
-        Err(e) => {
-            let body = json_error(&e.to_string());
-            let _ = write_response(
-                stream,
-                422,
-                "Unprocessable Entity",
-                &[],
-                body.as_bytes(),
-                keep_alive,
-            );
-            true
-        }
+        Err(e) => Reply::error(422, "Unprocessable Entity", &e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn panics(metrics: &Metrics) -> u64 {
+        metrics.snapshot(VerdictCache::new(1).stats()).panics
+    }
+
+    #[test]
+    fn isolated_answers_a_panic_with_a_500_and_a_fresh_session() {
+        let metrics = Metrics::default();
+        let mut session = AnalysisSession::new(AnalysisConfig::en());
+        let reply = isolated(&mut session, &metrics, |_| panic!("boom"));
+        assert_eq!((reply.status, reply.cache), (500, None));
+        assert!(
+            reply.body.contains("analysis panicked: boom"),
+            "{}",
+            reply.body
+        );
+        assert_eq!(panics(&metrics), 1);
+        assert_eq!(session.config(), &AnalysisConfig::ep(), "session replaced");
+
+        // Formatted payloads are reported too.
+        let reply = isolated(&mut session, &metrics, |_| {
+            panic!("index {} out of range", 7)
+        });
+        assert!(
+            reply.body.contains("index 7 out of range"),
+            "{}",
+            reply.body
+        );
+        assert_eq!(panics(&metrics), 2);
+
+        // A dispatch that returns passes through, counting nothing.
+        let reply = isolated(&mut session, &metrics, |_| {
+            Reply::verdict("HIT", Arc::from("{}"))
+        });
+        assert_eq!((reply.status, reply.cache), (200, Some("HIT")));
+        assert_eq!(panics(&metrics), 2);
     }
 }

@@ -181,6 +181,118 @@ fn deeply_nested_body_is_a_400_and_the_server_survives() {
     server.shutdown();
 }
 
+fn one_worker_server() -> Server {
+    Server::spawn(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        cache_capacity: 16,
+        ..ServeConfig::default()
+    })
+    .expect("ephemeral bind")
+}
+
+/// The object member `name` of `value`.
+fn member<'a>(value: &'a mut serde::Value, name: &str) -> &'a mut serde::Value {
+    match value {
+        serde::Value::Object(members) => {
+            &mut members
+                .iter_mut()
+                .find(|(k, _)| k == name)
+                .unwrap_or_else(|| panic!("no member {name}"))
+                .1
+        }
+        _ => panic!("{name}: not an object"),
+    }
+}
+
+/// Element `index` of the array `value`.
+fn element(value: &mut serde::Value, index: usize) -> &mut serde::Value {
+    match value {
+        serde::Value::Array(items) => &mut items[index],
+        _ => panic!("[{index}]: not an array"),
+    }
+}
+
+#[test]
+fn model_breaking_an_invariant_is_a_400_and_the_worker_survives() {
+    use dpcp_gen::scenario::{Fig2Panel, Scenario};
+    use rand::SeedableRng;
+    use serde::Serialize;
+
+    // A fig2 panel-A submission whose first DAG names a successor far
+    // outside its vertex range. Trusting the member used to index out of
+    // bounds while keying the request, killing the only worker.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(2020);
+    let tasks = Scenario::fig2(Fig2Panel::A)
+        .sample_task_set(8.0, &mut rng)
+        .expect("seed generates");
+    let request = AnalysisRequest {
+        platform: Platform::new(16).expect("m >= 2"),
+        tasks,
+        ..fig1_request("DPCP-p-EP")
+    };
+    let mut wire = request.serialize();
+    let dags = member(member(&mut wire, "tasks"), "tasks");
+    let first_dag = member(element(dags, 0), "dag");
+    *element(member(first_dag, "succs"), 0) = serde::Value::Array(vec![serde::Value::U64(100_000)]);
+    let tampered = serde_json::to_string(&wire).expect("serialize");
+
+    let server = one_worker_server();
+    let addr = server.local_addr().to_string();
+    let (status, _, body) =
+        roundtrip(&addr, "POST", "/analyze", tampered.as_bytes()).expect("roundtrip");
+    let body = String::from_utf8(body).expect("utf-8");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("edge endpoint 100000 out of range"), "{body}");
+    let (status, _, _) = roundtrip(&addr, "GET", "/healthz", b"").expect("worker alive");
+    assert_eq!(status, 200);
+    let (status, _, _) = post_analyze(&addr, &request);
+    assert_eq!(status, 200, "the untampered submission is analyzed");
+    server.shutdown();
+}
+
+#[test]
+fn analysis_panic_is_a_500_counted_in_metrics_and_the_worker_survives() {
+    use dpcp_model::{Dag, DagTask, TaskId, TaskSet, Time, VertexSpec};
+
+    // A well-formed heavy task (C = 20 ms > D = 15 ms) whose longest path
+    // alone exceeds its deadline: no cluster size can fit it, and
+    // partitioning panics on it.
+    let hopeless = DagTask::builder(TaskId::new(0), Time::from_ms(20))
+        .deadline(Time::from_ms(15))
+        .dag(Dag::chain(2).expect("chain"))
+        .vertex(VertexSpec::new(Time::from_ms(10)))
+        .vertex(VertexSpec::new(Time::from_ms(10)))
+        .build()
+        .expect("valid task");
+    let request = AnalysisRequest {
+        tasks: TaskSet::new(vec![hopeless], 0).expect("valid set"),
+        ..fig1_request("DPCP-p-EP")
+    };
+
+    let server = one_worker_server();
+    let addr = server.local_addr().to_string();
+    let (status, _, body) = post_analyze(&addr, &request);
+    let body = String::from_utf8(body).expect("utf-8");
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("analysis panicked"), "{body}");
+    // The worker answers on: a valid submission, and the metrics count
+    // the one panic.
+    let (status, _, _) = post_analyze(&addr, &fig1_request("DPCP-p-EP"));
+    assert_eq!(status, 200);
+    let (status, _, body) = roundtrip(&addr, "GET", "/metrics", b"").expect("roundtrip");
+    assert_eq!(status, 200);
+    let metrics: serde::Value =
+        serde_json::from_str(std::str::from_utf8(&body).expect("utf-8")).expect("metrics JSON");
+    assert_eq!(metrics.field("panics"), &serde::Value::U64(1));
+    assert_eq!(
+        metrics.field("analyze").field("errors"),
+        &serde::Value::U64(1)
+    );
+    assert_eq!(server.metrics.snapshot(server.cache.stats()).panics, 1);
+    server.shutdown();
+}
+
 #[test]
 fn unknown_protocol_is_a_422() {
     let server = spawn_server();

@@ -183,7 +183,8 @@ fn acceptance_counts_match_point_for_point() {
 /// The wire layer agrees with direct dispatch: for every method,
 /// `ProtocolRegistry::respond` on an `AnalysisRequest` reports the same
 /// admission decision, bounds and rounds as `AnalysisSession::run`, and
-/// stamps the request's structural key.
+/// stamps the request's structural key; `respond_keyed` given that key
+/// answers byte for byte as `respond` does.
 #[test]
 fn respond_matches_direct_dispatch() {
     let scenario = scenario(0.3);
@@ -230,6 +231,28 @@ fn respond_matches_direct_dispatch() {
             "{method}"
         );
     }
+    // A caller holding the key gets the same bytes from `respond_keyed`,
+    // for every registered protocol.
+    for name in registry.names() {
+        let request = AnalysisRequest {
+            schema: None,
+            protocol: name.to_string(),
+            tasks: tasks.clone(),
+            platform,
+            config: AnalysisConfig::ep(),
+            heuristic,
+        };
+        let plain = registry.respond(&mut session, &request).expect(name);
+        let keyed = registry
+            .respond_keyed(&mut session, &request, request.structural_key())
+            .expect(name);
+        assert_eq!(
+            serde_json::to_string(&keyed).unwrap(),
+            serde_json::to_string(&plain).unwrap(),
+            "{name}"
+        );
+    }
+    assert_eq!(registry.len(), 9);
     let unknown = AnalysisRequest {
         schema: None,
         protocol: "NO-SUCH-PROTOCOL".to_string(),
