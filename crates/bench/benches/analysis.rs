@@ -12,18 +12,21 @@
 //! - `wire` — the layers a cold `/analyze` request crosses before any
 //!   analysis: the JSON parse of one fig2 panel-A body and the
 //!   structural key of the parsed request,
+//! - `placement` — `PlacementSearch::run` on two contended sets where
+//!   every bin-packing seed fails: one the placement-free bound leaves to
+//!   the probe loop, and one it screens (zero probes),
 //! - `harness_point` — a full `evaluate_point` fan-out, sequential vs
 //!   the ambient rayon pool.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpcp_baselines::{Lpp, SpinSon};
-use dpcp_bench::panel_task_set;
+use dpcp_bench::{bench_search, panel_task_set, search_fixtures};
 use dpcp_core::analysis::wcrt::{
     wcrt_for_signature_direct, wcrt_over_signatures_batched, wcrt_over_signatures_direct,
 };
 use dpcp_core::analysis::{AnalysisContext, EvalScratch, SignatureCache};
 use dpcp_core::partition::{assign_resources, ResourceHeuristic};
-use dpcp_core::{AnalysisConfig, AnalysisRequest, AnalysisSession, SchedAnalyzer};
+use dpcp_core::{AnalysisConfig, AnalysisRequest, AnalysisSession, DpcpProtocol, SchedAnalyzer};
 use dpcp_experiments::{evaluate_point, standard_registry, EvalConfig};
 use dpcp_gen::scenario::{Fig2Panel, Scenario};
 use dpcp_model::{
@@ -238,6 +241,33 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_placement(c: &mut Criterion) {
+    let mut group = c.benchmark_group("placement");
+    // `search_fixtures` asserts the probe counts: the whole budget on the
+    // probing set, none on the screened one.
+    let search = search_fixtures();
+    for (name, tasks) in [
+        ("search_probing", &search.probing),
+        ("search_screened", &search.screened),
+    ] {
+        group.bench_function(name, |b| {
+            let engine = bench_search();
+            let inner = DpcpProtocol::ep();
+            let mut session = AnalysisSession::new(AnalysisConfig::ep());
+            b.iter(|| {
+                black_box(engine.run(
+                    &mut session,
+                    &inner,
+                    tasks,
+                    &search.platform,
+                    ResourceHeuristic::WorstFitDecreasing,
+                ))
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_harness_point(c: &mut Criterion) {
     let mut group = c.benchmark_group("harness_point");
     group.sample_size(10);
@@ -265,6 +295,7 @@ criterion_group!(
     bench_components,
     bench_fixed_point,
     bench_wire,
+    bench_placement,
     bench_harness_point
 );
 criterion_main!(benches);

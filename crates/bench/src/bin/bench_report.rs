@@ -15,8 +15,9 @@
 //!   kernel, full task-set analysis under EP/EN, path
 //!   enumeration — the cache plus the `enumerate/*` triple contrasting the
 //!   DFS reference, the signature-domain DP and the dominance-pruned DP —
-//!   the `placement/*` search-engine trio: the warm per-probe cost,
-//!   the seeded wrapper run and the budgeted probing loop — and the two
+//!   the `placement/*` search-engine quartet: the warm per-probe cost,
+//!   the seeded wrapper run, the budgeted probing loop and a run the
+//!   placement-free bound screens — and the two
 //!   wire layers a cold `/analyze` crosses before any analysis,
 //!   `json/parse_request` on one fig2 panel-A body and
 //!   `dto/structural_key` on the parsed request), measured through the
@@ -44,7 +45,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use criterion::{black_box, Criterion};
-use dpcp_bench::panel_task_set;
+use dpcp_bench::{bench_search, panel_task_set, search_fixtures};
 use dpcp_core::analysis::wcrt::{
     wcrt_for_signature_direct, wcrt_over_signatures_batched, wcrt_over_signatures_direct,
 };
@@ -241,9 +242,11 @@ fn component_benches(sample_size: usize) -> Vec<ComponentBench> {
     // the marginal cost of a search probe (signatures depend only on the
     // task set, so the cache stays hot across placements). `search_seeded`
     // is the full wrapper run on a seed-schedulable set (the common
-    // campaign-cell path: one inner evaluation, zero probes), and
-    // `search_probing` the budgeted annealing loop on a contended sample
-    // where every bin-packing seed fails.
+    // campaign-cell path: one inner evaluation, zero probes).
+    // `search_probing` is the budgeted annealing loop on a contended
+    // sample where every bin-packing seed fails and the placement-free
+    // bound proves nothing, and `search_screened` the same wrapper run on
+    // a sample the bound screens (seeds, then zero probes).
     let probe_layout = layout_clusters(&sizes, 16).expect("initial sizes fit");
     let homes_wfd = assign_resources(&tasks, &probe_layout, ResourceHeuristic::WorstFitDecreasing)
         .expect("fits");
@@ -290,29 +293,30 @@ fn component_benches(sample_size: usize) -> Vec<ComponentBench> {
             )
         })
     });
-    let contended_platform = Platform::new(8).expect("8-core platform");
-    let contended = contended_task_set(&contended_platform);
-    criterion.bench_function("placement/search_probing", |b| {
-        let engine = PlacementSearch::new(SearchConfig {
-            probe_budget: 32,
-            ..SearchConfig::default()
+    let search = search_fixtures();
+    for (name, tasks) in [
+        ("placement/search_probing", &search.probing),
+        ("placement/search_screened", &search.screened),
+    ] {
+        criterion.bench_function(name, |b| {
+            let engine = bench_search();
+            let inner = DpcpProtocol::ep();
+            let mut session = AnalysisSession::new(AnalysisConfig::ep());
+            b.iter(|| {
+                black_box(
+                    engine
+                        .run(
+                            &mut session,
+                            &inner,
+                            tasks,
+                            &search.platform,
+                            ResourceHeuristic::WorstFitDecreasing,
+                        )
+                        .probes,
+                )
+            })
         });
-        let inner = DpcpProtocol::ep();
-        let mut session = AnalysisSession::new(AnalysisConfig::ep());
-        b.iter(|| {
-            black_box(
-                engine
-                    .run(
-                        &mut session,
-                        &inner,
-                        &contended,
-                        &contended_platform,
-                        ResourceHeuristic::WorstFitDecreasing,
-                    )
-                    .probes,
-            )
-        })
-    });
+    }
     // The wire layers of a cold request: parsing the fixture's body
     // (18 KiB) into an `AnalysisRequest`, and its structural key. Both
     // are linear in the body; the gate catches a quadratic string decode
@@ -382,57 +386,6 @@ fn component_benches(sample_size: usize) -> Vec<ComponentBench> {
             samples: r.samples,
         })
         .collect()
-}
-
-/// A deterministic contended sample (the `ci/search_smoke.json` scenario
-/// at normalized utilization 0.8) on which all three bin-packing seeds
-/// fail — the fixture of `placement/search_probing`.
-fn contended_task_set(platform: &Platform) -> dpcp_model::TaskSet {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let scenario = Scenario {
-        m: 8,
-        nr_range: (3, 6),
-        u_avg: 1.5,
-        access_prob: 0.75,
-        max_requests: 40,
-        cs_range_us: (50, 100),
-        graph_shape: dpcp_gen::GraphShape::ErdosRenyi,
-        light_fraction: 0.0,
-        vertex_range: None,
-        cs_budget_fraction: None,
-        rw_share: None,
-    };
-    for total_util in [6.4, 5.6, 4.8] {
-        for seed in 0..128u64 {
-            let mut rng = StdRng::seed_from_u64(0xBE7C_0000 + seed);
-            let Ok(tasks) = scenario.sample_task_set(total_util, &mut rng) else {
-                continue;
-            };
-            // The initial federated sizes must fit, or the search bails
-            // out before probing (no local move repairs an over-demanded
-            // set).
-            let demand: usize = tasks.iter().map(initial_processors).sum();
-            if demand > platform.processor_count() {
-                continue;
-            }
-            let all_fail = [
-                ResourceHeuristic::WorstFitDecreasing,
-                ResourceHeuristic::FirstFitDecreasing,
-                ResourceHeuristic::BestFitDecreasing,
-            ]
-            .iter()
-            .all(|&h| {
-                !AnalysisSession::new(AnalysisConfig::ep())
-                    .partition_and_analyze(&tasks, platform, h)
-                    .is_schedulable()
-            });
-            if all_fail {
-                return tasks;
-            }
-        }
-    }
-    panic!("no contended fitting sample found");
 }
 
 /// Median wall-clock milliseconds of `repeats` runs of `f` (after one

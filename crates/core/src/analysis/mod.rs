@@ -23,11 +23,13 @@ pub mod demand;
 pub mod interference;
 pub mod light;
 pub mod request;
+pub mod screen;
 pub mod wcrt;
 
 pub use context::AnalysisContext;
 pub use demand::{DemandStepTable, DemandTables};
 pub use request::RequestBoundCache;
+pub use screen::infeasible_under_every_placement;
 pub use wcrt::EvalScratch;
 
 /// Which analysis the paper's evaluation calls `DPCP-p-EP` / `DPCP-p-EN`.

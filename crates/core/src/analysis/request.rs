@@ -13,6 +13,44 @@ use super::context::AnalysisContext;
 
 type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
+/// How a monotone fixed-point iteration ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Orbit {
+    /// A fixed point at or below the horizon.
+    Converged(Time),
+    /// An iterate exceeded the horizon: no fixed point lies at or below it.
+    Exceeded,
+    /// The iteration budget ran out first, which says nothing about the
+    /// horizon.
+    Exhausted,
+}
+
+/// Runs a monotone fixed-point iteration `x_{n+1} = f(x_n)` from `start`
+/// and reports how it ended (see [`fixed_point`]).
+pub(crate) fn orbit(
+    start: Time,
+    horizon: Time,
+    max_iters: usize,
+    mut f: impl FnMut(Time) -> Time,
+) -> Orbit {
+    let mut x = start;
+    if x > horizon {
+        return Orbit::Exceeded;
+    }
+    for _ in 0..max_iters {
+        let next = f(x);
+        if next == x {
+            return Orbit::Converged(x);
+        }
+        debug_assert!(next > x, "response-time recurrence must be inflationary");
+        if next > horizon {
+            return Orbit::Exceeded;
+        }
+        x = next;
+    }
+    Orbit::Exhausted
+}
+
 /// Runs a monotone fixed-point iteration `x_{n+1} = f(x_n)` from `start`.
 ///
 /// Returns the least fixed point reached, or `None` when the iterate
@@ -28,24 +66,12 @@ pub fn fixed_point(
     start: Time,
     horizon: Time,
     max_iters: usize,
-    mut f: impl FnMut(Time) -> Time,
+    f: impl FnMut(Time) -> Time,
 ) -> Option<Time> {
-    let mut x = start;
-    if x > horizon {
-        return None;
+    match orbit(start, horizon, max_iters, f) {
+        Orbit::Converged(x) => Some(x),
+        Orbit::Exceeded | Orbit::Exhausted => None,
     }
-    for _ in 0..max_iters {
-        let next = f(x);
-        if next == x {
-            return Some(x);
-        }
-        debug_assert!(next > x, "response-time recurrence must be inflationary");
-        if next > horizon {
-            return None;
-        }
-        x = next;
-    }
-    None
 }
 
 /// `β_{i,q}` — the longest critical section of a *lower*-priority task on

@@ -13,8 +13,8 @@
 //! makes a probe cheap — signatures depend only on the task set, never
 //! on the candidate placement), and keeps the best placement seen.
 //!
-//! Three contracts make the search admissible under the repo's
-//! determinism discipline:
+//! Four contracts make the search admissible under the repo's
+//! determinism discipline and keep it cheap:
 //!
 //! - **Pure acceptance schedule.** Move proposal and the uphill
 //!   acceptance coin for step `s` are drawn from a splitmix64 stream
@@ -29,12 +29,20 @@
 //!   zero probes); search only runs when every seed fails, and only
 //!   replaces the seed outcome on strict improvement (a schedulable
 //!   candidate).
+//! - **No probes when the bound proves every placement fails.** Before
+//!   the probe loop, [`infeasible_under_every_placement`] evaluates a
+//!   placement-free lower bound of Theorem 1 on every task's longest
+//!   path. If it names a task, no candidate of the move space (clusters
+//!   of size ≥ 1 summing to ≤ m, homes anywhere) can be schedulable, so
+//!   the seed outcome is returned with zero probes — the same verdict the
+//!   loop would have reached. The proof is in
+//!   [`analysis::screen`](crate::analysis::screen).
 
 use std::collections::BTreeMap;
 
 use dpcp_model::{initial_processors, Partition, Platform, ProcessorId, ResourceId, TaskSet};
 
-use crate::analysis::SchedulabilityReport;
+use crate::analysis::{infeasible_under_every_placement, SchedulabilityReport};
 use crate::partition::{assign_resources, layout_clusters, PartitionOutcome, ResourceHeuristic};
 use crate::registry::ProtocolAnalysis;
 use crate::session::AnalysisSession;
@@ -113,6 +121,10 @@ pub struct SearchOutcome {
 
 /// Candidate score, compared lexicographically: fewer failing tasks
 /// first, then less total lateness. `failing == 0` is schedulable.
+///
+/// Lateness is `Σ D_i` over the failing tasks. The solvers return a bound
+/// only at or below `D_i`, so a failing task never carries a finite
+/// overshoot: a diverged recurrence is all a failure can be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Score {
     failing: usize,
@@ -121,25 +133,15 @@ struct Score {
 
 impl Score {
     fn of(tasks: &TaskSet, report: &SchedulabilityReport) -> Score {
-        let mut failing = 0usize;
-        let mut lateness_ns = 0u128;
-        for bound in &report.task_bounds {
-            if bound.schedulable {
-                continue;
-            }
-            failing += 1;
-            let deadline = tasks.task(bound.task).deadline();
-            // A diverged recurrence has no bound; charge a full deadline
-            // so divergence ranks worse than a finite overshoot.
-            lateness_ns += u128::from(match bound.wcrt {
-                Some(wcrt) => wcrt.saturating_sub(deadline).as_ns().max(1),
-                None => deadline.as_ns(),
-            });
+        let mut score = Score {
+            failing: 0,
+            lateness_ns: 0,
+        };
+        for bound in report.task_bounds.iter().filter(|b| !b.schedulable) {
+            score.failing += 1;
+            score.lateness_ns += u128::from(tasks.task(bound.task).deadline().as_ns());
         }
-        Score {
-            failing,
-            lateness_ns,
-        }
+        score
     }
 
     fn schedulable(self) -> bool {
@@ -329,6 +331,12 @@ impl PlacementSearch {
             // Not even the initial federated assignment fits (no local
             // move can repair an over-demanded platform), or search is
             // disabled outright.
+            return seeded;
+        }
+        let max_iters = session.config().max_fixpoint_iterations;
+        if infeasible_under_every_placement(tasks, m, max_iters).is_some() {
+            // Some task fails under every placement of the move space, so
+            // no probe can improve on the seeds.
             return seeded;
         }
         let globals: Vec<ResourceId> = tasks.global_resources().collect();

@@ -30,13 +30,25 @@ pub struct Platform {
     processors: usize,
 }
 
+/// The largest platform a deserialized request may declare. Partitions
+/// and the analysis allocate per processor (`AnalysisContext` keeps
+/// `n × m` demand tables), so an unchecked count read from input could
+/// demand terabytes from a body of a few bytes — an allocation failure
+/// aborts the process. The paper's platforms stop at 32 processors.
+const MAX_WIRE_PROCESSORS: usize = 1024;
+
 // Built through `Platform::new`, so input declaring fewer than 2
 // processors is refused like code doing the same.
 impl Deserialize for Platform {
     fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Platform::new(usize::deserialize(
-            value.field("processors"),
-        )?)?)
+        let processors = usize::deserialize(value.field("processors"))?;
+        if processors > MAX_WIRE_PROCESSORS {
+            return Err(serde::Error::custom(format!(
+                "a platform may declare at most {MAX_WIRE_PROCESSORS} processors, \
+                 got {processors}"
+            )));
+        }
+        Ok(Platform::new(processors)?)
     }
 }
 
@@ -530,5 +542,27 @@ mod tests {
     #[allow(dead_code)]
     fn _use_vertex_id(v: VertexId) -> usize {
         v.index()
+    }
+
+    fn platform_with(processors: u64) -> Result<Platform, serde::Error> {
+        Platform::deserialize(&serde::Value::Object(vec![(
+            "processors".into(),
+            serde::Value::U64(processors),
+        )]))
+    }
+
+    #[test]
+    fn deserialize_accepts_the_processor_cap() {
+        let platform = platform_with(MAX_WIRE_PROCESSORS as u64).unwrap();
+        assert_eq!(platform.processor_count(), MAX_WIRE_PROCESSORS);
+    }
+
+    #[test]
+    fn deserialize_refuses_a_platform_beyond_the_cap() {
+        for processors in [MAX_WIRE_PROCESSORS as u64 + 1, 100_000_000_000] {
+            let err = platform_with(processors).unwrap_err().to_string();
+            assert!(err.contains("at most 1024 processors"), "{err}");
+            assert!(err.contains(&format!("got {processors}")), "{err}");
+        }
     }
 }

@@ -252,6 +252,32 @@ fn model_breaking_an_invariant_is_a_400_and_the_worker_survives() {
 }
 
 #[test]
+fn huge_processor_count_is_a_400_and_the_process_survives() {
+    use serde::Serialize;
+
+    // A 1.7 KB fig1 body declaring 10^11 processors. Partitioning used to
+    // allocate per processor, and the failed 1.6 TB allocation aborted
+    // the whole process, which no worker-level guard can catch.
+    let request = fig1_request("DPCP-p-EP");
+    let mut wire = request.serialize();
+    *member(member(&mut wire, "platform"), "processors") = serde::Value::U64(100_000_000_000);
+    let hostile = serde_json::to_string(&wire).expect("serialize");
+
+    let server = one_worker_server();
+    let addr = server.local_addr().to_string();
+    let (status, _, body) =
+        roundtrip(&addr, "POST", "/analyze", hostile.as_bytes()).expect("roundtrip");
+    let body = String::from_utf8(body).expect("utf-8");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("at most 1024 processors"), "{body}");
+    let (status, _, _) = roundtrip(&addr, "GET", "/healthz", b"").expect("server alive");
+    assert_eq!(status, 200);
+    let (status, _, _) = post_analyze(&addr, &request);
+    assert_eq!(status, 200, "the untampered submission is analyzed");
+    server.shutdown();
+}
+
+#[test]
 fn analysis_panic_is_a_500_counted_in_metrics_and_the_worker_survives() {
     use dpcp_model::{Dag, DagTask, TaskId, TaskSet, Time, VertexSpec};
 

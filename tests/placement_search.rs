@@ -1,24 +1,27 @@
-//! Placement-search integration tests: the determinism and
-//! never-worse-than-seed contracts of `DPCP-p-EP/SEARCH`.
+//! Placement-search integration tests: the determinism, never-worse-than-seed
+//! and screen-soundness contracts of `DPCP-p-EP/SEARCH`.
 //!
-//! The contracts mirror ISSUE/README: identical `(seed, budget)` must
-//! produce byte-identical campaign artifacts at any rayon pool width,
-//! across shard splits and across resume, and on every sample the
-//! search outcome must be at least as good as the best of the three
-//! bin-packing heuristic seeds (WFD/FFD/BFD).
+//! Identical `(seed, budget)` must produce byte-identical campaign
+//! artifacts at any rayon pool width, across shard splits and across
+//! resume. On every sample the search outcome must be at least as good as
+//! the best of the three bin-packing heuristic seeds (WFD/FFD/BFD). And
+//! the placement-free bound that lets the search skip its probe loop must
+//! never name a task some placement of the move space could save.
 
 use std::path::PathBuf;
 
 use dpcp_experiments::campaign::{merge_dir, merged_csv, run_shard, ShardSpec};
 use dpcp_experiments::manifest::{AblationSpec, AxisSpec, CampaignManifest};
 use dpcp_experiments::Method;
-use dpcp_p::core::partition::{PartitionOutcome, ResourceHeuristic};
+use dpcp_p::core::analysis::infeasible_under_every_placement;
+use dpcp_p::core::partition::{layout_clusters, PartitionOutcome, ResourceHeuristic};
 use dpcp_p::core::{AnalysisConfig, AnalysisSession};
-use dpcp_p::gen::scenario::Scenario;
+use dpcp_p::gen::scenario::{Fig2Panel, Scenario};
 use dpcp_p::gen::GraphShape;
-use dpcp_p::model::Platform;
+use dpcp_p::model::{Partition, Platform, ProcessorId, TaskId, TaskSet};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dpcp_search_{}_{tag}", std::process::id()));
@@ -214,4 +217,184 @@ fn search_never_loses_to_the_best_heuristic_seed() {
         heuristic_accepts >= 8,
         "too few heuristic-schedulable samples ({heuristic_accepts})"
     );
+}
+
+/// The `ci/search_smoke.json` scenario (m = 8).
+fn search_smoke_scenario() -> Scenario {
+    Scenario {
+        m: 8,
+        nr_range: (3, 6),
+        u_avg: 1.5,
+        access_prob: 0.75,
+        max_requests: 40,
+        cs_range_us: (50, 100),
+        graph_shape: GraphShape::ErdosRenyi,
+        light_fraction: 0.0,
+        vertex_range: None,
+        cs_budget_fraction: None,
+        rw_share: None,
+    }
+}
+
+/// Heavy-only, write-only draws of `scenario` at ten points
+/// `U/m ∈ {lowest, lowest + 0.05, …, lowest + 0.45}` × 15 seeds, as
+/// `(point, seed, set)`.
+fn screen_sweep(scenario: &Scenario, stream: u64, lowest: f64) -> Vec<(usize, u64, TaskSet)> {
+    let mut sets = Vec::new();
+    for point in 0..10usize {
+        let total_util = scenario.m as f64 * (lowest + 0.05 * point as f64);
+        for seed in 0..15u64 {
+            let mut rng = StdRng::seed_from_u64(
+                0x5C2E_E000_0000 + (stream << 24) + ((point as u64) << 8) + seed,
+            );
+            let Ok(tasks) = scenario.sample_task_set(total_util, &mut rng) else {
+                continue;
+            };
+            if tasks.len() <= scenario.m && !tasks.has_reads() && tasks.iter().all(|t| t.is_heavy())
+            {
+                sets.push((point, seed, tasks));
+            }
+        }
+    }
+    sets
+}
+
+/// A random placement of the search's move space: every task keeps at
+/// least one processor, a random share of the spare processors goes to
+/// the tasks (half of them to `favoured`), and every global resource is
+/// homed on a random cluster processor.
+fn random_placement(
+    tasks: &TaskSet,
+    platform: &Platform,
+    favoured: TaskId,
+    rng: &mut StdRng,
+) -> Partition {
+    let n = tasks.len();
+    let m = platform.processor_count();
+    let mut sizes = vec![1usize; n];
+    for _ in 0..rng.gen_range(0..=m - n) {
+        let to = if rng.gen_bool(0.5) {
+            favoured.index()
+        } else {
+            rng.gen_range(0..n)
+        };
+        sizes[to] += 1;
+    }
+    let layout = layout_clusters(&sizes, m).expect("sizes fit");
+    let assigned: Vec<ProcessorId> = layout.iter().flatten().copied().collect();
+    let homes = tasks
+        .global_resources()
+        .map(|q| (q, assigned[rng.gen_range(0..assigned.len())]))
+        .collect();
+    Partition::new(tasks, platform, layout, homes).expect("valid placement")
+}
+
+#[test]
+fn screened_tasks_fail_under_every_sampled_placement() {
+    // Whenever the bound names a task, 40 random placements of the move
+    // space must all leave that task unschedulable, under both the EP and
+    // the EN analysis.
+    let max_iters = AnalysisConfig::ep().max_fixpoint_iterations;
+    // The fig2 panels from U/m = 0.10, where the bound starts to fire;
+    // the search-smoke scenario over its own grid, from 0.35.
+    let mut scenarios: Vec<(Scenario, f64)> = Fig2Panel::all()
+        .into_iter()
+        .map(|panel| (Scenario::fig2(panel), 0.10))
+        .collect();
+    scenarios.push((search_smoke_scenario(), 0.35));
+    let mut sets = 0usize;
+    let mut screened = Vec::new();
+    for (stream, (scenario, lowest)) in scenarios.iter().enumerate() {
+        for (point, seed, tasks) in screen_sweep(scenario, stream as u64, *lowest) {
+            sets += 1;
+            if let Some(named) = infeasible_under_every_placement(&tasks, scenario.m, max_iters) {
+                screened.push((stream, point, seed, scenario.m, tasks, named));
+            }
+        }
+    }
+    // Placements are drawn per set from a seed of its coordinates, so the
+    // parallel check is deterministic.
+    let placements: usize = screened
+        .par_iter()
+        .map(|(stream, point, seed, m, tasks, named)| {
+            let platform = Platform::new(*m).unwrap();
+            let mut rng = StdRng::seed_from_u64(
+                0x91AC_0000_0000 + ((*stream as u64) << 24) + ((*point as u64) << 8) + seed,
+            );
+            let mut ep = AnalysisSession::new(AnalysisConfig::ep());
+            let mut en = AnalysisSession::new(AnalysisConfig::en());
+            for _ in 0..40 {
+                let partition = random_placement(tasks, &platform, *named, &mut rng);
+                for session in [&mut ep, &mut en] {
+                    let report = session.analyze(tasks, &partition);
+                    assert!(
+                        !report.bound(*named).schedulable,
+                        "scenario {stream} point {point} seed {seed}: screened task {named:?} \
+                         schedulable under {:?}",
+                        session.config().variant
+                    );
+                }
+            }
+            40
+        })
+        .sum();
+    eprintln!(
+        "screen sweep: {sets} sets, {} screened, {placements} placements",
+        screened.len()
+    );
+    assert!(sets >= 500, "too few heavy-only sets ({sets})");
+    assert!(
+        screened.len() >= 100,
+        "too few screened sets ({})",
+        screened.len()
+    );
+}
+
+/// The `(point, seed)` draws of the search-smoke sweep (stream 4, from
+/// `U/m = 0.35`) that the search lifts at its default budget: every
+/// heuristic seed fails and a probe finds a schedulable placement.
+/// Recorded from the search before the placement-free bound existed, so a
+/// bound that screened a liftable set would drop an entry.
+const LIFTED: &[(usize, u64)] = &[(1, 13), (3, 2), (5, 7)];
+
+#[test]
+fn the_bound_screens_no_set_the_search_lifts() {
+    let heuristics = [
+        ResourceHeuristic::WorstFitDecreasing,
+        ResourceHeuristic::FirstFitDecreasing,
+        ResourceHeuristic::BestFitDecreasing,
+    ];
+    let registry = dpcp_experiments::standard_registry();
+    let search = registry.resolve("DPCP-p-EP/SEARCH").expect("registered");
+    let ep = registry.resolve("DPCP-p-EP").expect("registered");
+    let max_iters = AnalysisConfig::ep().max_fixpoint_iterations;
+    let scenario = search_smoke_scenario();
+    let platform = Platform::new(scenario.m).unwrap();
+    let mut lifted = Vec::new();
+    for (point, seed, tasks) in screen_sweep(&scenario, 4, 0.35) {
+        let outcome = AnalysisSession::new(AnalysisConfig::ep()).run(
+            search,
+            &tasks,
+            &platform,
+            ResourceHeuristic::WorstFitDecreasing,
+        );
+        if !outcome.is_schedulable() {
+            continue;
+        }
+        // A schedulable placement exists, so the bound must name no task.
+        assert_eq!(
+            infeasible_under_every_placement(&tasks, scenario.m, max_iters),
+            None,
+            "point {point} seed {seed}: the bound screens a schedulable set"
+        );
+        let seeds_fail = heuristics.iter().all(|&h| {
+            !AnalysisSession::new(AnalysisConfig::ep())
+                .run(ep, &tasks, &platform, h)
+                .is_schedulable()
+        });
+        if seeds_fail {
+            lifted.push((point, seed));
+        }
+    }
+    assert_eq!(lifted, LIFTED, "the search lifts a different set of draws");
 }
