@@ -90,10 +90,6 @@ fn serialized_blocking(tasks: &TaskSet, resp: &ResponseBounds, i: TaskId, r: Tim
 }
 
 impl SchedAnalyzer for Dga {
-    fn name(&self) -> &str {
-        "DGA"
-    }
-
     fn needs_resource_homes(&self) -> bool {
         false
     }
@@ -148,7 +144,7 @@ impl SchedAnalyzer for Dga {
 /// evaluation state).
 impl ProtocolAnalysis for Dga {
     fn name(&self) -> &str {
-        SchedAnalyzer::name(self)
+        "DGA"
     }
 
     fn tag(&self) -> char {
@@ -208,7 +204,7 @@ mod tests {
     #[test]
     fn name_tag_and_rw_support() {
         let d = Dga::new();
-        assert_eq!(SchedAnalyzer::name(&d), "DGA");
+        assert_eq!(ProtocolAnalysis::name(&d), "DGA");
         assert_eq!(ProtocolAnalysis::tag(&d), 'G');
         assert!(ProtocolAnalysis::supports_rw(&d));
         assert!(!d.needs_resource_homes());

@@ -51,10 +51,6 @@ impl FedFp {
 }
 
 impl SchedAnalyzer for FedFp {
-    fn name(&self) -> &str {
-        "FED-FP"
-    }
-
     fn needs_resource_homes(&self) -> bool {
         false
     }
@@ -92,7 +88,7 @@ impl SchedAnalyzer for FedFp {
 /// session's scratch (which this analysis ignores — it is stateless).
 impl ProtocolAnalysis for FedFp {
     fn name(&self) -> &str {
-        SchedAnalyzer::name(self)
+        "FED-FP"
     }
 
     fn tag(&self) -> char {
@@ -155,7 +151,7 @@ mod tests {
             assert_eq!(b.inter_task_blocking, Time::ZERO);
             assert_eq!(b.agent_interference, Time::ZERO);
         }
-        assert_eq!(SchedAnalyzer::name(&fed), "FED-FP");
+        assert_eq!(ProtocolAnalysis::name(&fed), "FED-FP");
         assert!(!fed.needs_resource_homes());
     }
 

@@ -77,10 +77,6 @@ impl Lpp {
 }
 
 impl SchedAnalyzer for Lpp {
-    fn name(&self) -> &str {
-        "LPP"
-    }
-
     fn needs_resource_homes(&self) -> bool {
         false
     }
@@ -132,7 +128,7 @@ impl SchedAnalyzer for Lpp {
 /// evaluation state).
 impl ProtocolAnalysis for Lpp {
     fn name(&self) -> &str {
-        SchedAnalyzer::name(self)
+        "LPP"
     }
 
     fn tag(&self) -> char {
@@ -231,7 +227,7 @@ mod tests {
     #[test]
     fn name_and_homes() {
         let l = Lpp::new();
-        assert_eq!(SchedAnalyzer::name(&l), "LPP");
+        assert_eq!(ProtocolAnalysis::name(&l), "LPP");
         assert!(!l.needs_resource_homes());
     }
 }

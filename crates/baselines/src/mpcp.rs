@@ -115,13 +115,6 @@ impl Mpcp {
 }
 
 impl SchedAnalyzer for Mpcp {
-    fn name(&self) -> &str {
-        match self.variant {
-            MpcpVariant::SuspensionAware => "MPCP-SA",
-            MpcpVariant::SuspensionOblivious => "MPCP-SO",
-        }
-    }
-
     fn needs_resource_homes(&self) -> bool {
         false
     }
@@ -182,7 +175,10 @@ impl SchedAnalyzer for Mpcp {
 /// evaluation state).
 impl ProtocolAnalysis for Mpcp {
     fn name(&self) -> &str {
-        SchedAnalyzer::name(self)
+        match self.variant {
+            MpcpVariant::SuspensionAware => "MPCP-SA",
+            MpcpVariant::SuspensionOblivious => "MPCP-SO",
+        }
     }
 
     fn tag(&self) -> char {
@@ -338,8 +334,8 @@ mod tests {
     fn names_tags_and_rw_support() {
         let sa = Mpcp::suspension_aware();
         let so = Mpcp::suspension_oblivious();
-        assert_eq!(SchedAnalyzer::name(&sa), "MPCP-SA");
-        assert_eq!(SchedAnalyzer::name(&so), "MPCP-SO");
+        assert_eq!(ProtocolAnalysis::name(&sa), "MPCP-SA");
+        assert_eq!(ProtocolAnalysis::name(&so), "MPCP-SO");
         assert_eq!(ProtocolAnalysis::tag(&sa), 'M');
         assert_eq!(ProtocolAnalysis::tag(&so), 'O');
         assert!(ProtocolAnalysis::supports_rw(&sa));

@@ -91,10 +91,6 @@ impl SpinSon {
 }
 
 impl SchedAnalyzer for SpinSon {
-    fn name(&self) -> &str {
-        "SPIN-SON"
-    }
-
     fn needs_resource_homes(&self) -> bool {
         false
     }
@@ -147,7 +143,7 @@ impl SchedAnalyzer for SpinSon {
 /// per-task evaluation state).
 impl ProtocolAnalysis for SpinSon {
     fn name(&self) -> &str {
-        SchedAnalyzer::name(self)
+        "SPIN-SON"
     }
 
     fn tag(&self) -> char {
@@ -202,7 +198,7 @@ mod tests {
     #[test]
     fn name_and_homes() {
         let s = SpinSon::new();
-        assert_eq!(SchedAnalyzer::name(&s), "SPIN-SON");
+        assert_eq!(ProtocolAnalysis::name(&s), "SPIN-SON");
         assert!(!s.needs_resource_homes());
     }
 

@@ -9,19 +9,10 @@
 //!
 //! The report has two halves:
 //!
-//! - `components` — median ns/op of the analysis stages (the
-//!   `fixed_point/*` trio contrasting the per-iterate scan reference —
-//!   one signature and a whole task frontier — with the batched lockstep
-//!   kernel, full task-set analysis under EP/EN, path
-//!   enumeration — the cache plus the `enumerate/*` triple contrasting the
-//!   DFS reference, the signature-domain DP and the dominance-pruned DP —
-//!   the `placement/*` search-engine quartet: the warm per-probe cost,
-//!   the seeded wrapper run, the budgeted probing loop and a run the
-//!   placement-free bound screens — and the two
-//!   wire layers a cold `/analyze` crosses before any analysis,
-//!   `json/parse_request` on one fig2 panel-A body and
-//!   `dto/structural_key` on the parsed request), measured through the
-//!   same machinery as `cargo bench`;
+//! - `components` — median ns/op of the analysis stages defined in
+//!   [`dpcp_bench::components`] (the Theorem-1 fixed point, task-set
+//!   analysis, enumeration, placement search and the two wire layers),
+//!   measured through the same machinery as `cargo bench`;
 //! - `harness` — wall-clock of one Fig. 2 utilization point through
 //!   `evaluate_point`, sequential (`threads = 1`) vs the ambient rayon
 //!   pool, including the per-method acceptance ratios of both runs so the
@@ -44,22 +35,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use criterion::{black_box, Criterion};
-use dpcp_bench::{bench_search, panel_task_set, search_fixtures};
-use dpcp_core::analysis::wcrt::{
-    wcrt_for_signature_direct, wcrt_over_signatures_batched, wcrt_over_signatures_direct,
-};
-use dpcp_core::analysis::{AnalysisContext, EvalScratch, SignatureCache};
-use dpcp_core::partition::{assign_resources, layout_clusters, ResourceHeuristic};
-use dpcp_core::{
-    AnalysisConfig, AnalysisRequest, AnalysisSession, DpcpProtocol, PlacementSearch, SearchConfig,
-};
+use criterion::Criterion;
 use dpcp_experiments::{evaluate_point, EvalConfig, Method, PointResult};
 use dpcp_gen::scenario::{Fig2Panel, Scenario};
-use dpcp_model::{
-    enumerate_signatures_capped, enumerate_signatures_dp_capped, initial_processors, Partition,
-    Platform,
-};
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -179,203 +157,10 @@ fn parse_args() -> Args {
     args
 }
 
+/// Measures [`dpcp_bench::components`] and collects its medians.
 fn component_benches(sample_size: usize) -> Vec<ComponentBench> {
-    let tasks = panel_task_set(Fig2Panel::A, 8.0, 13);
-    let platform = Platform::new(16).expect("16-core platform");
-    let sizes: Vec<usize> = tasks.iter().map(initial_processors).collect();
-    let layout = layout_clusters(&sizes, 16).expect("initial sizes fit");
-    let homes =
-        assign_resources(&tasks, &layout, ResourceHeuristic::WorstFitDecreasing).expect("fits");
-    let partition = Partition::new(&tasks, &platform, layout, homes).expect("valid");
-    let ctx = AnalysisContext::new(&tasks, &partition);
-    let cfg = AnalysisConfig::ep();
-    let cache = SignatureCache::new(&tasks, &cfg);
-    let busiest = tasks
-        .iter()
-        .map(|t| t.id())
-        .max_by_key(|&i| cache.signatures(i).signatures.len())
-        .expect("non-empty task set");
-    let sigs = cache.signatures(busiest);
-    let longest = &sigs.signatures[0];
-
     let mut criterion = Criterion::default().sample_size(sample_size);
-    // The per-iterate scan reference: one Theorem 1 fixed point with
-    // every iterate rescanning the task set, alternating two distinct
-    // signatures (kept so the median stays comparable across reports).
-    let second = sigs.signatures.get(1).unwrap_or(longest);
-    criterion.bench_function("fixed_point/signature_direct_scan", |b| {
-        let mut flip = false;
-        b.iter(|| {
-            flip = !flip;
-            let sig = if flip { longest } else { second };
-            black_box(wcrt_for_signature_direct(&ctx, busiest, sig, &cfg))
-        })
-    });
-    criterion.bench_function("fixed_point/task_direct_scan", |b| {
-        b.iter(|| black_box(wcrt_over_signatures_direct(&ctx, busiest, sigs, &cfg)))
-    });
-    // The batched lockstep kernel over the same frontier, against the
-    // per-iterate scan reference `fixed_point/task_direct_scan`.
-    criterion.bench_function("fixed_point/task_batched", |b| {
-        let mut scratch = EvalScratch::new();
-        b.iter(|| {
-            black_box(wcrt_over_signatures_batched(
-                &ctx,
-                busiest,
-                sigs,
-                &cfg,
-                &mut scratch,
-            ))
-        })
-    });
-    criterion.bench_function("analyze/task_set_ep", |b| {
-        b.iter(|| black_box(AnalysisSession::new(AnalysisConfig::ep()).analyze(&tasks, &partition)))
-    });
-    criterion.bench_function("analyze/task_set_en", |b| {
-        b.iter(|| black_box(AnalysisSession::new(AnalysisConfig::en()).analyze(&tasks, &partition)))
-    });
-    criterion.bench_function("signature_cache/enumerate", |b| {
-        b.iter(|| black_box(SignatureCache::new(&tasks, &cfg)))
-    });
-    // placement/*: the search engine's cost model. `probe_warm` is one
-    // re-analysis of a perturbed candidate against a resident session —
-    // the marginal cost of a search probe (signatures depend only on the
-    // task set, so the cache stays hot across placements). `search_seeded`
-    // is the full wrapper run on a seed-schedulable set (the common
-    // campaign-cell path: one inner evaluation, zero probes).
-    // `search_probing` is the budgeted annealing loop on a contended
-    // sample where every bin-packing seed fails and the placement-free
-    // bound proves nothing, and `search_screened` the same wrapper run on
-    // a sample the bound screens (seeds, then zero probes).
-    let probe_layout = layout_clusters(&sizes, 16).expect("initial sizes fit");
-    let homes_wfd = assign_resources(&tasks, &probe_layout, ResourceHeuristic::WorstFitDecreasing)
-        .expect("fits");
-    let homes_bfd = assign_resources(&tasks, &probe_layout, ResourceHeuristic::BestFitDecreasing)
-        .expect("fits");
-    let part_a = Partition::new(&tasks, &platform, probe_layout.clone(), homes_wfd).expect("valid");
-    let part_b = Partition::new(&tasks, &platform, probe_layout, homes_bfd).expect("valid");
-    criterion.bench_function("placement/probe_warm", |b| {
-        let mut session = AnalysisSession::new(AnalysisConfig::ep());
-        session.analyze(&tasks, &part_a);
-        let mut flip = false;
-        b.iter(|| {
-            flip = !flip;
-            let p = if flip { &part_a } else { &part_b };
-            black_box(session.analyze(&tasks, p))
-        })
-    });
-    let seeded_tasks = panel_task_set(Fig2Panel::A, 4.0, 13);
-    assert!(
-        AnalysisSession::new(AnalysisConfig::ep())
-            .partition_and_analyze(
-                &seeded_tasks,
-                &platform,
-                ResourceHeuristic::WorstFitDecreasing
-            )
-            .is_schedulable(),
-        "placement/search_seeded fixture must be seed-schedulable"
-    );
-    criterion.bench_function("placement/search_seeded", |b| {
-        let engine = PlacementSearch::new(SearchConfig::default());
-        let inner = DpcpProtocol::ep();
-        let mut session = AnalysisSession::new(AnalysisConfig::ep());
-        b.iter(|| {
-            black_box(
-                engine
-                    .run(
-                        &mut session,
-                        &inner,
-                        &seeded_tasks,
-                        &platform,
-                        ResourceHeuristic::WorstFitDecreasing,
-                    )
-                    .probes,
-            )
-        })
-    });
-    let search = search_fixtures();
-    for (name, tasks) in [
-        ("placement/search_probing", &search.probing),
-        ("placement/search_screened", &search.screened),
-    ] {
-        criterion.bench_function(name, |b| {
-            let engine = bench_search();
-            let inner = DpcpProtocol::ep();
-            let mut session = AnalysisSession::new(AnalysisConfig::ep());
-            b.iter(|| {
-                black_box(
-                    engine
-                        .run(
-                            &mut session,
-                            &inner,
-                            tasks,
-                            &search.platform,
-                            ResourceHeuristic::WorstFitDecreasing,
-                        )
-                        .probes,
-                )
-            })
-        });
-    }
-    // The wire layers of a cold request: parsing the fixture's body
-    // (18 KiB) into an `AnalysisRequest`, and its structural key. Both
-    // are linear in the body; the gate catches a quadratic string decode
-    // or a WL refinement that runs to its round cap again.
-    let request = AnalysisRequest {
-        schema: None,
-        protocol: "DPCP-p-EP".to_string(),
-        tasks: tasks.clone(),
-        platform,
-        config: AnalysisConfig::ep(),
-        heuristic: ResourceHeuristic::WorstFitDecreasing,
-    };
-    let body = serde_json::to_string(&request).expect("requests serialize");
-    criterion.bench_function("json/parse_request", |b| {
-        b.iter(|| black_box(serde_json::from_str::<AnalysisRequest>(black_box(&body))))
-    });
-    criterion.bench_function("dto/structural_key", |b| {
-        b.iter(|| black_box(black_box(&request).structural_key()))
-    });
-    // The enumerator pair behind the cache: the depth-first reference vs
-    // the signature-domain DP (same caps, same sorted output), plus the
-    // opt-in dominance-pruned DP — the ablation-validated fast mode that
-    // also avoids truncation on the dense bench tasks.
-    criterion.bench_function("enumerate/dfs", |b| {
-        b.iter(|| {
-            for t in tasks.iter() {
-                black_box(enumerate_signatures_capped(
-                    t,
-                    cfg.path_signature_cap,
-                    cfg.path_visit_cap,
-                ));
-            }
-        })
-    });
-    criterion.bench_function("enumerate/dp", |b| {
-        b.iter(|| {
-            for t in tasks.iter() {
-                black_box(enumerate_signatures_dp_capped(
-                    t,
-                    cfg.path_signature_cap,
-                    cfg.path_visit_cap,
-                    false,
-                ));
-            }
-        })
-    });
-    criterion.bench_function("enumerate/dp_pruned", |b| {
-        b.iter(|| {
-            for t in tasks.iter() {
-                black_box(enumerate_signatures_dp_capped(
-                    t,
-                    cfg.path_signature_cap,
-                    cfg.path_visit_cap,
-                    true,
-                ));
-            }
-        })
-    });
-
+    dpcp_bench::components(&mut criterion);
     criterion
         .results()
         .iter()

@@ -1,19 +1,34 @@
-//! Shared fixtures for the Criterion benchmarks of the DPCP-p workspace.
+//! Shared fixtures and component benches for the Criterion benchmarks of
+//! the DPCP-p workspace.
 //!
 //! The benchmark targets live in `benches/`:
 //!
 //! - `analysis` — WCRT analysis and partitioning throughput per
-//!   table/figure workload (Fig. 2 panel sizes),
+//!   table/figure workload (Fig. 2 panel sizes), plus [`components`],
 //! - `simulator` — discrete-event engine throughput,
 //! - `generation` — workload synthesis throughput.
+//!
+//! [`components`] is also what the `bench_report` binary measures for
+//! `BENCH_analysis.json`.
 
 #![warn(missing_docs)]
 
-use dpcp_core::analysis::infeasible_under_every_placement;
-use dpcp_core::partition::ResourceHeuristic;
-use dpcp_core::{AnalysisConfig, AnalysisSession, DpcpProtocol, PlacementSearch, SearchConfig};
+use criterion::{black_box, Criterion};
+use dpcp_core::analysis::wcrt::{
+    wcrt_for_signature_direct, wcrt_over_signatures_batched, wcrt_over_signatures_direct,
+};
+use dpcp_core::analysis::{
+    infeasible_under_every_placement, AnalysisContext, EvalScratch, SignatureCache,
+};
+use dpcp_core::partition::{assign_resources, layout_clusters, ResourceHeuristic};
+use dpcp_core::{
+    AnalysisConfig, AnalysisRequest, AnalysisSession, DpcpProtocol, PlacementSearch, SearchConfig,
+};
 use dpcp_gen::scenario::{Fig2Panel, Scenario};
-use dpcp_model::{initial_processors, Platform, TaskSet};
+use dpcp_model::{
+    enumerate_signatures_capped, enumerate_signatures_dp_capped, initial_processors, Partition,
+    Platform, TaskSet,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,15 +55,15 @@ pub fn panel_task_set(panel: Fig2Panel, utilization: f64, seed: u64) -> TaskSet 
 /// each with initial federated sizes that fit and all three bin-packing
 /// seeds failing, so `PlacementSearch::run` reaches its probe loop.
 #[derive(Debug, Clone)]
-pub struct SearchFixtures {
+struct SearchFixtures {
     /// The 8-core platform both sets are searched on.
-    pub platform: Platform,
+    platform: Platform,
     /// The first such set the placement-free bound does not screen: the
     /// [`bench_search`] engine spends its whole budget on it.
-    pub probing: TaskSet,
+    probing: TaskSet,
     /// The first such set the bound screens: the search returns the seed
     /// outcome with zero probes.
-    pub screened: TaskSet,
+    screened: TaskSet,
 }
 
 /// Selects the [`SearchFixtures`] and checks their probe counts.
@@ -58,7 +73,7 @@ pub struct SearchFixtures {
 /// Panics when no fitting all-fail sample of either kind exists, or when
 /// the [`bench_search`] engine spends less than its budget on `probing` or
 /// any probe on `screened`.
-pub fn search_fixtures() -> SearchFixtures {
+fn search_fixtures() -> SearchFixtures {
     let platform = Platform::new(8).expect("8-core platform");
     let scenario = Scenario {
         m: 8,
@@ -142,9 +157,226 @@ pub fn search_fixtures() -> SearchFixtures {
 
 /// The search engine the `placement/search_*` benches run: the default
 /// knobs with a budget of 32 probes.
-pub fn bench_search() -> PlacementSearch {
+fn bench_search() -> PlacementSearch {
     PlacementSearch::new(SearchConfig {
         probe_budget: 32,
         ..SearchConfig::default()
     })
+}
+
+/// The analysis-stage components of `BENCH_analysis.json`, measured on
+/// `c`: the `fixed_point/*` trio contrasting the per-iterate scan
+/// reference (one signature and a whole task frontier) with the batched
+/// lockstep kernel, full task-set analysis under EP/EN
+/// (`analyze/task_set_*`), the signature cache, the `placement/*`
+/// search-engine quartet, the two wire layers a cold `/analyze` crosses
+/// before any analysis (`json/parse_request`, `dto/structural_key`) and
+/// the `enumerate/*` triple (DFS reference, signature-domain DP,
+/// dominance-pruned DP).
+///
+/// The one definition of every component: `bench_report` reads the
+/// medians back from [`Criterion::results`], and the `analysis`
+/// criterion target runs the same function.
+///
+/// # Panics
+///
+/// Panics when a fixture breaks its precondition: the
+/// `placement/search_seeded` set must be seed-schedulable, and the
+/// `placement/search_*` fixtures must spend the probe counts they are
+/// chosen for.
+pub fn components(c: &mut Criterion) {
+    let tasks = panel_task_set(Fig2Panel::A, 8.0, 13);
+    let platform = Platform::new(16).expect("16-core platform");
+    let sizes: Vec<usize> = tasks.iter().map(initial_processors).collect();
+    let layout = layout_clusters(&sizes, 16).expect("initial sizes fit");
+    let homes =
+        assign_resources(&tasks, &layout, ResourceHeuristic::WorstFitDecreasing).expect("fits");
+    let partition = Partition::new(&tasks, &platform, layout, homes).expect("valid");
+    let ctx = AnalysisContext::new(&tasks, &partition);
+    let cfg = AnalysisConfig::ep();
+    let cache = SignatureCache::new(&tasks, &cfg);
+    let busiest = tasks
+        .iter()
+        .map(|t| t.id())
+        .max_by_key(|&i| cache.signatures(i).signatures.len())
+        .expect("non-empty task set");
+    let sigs = cache.signatures(busiest);
+    let longest = &sigs.signatures[0];
+
+    // The per-iterate scan reference: one Theorem 1 fixed point with
+    // every iterate rescanning the task set, alternating two distinct
+    // signatures (kept so the median stays comparable across reports).
+    let second = sigs.signatures.get(1).unwrap_or(longest);
+    c.bench_function("fixed_point/signature_direct_scan", |b| {
+        let mut flip = false;
+        b.iter(|| {
+            flip = !flip;
+            let sig = if flip { longest } else { second };
+            black_box(wcrt_for_signature_direct(&ctx, busiest, sig, &cfg))
+        })
+    });
+    c.bench_function("fixed_point/task_direct_scan", |b| {
+        b.iter(|| black_box(wcrt_over_signatures_direct(&ctx, busiest, sigs, &cfg)))
+    });
+    // The batched lockstep kernel over the same frontier, against the
+    // per-iterate scan reference `fixed_point/task_direct_scan`.
+    c.bench_function("fixed_point/task_batched", |b| {
+        let mut scratch = EvalScratch::new();
+        b.iter(|| {
+            black_box(wcrt_over_signatures_batched(
+                &ctx,
+                busiest,
+                sigs,
+                &cfg,
+                &mut scratch,
+            ))
+        })
+    });
+    c.bench_function("analyze/task_set_ep", |b| {
+        b.iter(|| black_box(AnalysisSession::new(AnalysisConfig::ep()).analyze(&tasks, &partition)))
+    });
+    c.bench_function("analyze/task_set_en", |b| {
+        b.iter(|| black_box(AnalysisSession::new(AnalysisConfig::en()).analyze(&tasks, &partition)))
+    });
+    c.bench_function("signature_cache/enumerate", |b| {
+        b.iter(|| black_box(SignatureCache::new(&tasks, &cfg)))
+    });
+    // placement/*: the search engine's cost model. `probe_warm` is one
+    // re-analysis of a perturbed candidate against a resident session —
+    // the marginal cost of a search probe (signatures depend only on the
+    // task set, so the cache stays hot across placements). `search_seeded`
+    // is the full wrapper run on a seed-schedulable set (the common
+    // campaign-cell path: one inner evaluation, zero probes).
+    // `search_probing` is the budgeted annealing loop on a contended
+    // sample where every bin-packing seed fails and the placement-free
+    // bound proves nothing, and `search_screened` the same wrapper run on
+    // a sample the bound screens (seeds, then zero probes).
+    let probe_layout = layout_clusters(&sizes, 16).expect("initial sizes fit");
+    let homes_wfd = assign_resources(&tasks, &probe_layout, ResourceHeuristic::WorstFitDecreasing)
+        .expect("fits");
+    let homes_bfd = assign_resources(&tasks, &probe_layout, ResourceHeuristic::BestFitDecreasing)
+        .expect("fits");
+    let part_a = Partition::new(&tasks, &platform, probe_layout.clone(), homes_wfd).expect("valid");
+    let part_b = Partition::new(&tasks, &platform, probe_layout, homes_bfd).expect("valid");
+    c.bench_function("placement/probe_warm", |b| {
+        let mut session = AnalysisSession::new(AnalysisConfig::ep());
+        session.analyze(&tasks, &part_a);
+        let mut flip = false;
+        b.iter(|| {
+            flip = !flip;
+            let p = if flip { &part_a } else { &part_b };
+            black_box(session.analyze(&tasks, p))
+        })
+    });
+    let seeded_tasks = panel_task_set(Fig2Panel::A, 4.0, 13);
+    assert!(
+        AnalysisSession::new(AnalysisConfig::ep())
+            .partition_and_analyze(
+                &seeded_tasks,
+                &platform,
+                ResourceHeuristic::WorstFitDecreasing
+            )
+            .is_schedulable(),
+        "placement/search_seeded fixture must be seed-schedulable"
+    );
+    c.bench_function("placement/search_seeded", |b| {
+        let engine = PlacementSearch::new(SearchConfig::default());
+        let inner = DpcpProtocol::ep();
+        let mut session = AnalysisSession::new(AnalysisConfig::ep());
+        b.iter(|| {
+            black_box(
+                engine
+                    .run(
+                        &mut session,
+                        &inner,
+                        &seeded_tasks,
+                        &platform,
+                        ResourceHeuristic::WorstFitDecreasing,
+                    )
+                    .probes,
+            )
+        })
+    });
+    let search = search_fixtures();
+    for (name, tasks) in [
+        ("placement/search_probing", &search.probing),
+        ("placement/search_screened", &search.screened),
+    ] {
+        c.bench_function(name, |b| {
+            let engine = bench_search();
+            let inner = DpcpProtocol::ep();
+            let mut session = AnalysisSession::new(AnalysisConfig::ep());
+            b.iter(|| {
+                black_box(
+                    engine
+                        .run(
+                            &mut session,
+                            &inner,
+                            tasks,
+                            &search.platform,
+                            ResourceHeuristic::WorstFitDecreasing,
+                        )
+                        .probes,
+                )
+            })
+        });
+    }
+    // The wire layers of a cold request: parsing the fixture's body
+    // (18 KiB) into an `AnalysisRequest`, and its structural key. Both
+    // are linear in the body; the gate catches a quadratic string decode
+    // or a WL refinement that runs to its round cap again.
+    let request = AnalysisRequest {
+        schema: None,
+        protocol: "DPCP-p-EP".to_string(),
+        tasks: tasks.clone(),
+        platform,
+        config: AnalysisConfig::ep(),
+        heuristic: ResourceHeuristic::WorstFitDecreasing,
+    };
+    let body = serde_json::to_string(&request).expect("requests serialize");
+    c.bench_function("json/parse_request", |b| {
+        b.iter(|| black_box(serde_json::from_str::<AnalysisRequest>(black_box(&body))))
+    });
+    c.bench_function("dto/structural_key", |b| {
+        b.iter(|| black_box(black_box(&request).structural_key()))
+    });
+    // The enumerator pair behind the cache: the depth-first reference vs
+    // the signature-domain DP (same caps, same sorted output), plus the
+    // opt-in dominance-pruned DP — the ablation-validated fast mode that
+    // also avoids truncation on the dense bench tasks.
+    c.bench_function("enumerate/dfs", |b| {
+        b.iter(|| {
+            for t in tasks.iter() {
+                black_box(enumerate_signatures_capped(
+                    t,
+                    cfg.path_signature_cap,
+                    cfg.path_visit_cap,
+                ));
+            }
+        })
+    });
+    c.bench_function("enumerate/dp", |b| {
+        b.iter(|| {
+            for t in tasks.iter() {
+                black_box(enumerate_signatures_dp_capped(
+                    t,
+                    cfg.path_signature_cap,
+                    cfg.path_visit_cap,
+                    false,
+                ));
+            }
+        })
+    });
+    c.bench_function("enumerate/dp_pruned", |b| {
+        b.iter(|| {
+            for t in tasks.iter() {
+                black_box(enumerate_signatures_dp_capped(
+                    t,
+                    cfg.path_signature_cap,
+                    cfg.path_visit_cap,
+                    true,
+                ));
+            }
+        })
+    });
 }

@@ -7,7 +7,7 @@
 //! Yang et al., DAC 2020), organised as:
 //!
 //! - [`protocol`] — priority ceilings, processor ceilings and the locking
-//!   rules of Sec. III, shared by the simulator and the threaded runtime;
+//!   rules of Sec. III, as the simulator drives them;
 //! - [`analysis`] — the worst-case response-time analysis of Sec. IV
 //!   (Lemmas 2–6, Theorem 1), in both the path-enumerating (`DPCP-p-EP`)
 //!   and request-count-enumerating (`DPCP-p-EN`) variants;
@@ -62,7 +62,6 @@ pub use partition::{
 };
 pub use protocol::{CeilingTable, LockDecision, ProcessorCeiling};
 pub use registry::{
-    dpcp_protocols, DpcpProtocol, PlacementVariant, ProtocolAnalysis, ProtocolRegistry,
-    RegistryError, SearchVariant,
+    dpcp_protocols, DpcpProtocol, ProtocolAnalysis, ProtocolRegistry, RegistryError, SearchVariant,
 };
-pub use session::{AnalysisSession, SessionBuilder};
+pub use session::AnalysisSession;

@@ -13,7 +13,7 @@
 //! more processor; a failing light task grows the shared pool by one
 //! processor (both roll back the resource assignment).
 
-use dpcp_model::{initial_processors, Partition, Platform, ProcessorId, TaskId, TaskSet, Time};
+use dpcp_model::{initial_processors, Partition, Platform, ProcessorId, TaskId, TaskSet};
 
 use crate::analysis::context::AnalysisContext;
 use crate::analysis::light::wcrt_light_with;
@@ -323,21 +323,11 @@ pub(crate) fn algorithm1_mixed_impl(
     }
 }
 
-/// Convenience: is a purely-light set schedulable? (Degenerates to
-/// partitioned DPCP.)
-pub fn lights_only_demand(tasks: &TaskSet) -> Time {
-    tasks
-        .iter()
-        .filter(|t| !t.is_heavy())
-        .map(|t| t.wcet())
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::AnalysisSession;
-    use dpcp_model::{Dag, DagTask, RequestSpec, ResourceId, VertexSpec};
+    use dpcp_model::{Dag, DagTask, RequestSpec, ResourceId, Time, VertexSpec};
 
     fn rid(i: usize) -> ResourceId {
         ResourceId::new(i)

@@ -16,9 +16,7 @@
 use dpcp_model::{initial_processors, Partition, Platform, TaskId, TaskSet};
 use serde::{Deserialize, Serialize};
 
-use crate::analysis::{
-    analyze_impl, AnalysisConfig, EvalScratch, SchedulabilityReport, SignatureCache,
-};
+use crate::analysis::{EvalScratch, SchedulabilityReport};
 
 pub mod mixed;
 pub mod search;
@@ -32,9 +30,6 @@ pub use wfd::{
 /// A schedulability analysis pluggable into Algorithm 1's loop
 /// ([`AnalysisSession::partition_with`](crate::AnalysisSession::partition_with)).
 pub trait SchedAnalyzer {
-    /// Short name for reports (e.g. `"DPCP-p-EP"`, `"SPIN-SON"`).
-    fn name(&self) -> &str;
-
     /// Whether the protocol executes global requests on designated
     /// processors (DPCP-p) and therefore needs Algorithm 2's resource
     /// placement. Local-execution protocols (spin locks, local semaphores)
@@ -60,60 +55,6 @@ pub trait SchedAnalyzer {
     ) -> SchedulabilityReport {
         let _ = scratch;
         self.analyze(tasks, partition)
-    }
-}
-
-/// The DPCP-p analysis as a [`SchedAnalyzer`] (owns the per-task-set path
-/// signature cache so partitioning rounds never re-enumerate paths).
-#[derive(Debug)]
-pub struct DpcpAnalyzer {
-    cfg: AnalysisConfig,
-    cache: SignatureCache,
-    name: String,
-}
-
-impl DpcpAnalyzer {
-    /// Builds the analyzer for one task set. Path signatures are only
-    /// enumerated for the EP variant — EN never reads them.
-    pub fn new(tasks: &TaskSet, cfg: AnalysisConfig) -> Self {
-        let cache = match cfg.variant {
-            crate::analysis::AnalysisVariant::EnumeratePaths => SignatureCache::new(tasks, &cfg),
-            crate::analysis::AnalysisVariant::EnumerateRequestCounts => {
-                SignatureCache::empty(tasks.len())
-            }
-        };
-        let name = cfg.variant.to_string();
-        DpcpAnalyzer { cfg, cache, name }
-    }
-
-    /// The analysis configuration in use.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.cfg
-    }
-}
-
-impl SchedAnalyzer for DpcpAnalyzer {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn analyze(&self, tasks: &TaskSet, partition: &Partition) -> SchedulabilityReport {
-        analyze_impl(
-            tasks,
-            partition,
-            &self.cfg,
-            &self.cache,
-            &mut EvalScratch::new(),
-        )
-    }
-
-    fn analyze_with_scratch(
-        &self,
-        tasks: &TaskSet,
-        partition: &Partition,
-        scratch: &mut EvalScratch,
-    ) -> SchedulabilityReport {
-        analyze_impl(tasks, partition, &self.cfg, &self.cache, scratch)
     }
 }
 
@@ -282,6 +223,7 @@ pub(crate) fn algorithm1_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::AnalysisConfig;
     use crate::session::AnalysisSession;
     use dpcp_model::{fig1, DagTask, RequestSpec, ResourceId, Time, VertexSpec};
 
@@ -386,16 +328,6 @@ mod tests {
                 panic!("expected schedulable after top-ups, got: {reason}")
             }
         }
-    }
-
-    #[test]
-    fn analyzer_names() {
-        let tasks = fig1::task_set().unwrap();
-        let ep = DpcpAnalyzer::new(&tasks, AnalysisConfig::ep());
-        assert_eq!(ep.name(), "DPCP-p-EP");
-        assert!(ep.needs_resource_homes());
-        let en = DpcpAnalyzer::new(&tasks, AnalysisConfig::en());
-        assert_eq!(en.name(), "DPCP-p-EN");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! This module captures the protocol's *decision logic* — priority
 //! ceilings, processor ceilings and the grant rule — as small, reusable
-//! pieces. The discrete-event simulator (`dpcp-sim`) and the threaded
-//! runtime (`dpcp-runtime`) both drive their queue machinery through these
-//! types, so the protocol rules live in exactly one place.
+//! pieces. The discrete-event simulator (`dpcp-sim`) drives its queue
+//! machinery through these types, so the protocol rules live in exactly
+//! one place.
 //!
 //! # The locking rules (Sec. III-C)
 //!

@@ -321,60 +321,6 @@ impl ProtocolAnalysis for DpcpProtocol {
     }
 }
 
-/// A placement-heuristic variant of another protocol: same analysis, but
-/// the resource-placement heuristic is pinned regardless of what the
-/// caller passes — e.g. `PlacementVariant::new(DpcpProtocol::ep(),
-/// ResourceHeuristic::FirstFitDecreasing)` registers as `"DPCP-p-EP/FFD"`
-/// for ablation sweeps that compare WFD/FFD/BFD side by side.
-#[derive(Debug)]
-pub struct PlacementVariant<P> {
-    inner: P,
-    heuristic: ResourceHeuristic,
-    name: String,
-}
-
-impl<P: ProtocolAnalysis> PlacementVariant<P> {
-    /// Wraps `inner`, pinning its placement heuristic.
-    pub fn new(inner: P, heuristic: ResourceHeuristic) -> Self {
-        let name = format!("{}/{heuristic}", inner.name());
-        PlacementVariant {
-            inner,
-            heuristic,
-            name,
-        }
-    }
-
-    /// The pinned heuristic.
-    pub fn heuristic(&self) -> ResourceHeuristic {
-        self.heuristic
-    }
-}
-
-impl<P: ProtocolAnalysis> ProtocolAnalysis for PlacementVariant<P> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tag(&self) -> char {
-        self.inner.tag()
-    }
-
-    fn description(&self) -> &str {
-        self.inner.description()
-    }
-
-    fn evaluate(
-        &self,
-        session: &mut AnalysisSession,
-        tasks: &TaskSet,
-        platform: &Platform,
-        _heuristic: ResourceHeuristic,
-    ) -> PartitionOutcome {
-        self.inner
-            .evaluate(session, tasks, platform, self.heuristic)
-    }
-}
-
 /// A search-in-the-loop variant of another protocol: the wrapped
 /// analysis is evaluated under every placement heuristic (WFD/FFD/BFD),
 /// and only when all of those seeds fail does the budgeted
@@ -556,30 +502,6 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("DPCP-p-EP"), "must name the method: {msg}");
         assert!(msg.contains("write-only"), "{msg}");
-    }
-
-    #[test]
-    fn placement_variant_pins_the_heuristic() {
-        let ffd = PlacementVariant::new(DpcpProtocol::ep(), ResourceHeuristic::FirstFitDecreasing);
-        assert_eq!(ffd.name(), "DPCP-p-EP/FFD");
-        assert_eq!(ffd.heuristic(), ResourceHeuristic::FirstFitDecreasing);
-        assert_eq!(ffd.tag(), 'E');
-        let tasks = heavy_set();
-        let platform = Platform::new(6).unwrap();
-        let mut session = AnalysisSession::new(AnalysisConfig::ep());
-        // Passing WFD must not matter: the wrapper dispatches FFD.
-        let pinned = session.run(
-            &ffd,
-            &tasks,
-            &platform,
-            ResourceHeuristic::WorstFitDecreasing,
-        );
-        let direct = AnalysisSession::new(AnalysisConfig::ep()).partition_and_analyze(
-            &tasks,
-            &platform,
-            ResourceHeuristic::FirstFitDecreasing,
-        );
-        assert_eq!(pinned, direct);
     }
 
     #[test]

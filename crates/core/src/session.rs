@@ -78,56 +78,6 @@ struct CachedSignatures {
     cache: SignatureCache,
 }
 
-/// Builder for [`AnalysisSession`] — start from [`AnalysisSession::builder`].
-#[derive(Debug, Clone, Default)]
-pub struct SessionBuilder {
-    cfg: AnalysisConfig,
-}
-
-impl SessionBuilder {
-    /// Replaces the whole configuration.
-    pub fn config(mut self, cfg: AnalysisConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Selects the analysis variant (EP path enumeration / EN request
-    /// counts).
-    pub fn variant(mut self, variant: AnalysisVariant) -> Self {
-        self.cfg.variant = variant;
-        self
-    }
-
-    /// Sets [`AnalysisConfig::prune_dominated`].
-    pub fn prune_dominated(mut self, prune: bool) -> Self {
-        self.cfg.prune_dominated = prune;
-        self
-    }
-
-    /// Sets [`AnalysisConfig::path_signature_cap`].
-    pub fn path_signature_cap(mut self, cap: usize) -> Self {
-        self.cfg.path_signature_cap = cap;
-        self
-    }
-
-    /// Sets [`AnalysisConfig::path_visit_cap`].
-    pub fn path_visit_cap(mut self, cap: u64) -> Self {
-        self.cfg.path_visit_cap = cap;
-        self
-    }
-
-    /// Sets [`AnalysisConfig::max_fixpoint_iterations`].
-    pub fn max_fixpoint_iterations(mut self, iterations: usize) -> Self {
-        self.cfg.max_fixpoint_iterations = iterations;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> AnalysisSession {
-        AnalysisSession::new(self.cfg)
-    }
-}
-
 /// A reusable analysis session: configuration + signature cache +
 /// evaluation scratch behind one coherent API.
 ///
@@ -154,11 +104,6 @@ impl AnalysisSession {
             scratch: EvalScratch::new(),
             cache: None,
         }
-    }
-
-    /// A builder starting from the default (EP) configuration.
-    pub fn builder() -> SessionBuilder {
-        SessionBuilder::default()
     }
 
     /// The session's analysis configuration.
@@ -295,11 +240,7 @@ impl AnalysisSession {
         heuristic: ResourceHeuristic,
     ) -> PartitionOutcome {
         self.with_cache(tasks, |cfg, cache, scratch| {
-            let analyzer = SessionDpcp {
-                cfg,
-                cache,
-                name: cfg.variant.to_string(),
-            };
+            let analyzer = SessionDpcp { cfg, cache };
             algorithm1_impl(tasks, platform, heuristic, &analyzer, scratch)
         })
     }
@@ -357,19 +298,13 @@ impl Default for AnalysisSession {
 }
 
 /// The session's DPCP-p analysis as a [`SchedAnalyzer`], borrowing the
-/// session's configuration and cache (the owned equivalent is
-/// [`DpcpAnalyzer`](crate::partition::DpcpAnalyzer)).
+/// session's configuration and cache.
 struct SessionDpcp<'a> {
     cfg: &'a AnalysisConfig,
     cache: &'a SignatureCache,
-    name: String,
 }
 
 impl SchedAnalyzer for SessionDpcp<'_> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
     fn analyze(&self, tasks: &TaskSet, partition: &Partition) -> SchedulabilityReport {
         analyze_impl(
             tasks,
@@ -394,23 +329,6 @@ impl SchedAnalyzer for SessionDpcp<'_> {
 mod tests {
     use super::*;
     use dpcp_model::fig1;
-
-    #[test]
-    fn builder_sets_every_knob() {
-        let session = AnalysisSession::builder()
-            .variant(AnalysisVariant::EnumerateRequestCounts)
-            .prune_dominated(false)
-            .path_signature_cap(64)
-            .path_visit_cap(1000)
-            .max_fixpoint_iterations(99)
-            .build();
-        let cfg = session.config();
-        assert_eq!(cfg.variant, AnalysisVariant::EnumerateRequestCounts);
-        assert!(!cfg.prune_dominated);
-        assert_eq!(cfg.path_signature_cap, 64);
-        assert_eq!(cfg.path_visit_cap, 1000);
-        assert_eq!(cfg.max_fixpoint_iterations, 99);
-    }
 
     #[test]
     fn cache_survives_repeat_calls_and_tracks_config() {
@@ -468,23 +386,5 @@ mod tests {
         let inner_variant = session.with_config(AnalysisConfig::en(), |s| s.config().variant);
         assert_eq!(inner_variant, AnalysisVariant::EnumerateRequestCounts);
         assert_eq!(session.config().variant, AnalysisVariant::EnumeratePaths);
-    }
-
-    #[test]
-    fn session_matches_owned_analyzer_pipeline() {
-        // The session's partitioning must be bit-identical to the owned
-        // DpcpAnalyzer + Algorithm 1 loop it replaces.
-        use crate::partition::DpcpAnalyzer;
-        let tasks = fig1::task_set().unwrap();
-        let platform = Platform::new(4).unwrap();
-        let wfd = ResourceHeuristic::WorstFitDecreasing;
-        for cfg in [AnalysisConfig::ep(), AnalysisConfig::en()] {
-            let via_session =
-                AnalysisSession::new(cfg.clone()).partition_and_analyze(&tasks, &platform, wfd);
-            let analyzer = DpcpAnalyzer::new(&tasks, cfg.clone());
-            let via_loop =
-                algorithm1_impl(&tasks, &platform, wfd, &analyzer, &mut EvalScratch::new());
-            assert_eq!(via_session, via_loop, "variant {:?}", cfg.variant);
-        }
     }
 }

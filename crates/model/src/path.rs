@@ -405,7 +405,7 @@ pub fn enumerate_signatures_dp_capped(
         );
         order.sort_unstable();
         let mut next = pool.pop().unwrap_or_default();
-        next.rebuild_from(&reach, &incoming, &order, prune_dominated);
+        next.rebuild_from(&reach, &incoming, &order);
 
         for &pr in dag.predecessors(v) {
             pending[pr.index()] -= 1;
@@ -733,13 +733,11 @@ impl Frontier {
     /// naming the virtual `[0]` list: single-source profiles are
     /// bulk-copied (offset kept lazy), multi-source profiles get a linear
     /// merge with dedup — identical partial signatures collapse here.
-    /// With `prune_dominated`, each profile keeps only its longest length.
     fn rebuild_from(
         &mut self,
         reach: &[Frontier],
         incoming: &[(u32, u64, u32, u32, u32)],
         order: &[u64],
-        prune_dominated: bool,
     ) {
         self.lens.clear();
         self.groups.clear();
@@ -759,20 +757,7 @@ impl Frontier {
                 j += 1;
             }
             let start = u32::try_from(self.lens.len()).expect("frontier fits u32");
-            if prune_dominated {
-                // Dominance within a profile: the longest partial only
-                // (sorted lists ⇒ the last element is each source's max).
-                let best = order[i..j]
-                    .iter()
-                    .map(|&k| {
-                        let (_, o, pr2, s2, e2) = entry(k);
-                        o.saturating_add(*source(pr2, s2, e2).last().expect("non-empty list"))
-                    })
-                    .max()
-                    .expect("non-empty group");
-                self.lens.push(best);
-                self.groups.push((p, 0, start, start + 1));
-            } else if j == i + 1 {
+            if j == i + 1 {
                 let (_, off, pred, s, e) = entry(order[i]);
                 self.lens.extend_from_slice(source(pred, s, e));
                 let end = u32::try_from(self.lens.len()).expect("frontier fits u32");

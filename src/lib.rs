@@ -10,11 +10,11 @@
 //!   partitioning heuristics (Sec. III–V),
 //! - [`gen`] — the synthetic workload generator and the 216-scenario
 //!   experimental grid (Sec. VII-A),
-//! - [`baselines`] — SPIN-SON, LPP and FED-FP (Sec. VII-B),
+//! - [`baselines`] — SPIN-SON, LPP and FED-FP (Sec. VII-B) plus the
+//!   reader-writer baselines MPCP-SA, MPCP-SO and DGA,
 //! - [`sim`] — a discrete-event simulator of the protocol with online
-//!   Lemma 1 checking (Sec. III),
-//! - [`runtime`] — a threaded implementation with RPC-style resource
-//!   agents.
+//!   Lemma 1 checking (Sec. III), the differential oracle of the
+//!   analysis.
 //!
 //! # Quickstart
 //!
@@ -53,5 +53,4 @@ pub use dpcp_baselines as baselines;
 pub use dpcp_core as core;
 pub use dpcp_gen as gen;
 pub use dpcp_model as model;
-pub use dpcp_runtime as runtime;
 pub use dpcp_sim as sim;

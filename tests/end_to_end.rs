@@ -173,16 +173,15 @@ fn fed_fp_upper_bounds_local_execution_baselines_too() {
         let fed_ok = session
             .partition_with(&tasks, &platform, WFD, &FedFp::new())
             .is_schedulable();
-        for analyzer in [&SpinSon::new() as &dyn SchedAnalyzer, &Lpp::new()] {
+        for (name, analyzer) in [
+            ("SPIN-SON", &SpinSon::new() as &dyn SchedAnalyzer),
+            ("LPP", &Lpp::new()),
+        ] {
             if session
                 .partition_with(&tasks, &platform, WFD, analyzer)
                 .is_schedulable()
             {
-                assert!(
-                    fed_ok,
-                    "seed {seed}: {} accepted but FED-FP rejected",
-                    analyzer.name()
-                );
+                assert!(fed_ok, "seed {seed}: {name} accepted but FED-FP rejected");
             }
         }
     }

@@ -275,12 +275,16 @@ fn partition_with_matches_fresh_session_loop() {
         .sample_task_set(4.0, &mut rng)
         .expect("seed 5 generates");
     let wfd = ResourceHeuristic::WorstFitDecreasing;
-    let analyzers: [&dyn SchedAnalyzer; 3] = [&SpinSon::new(), &Lpp::new(), &FedFp::new()];
+    let analyzers: [(&str, &dyn SchedAnalyzer); 3] = [
+        ("SPIN-SON", &SpinSon::new()),
+        ("LPP", &Lpp::new()),
+        ("FED-FP", &FedFp::new()),
+    ];
     let mut session = AnalysisSession::new(AnalysisConfig::ep());
-    for analyzer in analyzers {
+    for (name, analyzer) in analyzers {
         let via_shared = session.partition_with(&tasks, &platform, wfd, analyzer);
         let via_fresh = AnalysisSession::new(AnalysisConfig::ep())
             .partition_with(&tasks, &platform, wfd, analyzer);
-        assert_eq!(via_shared, via_fresh, "{}", analyzer.name());
+        assert_eq!(via_shared, via_fresh, "{name}");
     }
 }

@@ -14,9 +14,11 @@
 //!    carries its first-`cap` subset), but the analysis outcome is pinned
 //!    by the dominating EN fallback either way, so per-task WCRTs and
 //!    verdicts must still agree.
-//! 3. **Pruning soundness** — with `prune_dominated` on, every task's
-//!    binding bound (WCRT + breakdown) and schedulability verdict are
-//!    unchanged; only `signatures_evaluated` may shrink.
+//! 3. **Pruning soundness** — with `prune_dominated` on, each task's
+//!    signature set is exactly `prune_dominated_signatures` of the full
+//!    set, and every task's binding bound (WCRT + breakdown) and
+//!    schedulability verdict are unchanged; only `signatures_evaluated`
+//!    may shrink.
 //! 4. **Ablation smoke** — a Fig. 2-style harness point with pruning
 //!    off/on produces identical acceptance ratios for all five methods.
 
@@ -26,8 +28,8 @@ use dpcp_p::core::partition::{assign_resources, layout_clusters, ResourceHeurist
 use dpcp_p::core::AnalysisSession;
 use dpcp_p::gen::scenario::{Fig2Panel, Scenario};
 use dpcp_p::model::{
-    enumerate_signatures_capped, enumerate_signatures_dp_capped, initial_processors, Partition,
-    Platform, TaskSet,
+    enumerate_signatures_capped, enumerate_signatures_dp_capped, initial_processors,
+    prune_dominated_signatures, Partition, Platform, TaskSet,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -210,12 +212,18 @@ fn seeded_sweep_pruning_preserves_binding_bounds_and_verdicts() {
         for t in tasks.iter() {
             let full = &plain_cache.signatures(t.id()).signatures;
             let kept = &pruned_cache.signatures(t.id()).signatures;
-            assert!(kept.len() <= full.len());
-            // Every surviving signature is one of the full set's, and every
-            // dropped one has a dominator among the survivors.
-            for sig in kept {
-                assert!(full.contains(sig), "{label}: pruning invented a signature");
-            }
+            // The pruned enumeration is exactly the dominance filter of the
+            // full set, in the enumerators' output order: length
+            // descending, then request vector, then non-critical length.
+            let mut expected = full.clone();
+            prune_dominated_signatures(&mut expected);
+            expected.sort_by(|a, b| {
+                b.len()
+                    .cmp(&a.len())
+                    .then_with(|| a.requests().cmp(b.requests()))
+                    .then_with(|| a.noncritical_len().cmp(&b.noncritical_len()))
+            });
+            assert_eq!(kept, &expected, "{label}: task {}", t.id());
             pruned_away += full.len() - kept.len();
         }
         for (idx, partition) in method_partitions(&tasks, &platform).iter().enumerate() {
