@@ -12,7 +12,7 @@
 //! reads and writes at their own lengths.
 
 use dpcp_core::analysis::request::fixed_point;
-use dpcp_core::analysis::{DelayBreakdown, SchedulabilityReport, TaskBound};
+use dpcp_core::analysis::{DelayBreakdown, EvalScratch, SchedulabilityReport, TaskBound};
 use dpcp_core::partition::PartitionOutcome;
 use dpcp_core::{AnalysisSession, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
 use dpcp_model::{Partition, Platform, TaskId, TaskSet, Time};
@@ -94,7 +94,12 @@ impl SchedAnalyzer for Dga {
         false
     }
 
-    fn analyze(&self, tasks: &TaskSet, partition: &Partition) -> SchedulabilityReport {
+    fn analyze(
+        &self,
+        tasks: &TaskSet,
+        partition: &Partition,
+        _: &mut EvalScratch,
+    ) -> SchedulabilityReport {
         let mut resp = ResponseBounds::new(tasks);
         let mut bounds: Vec<Option<TaskBound>> = vec![None; tasks.len()];
         let mut all_ok = true;
@@ -183,7 +188,7 @@ mod tests {
         // windowed supply η_1 · 280 µs with η_1 = 2, i.e. 560 µs — the
         // FIFO cap without the per-request min — so r = 2 ms + 560 µs.
         let (partition, tasks) = rw_fixture();
-        let report = Dga::new().analyze(&tasks, &partition);
+        let report = Dga::new().analyze(&tasks, &partition, &mut EvalScratch::new());
         assert_eq!(report.task_bounds[0].wcrt, Some(Time::from_us(2_560)));
     }
 
@@ -193,8 +198,8 @@ mod tests {
             let (_, p, t) = fig1::platform_and_partition().unwrap();
             (p, t)
         }] {
-            let dga = Dga::new().analyze(&tasks, &partition);
-            let sa = Mpcp::suspension_aware().analyze(&tasks, &partition);
+            let dga = Dga::new().analyze(&tasks, &partition, &mut EvalScratch::new());
+            let sa = Mpcp::suspension_aware().analyze(&tasks, &partition, &mut EvalScratch::new());
             for (d, m) in dga.task_bounds.iter().zip(&sa.task_bounds) {
                 assert!(d.wcrt.unwrap() >= m.wcrt.unwrap());
             }

@@ -8,7 +8,7 @@
 //! real locking protocol accepts — the curves it produces upper-bound every
 //! other method, as in Fig. 2.
 
-use dpcp_core::analysis::{DelayBreakdown, SchedulabilityReport, TaskBound};
+use dpcp_core::analysis::{DelayBreakdown, EvalScratch, SchedulabilityReport, TaskBound};
 use dpcp_core::partition::PartitionOutcome;
 use dpcp_core::{AnalysisSession, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
 use dpcp_model::{Partition, Platform, TaskSet, Time};
@@ -55,7 +55,12 @@ impl SchedAnalyzer for FedFp {
         false
     }
 
-    fn analyze(&self, tasks: &TaskSet, partition: &Partition) -> SchedulabilityReport {
+    fn analyze(
+        &self,
+        tasks: &TaskSet,
+        partition: &Partition,
+        _: &mut EvalScratch,
+    ) -> SchedulabilityReport {
         let mut bounds = Vec::with_capacity(tasks.len());
         let mut all_ok = true;
         for t in tasks.iter() {
@@ -144,7 +149,7 @@ mod tests {
     fn fig1_schedulable_and_blocking_free() {
         let (_, partition, tasks) = fig1::platform_and_partition().unwrap();
         let fed = FedFp::new();
-        let report = fed.analyze(&tasks, &partition);
+        let report = fed.analyze(&tasks, &partition, &mut EvalScratch::new());
         assert!(report.schedulable);
         for tb in &report.task_bounds {
             let b = tb.breakdown.unwrap();
@@ -159,7 +164,7 @@ mod tests {
     fn fed_fp_dominates_dpcp_bounds() {
         // Resource-oblivious bounds can only be smaller or equal.
         let (_, partition, tasks) = fig1::platform_and_partition().unwrap();
-        let fed = FedFp::new().analyze(&tasks, &partition);
+        let fed = FedFp::new().analyze(&tasks, &partition, &mut EvalScratch::new());
         let dpcp =
             AnalysisSession::new(dpcp_core::AnalysisConfig::ep()).analyze(&tasks, &partition);
         for (f, d) in fed.task_bounds.iter().zip(&dpcp.task_bounds) {

@@ -16,7 +16,7 @@
 //! The recurrence is `r = L* + B^sem(r) + ⌈(C − L*) / m_i⌉` with `B^sem`
 //! capped by the windowed request supply, exactly like the spin analysis.
 
-use dpcp_core::analysis::{DelayBreakdown, SchedulabilityReport, TaskBound};
+use dpcp_core::analysis::{DelayBreakdown, EvalScratch, SchedulabilityReport, TaskBound};
 use dpcp_core::partition::PartitionOutcome;
 use dpcp_core::{AnalysisSession, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
 use dpcp_model::{Partition, Platform, TaskSet};
@@ -81,7 +81,12 @@ impl SchedAnalyzer for Lpp {
         false
     }
 
-    fn analyze(&self, tasks: &TaskSet, partition: &Partition) -> SchedulabilityReport {
+    fn analyze(
+        &self,
+        tasks: &TaskSet,
+        partition: &Partition,
+        _: &mut EvalScratch,
+    ) -> SchedulabilityReport {
         let mut resp = ResponseBounds::new(tasks);
         let mut bounds: Vec<Option<TaskBound>> = vec![None; tasks.len()];
         let mut all_ok = true;
@@ -158,7 +163,7 @@ mod tests {
     #[test]
     fn fig1_is_schedulable_under_lpp() {
         let (_, partition, tasks) = fig1::platform_and_partition().unwrap();
-        let report = Lpp::new().analyze(&tasks, &partition);
+        let report = Lpp::new().analyze(&tasks, &partition, &mut EvalScratch::new());
         assert!(report.schedulable);
     }
 
@@ -167,8 +172,8 @@ mod tests {
         // On the same system, LPP's interference term must be at most
         // SPIN-SON's (it omits the spin inflation).
         let (_, partition, tasks) = fig1::platform_and_partition().unwrap();
-        let lpp = Lpp::new().analyze(&tasks, &partition);
-        let spin = crate::SpinSon::new().analyze(&tasks, &partition);
+        let lpp = Lpp::new().analyze(&tasks, &partition, &mut EvalScratch::new());
+        let spin = crate::SpinSon::new().analyze(&tasks, &partition, &mut EvalScratch::new());
         for (l, s) in lpp.task_bounds.iter().zip(&spin.task_bounds) {
             let li = l.breakdown.unwrap().intra_task_interference;
             let si = s.breakdown.unwrap().intra_task_interference;
@@ -215,8 +220,8 @@ mod tests {
             vec![vec![p(0)], vec![p(1), p(2), p(3), p(4)]],
         )
         .unwrap();
-        let lpp = Lpp::new().analyze(&tasks, &partition);
-        let spin = crate::SpinSon::new().analyze(&tasks, &partition);
+        let lpp = Lpp::new().analyze(&tasks, &partition, &mut EvalScratch::new());
+        let spin = crate::SpinSon::new().analyze(&tasks, &partition, &mut EvalScratch::new());
         // For the narrow task, direct blocking dominates: suspension sees
         // min(20·0.1, cap) vs spin's min(4·0.1, cap) per request.
         let l0 = lpp.task_bounds[0].wcrt.unwrap();

@@ -23,7 +23,7 @@
 //! bound cannot assume adjacent reads batch — so the accounting stays
 //! serialized and upper-bounds the simulator's read-sharing runtime.
 
-use dpcp_core::analysis::{DelayBreakdown, SchedulabilityReport, TaskBound};
+use dpcp_core::analysis::{DelayBreakdown, EvalScratch, SchedulabilityReport, TaskBound};
 use dpcp_core::partition::PartitionOutcome;
 use dpcp_core::{AnalysisSession, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
 #[cfg(test)]
@@ -119,7 +119,12 @@ impl SchedAnalyzer for Mpcp {
         false
     }
 
-    fn analyze(&self, tasks: &TaskSet, partition: &Partition) -> SchedulabilityReport {
+    fn analyze(
+        &self,
+        tasks: &TaskSet,
+        partition: &Partition,
+        _: &mut EvalScratch,
+    ) -> SchedulabilityReport {
         let mut resp = ResponseBounds::new(tasks);
         let mut bounds: Vec<Option<TaskBound>> = vec![None; tasks.len()];
         let mut all_ok = true;
@@ -266,8 +271,8 @@ mod tests {
         //   SA: r = 2 ms + 280 µs = 2.28 ms.
         //   SO: r = 2 ms + 280 µs + ⌈280 µs / 1⌉ = 2.56 ms.
         let (partition, tasks) = rw_fixture();
-        let sa = Mpcp::suspension_aware().analyze(&tasks, &partition);
-        let so = Mpcp::suspension_oblivious().analyze(&tasks, &partition);
+        let sa = Mpcp::suspension_aware().analyze(&tasks, &partition, &mut EvalScratch::new());
+        let so = Mpcp::suspension_oblivious().analyze(&tasks, &partition, &mut EvalScratch::new());
         assert_eq!(sa.task_bounds[0].wcrt, Some(Time::from_us(2_280)));
         assert_eq!(so.task_bounds[0].wcrt, Some(Time::from_us(2_560)));
         assert!(sa.schedulable && so.schedulable);
@@ -306,15 +311,15 @@ mod tests {
             vec![vec![ProcessorId::new(0)], vec![ProcessorId::new(1)]],
         )
         .unwrap();
-        let sa = Mpcp::suspension_aware().analyze(&tasks, &partition);
+        let sa = Mpcp::suspension_aware().analyze(&tasks, &partition, &mut EvalScratch::new());
         assert_eq!(sa.task_bounds[0].wcrt, Some(Time::from_us(2_600)));
     }
 
     #[test]
     fn oblivious_dominates_aware() {
         let (partition, tasks) = rw_fixture();
-        let sa = Mpcp::suspension_aware().analyze(&tasks, &partition);
-        let so = Mpcp::suspension_oblivious().analyze(&tasks, &partition);
+        let sa = Mpcp::suspension_aware().analyze(&tasks, &partition, &mut EvalScratch::new());
+        let so = Mpcp::suspension_oblivious().analyze(&tasks, &partition, &mut EvalScratch::new());
         for (a, o) in sa.task_bounds.iter().zip(&so.task_bounds) {
             assert!(a.wcrt.unwrap() <= o.wcrt.unwrap());
         }
@@ -323,8 +328,8 @@ mod tests {
     #[test]
     fn aware_coincides_with_lpp_on_write_only_sets() {
         let (_, partition, tasks) = fig1::platform_and_partition().unwrap();
-        let sa = Mpcp::suspension_aware().analyze(&tasks, &partition);
-        let lpp = crate::Lpp::new().analyze(&tasks, &partition);
+        let sa = Mpcp::suspension_aware().analyze(&tasks, &partition, &mut EvalScratch::new());
+        let lpp = crate::Lpp::new().analyze(&tasks, &partition, &mut EvalScratch::new());
         for (m, l) in sa.task_bounds.iter().zip(&lpp.task_bounds) {
             assert_eq!(m.wcrt, l.wcrt);
         }

@@ -17,7 +17,7 @@
 //! blocking `B^spin` capped by the windowed request supply of the other
 //! tasks, and `S^spin` the spin time off-path requests can burn.
 
-use dpcp_core::analysis::{DelayBreakdown, SchedulabilityReport, TaskBound};
+use dpcp_core::analysis::{DelayBreakdown, EvalScratch, SchedulabilityReport, TaskBound};
 use dpcp_core::partition::PartitionOutcome;
 use dpcp_core::{AnalysisSession, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
 use dpcp_model::{Partition, Platform, TaskId, TaskSet, Time};
@@ -95,7 +95,12 @@ impl SchedAnalyzer for SpinSon {
         false
     }
 
-    fn analyze(&self, tasks: &TaskSet, partition: &Partition) -> SchedulabilityReport {
+    fn analyze(
+        &self,
+        tasks: &TaskSet,
+        partition: &Partition,
+        _: &mut EvalScratch,
+    ) -> SchedulabilityReport {
         let mut resp = ResponseBounds::new(tasks);
         let mut bounds: Vec<Option<TaskBound>> = vec![None; tasks.len()];
         let mut all_ok = true;
@@ -173,7 +178,7 @@ mod tests {
     #[test]
     fn fig1_is_schedulable_under_spin() {
         let (_, partition, tasks) = fig1::platform_and_partition().unwrap();
-        let report = SpinSon::new().analyze(&tasks, &partition);
+        let report = SpinSon::new().analyze(&tasks, &partition, &mut EvalScratch::new());
         assert!(report.schedulable);
         for tb in &report.task_bounds {
             assert!(tb.wcrt.unwrap() <= tasks.task(tb.task).deadline());
@@ -230,8 +235,8 @@ mod tests {
             )
             .unwrap()
         };
-        let r_light = SpinSon::new().analyze(&light, &clusters(&light));
-        let r_heavy = SpinSon::new().analyze(&heavy, &clusters(&heavy));
+        let r_light = SpinSon::new().analyze(&light, &clusters(&light), &mut EvalScratch::new());
+        let r_heavy = SpinSon::new().analyze(&heavy, &clusters(&heavy), &mut EvalScratch::new());
         assert!(r_heavy.task_bounds[0].wcrt.unwrap() > r_light.task_bounds[0].wcrt.unwrap());
     }
 }

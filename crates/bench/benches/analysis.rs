@@ -16,6 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpcp_baselines::{Lpp, SpinSon};
 use dpcp_bench::panel_task_set;
+use dpcp_core::analysis::EvalScratch;
 use dpcp_core::partition::{assign_resources, ResourceHeuristic};
 use dpcp_core::{AnalysisConfig, AnalysisSession, SchedAnalyzer};
 use dpcp_experiments::{evaluate_point, standard_registry, EvalConfig};
@@ -78,7 +79,11 @@ fn bench_components(c: &mut Criterion) {
     let mut group = c.benchmark_group("components");
     let tasks = panel_task_set(Fig2Panel::A, 8.0, 13);
     let platform = Platform::new(16).unwrap();
-    let sizes: Vec<usize> = tasks.iter().map(initial_processors).collect();
+    let sizes: Vec<usize> = tasks
+        .iter()
+        .map(initial_processors)
+        .collect::<Option<_>>()
+        .expect("generated tasks have L* < D");
     let layout = dpcp_core::partition::layout_clusters(&sizes, 16).expect("fits");
     let homes =
         assign_resources(&tasks, &layout, ResourceHeuristic::WorstFitDecreasing).expect("fits");
@@ -96,11 +101,13 @@ fn bench_components(c: &mut Criterion) {
     });
     group.bench_function("spin_analysis", |b| {
         let spin = SpinSon::new();
-        b.iter(|| black_box(spin.analyze(&tasks, &partition)))
+        let mut scratch = EvalScratch::new();
+        b.iter(|| black_box(spin.analyze(&tasks, &partition, &mut scratch)))
     });
     group.bench_function("lpp_analysis", |b| {
         let lpp = Lpp::new();
-        b.iter(|| black_box(lpp.analyze(&tasks, &partition)))
+        let mut scratch = EvalScratch::new();
+        b.iter(|| black_box(lpp.analyze(&tasks, &partition, &mut scratch)))
     });
     group.finish();
 }

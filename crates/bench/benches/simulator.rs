@@ -25,7 +25,11 @@ fn bench_generated(c: &mut Criterion) {
     // simulator's throughput does not depend on analytical schedulability.
     let tasks = panel_task_set(Fig2Panel::A, 6.0, 21);
     let platform = Platform::new(16).unwrap();
-    let sizes: Vec<usize> = tasks.iter().map(initial_processors).collect();
+    let sizes: Vec<usize> = tasks
+        .iter()
+        .map(initial_processors)
+        .collect::<Option<_>>()
+        .expect("generated tasks have L* < D");
     let layout = layout_clusters(&sizes, 16).expect("initial sizes fit on 16 cores");
     let homes = assign_resources(&tasks, &layout, ResourceHeuristic::WorstFitDecreasing)
         .expect("panel-A resources fit");

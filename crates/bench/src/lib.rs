@@ -22,7 +22,8 @@ use dpcp_core::analysis::{
 };
 use dpcp_core::partition::{assign_resources, layout_clusters, ResourceHeuristic};
 use dpcp_core::{
-    AnalysisConfig, AnalysisRequest, AnalysisSession, DpcpProtocol, PlacementSearch, SearchConfig,
+    AnalysisConfig, AnalysisRequest, AnalysisSession, DpcpProtocol, PartitionOutcome,
+    PlacementSearch, SearchConfig, UnschedulableReason,
 };
 use dpcp_gen::scenario::{Fig2Panel, Scenario};
 use dpcp_model::{
@@ -100,8 +101,8 @@ fn search_fixtures() -> SearchFixtures {
             // The initial federated sizes must fit, or the search bails
             // out before probing (no local move repairs an over-demanded
             // set).
-            let demand: usize = tasks.iter().map(initial_processors).sum();
-            if demand > platform.processor_count() {
+            let demand: Option<usize> = tasks.iter().map(initial_processors).sum();
+            if demand.is_none_or(|d| d > platform.processor_count()) {
                 continue;
             }
             let all_fail = [
@@ -155,6 +156,31 @@ fn search_fixtures() -> SearchFixtures {
     fixtures
 }
 
+/// The `partition/algorithm1_rejected` fixture: a Fig. 2 panel-B set at
+/// U/m 0.6 on its 32-core platform.
+///
+/// # Panics
+///
+/// Panics unless DPCP-p-EP rejects the set, naming a task, after at least
+/// two rounds.
+fn algorithm1_rejected_fixture() -> (TaskSet, Platform) {
+    let tasks = panel_task_set(Fig2Panel::B, 0.6 * 32.0, 13);
+    let platform = Platform::new(32).expect("32-core platform");
+    let outcome = AnalysisSession::new(AnalysisConfig::ep()).partition_and_analyze(
+        &tasks,
+        &platform,
+        ResourceHeuristic::WorstFitDecreasing,
+    );
+    match outcome {
+        PartitionOutcome::Unschedulable {
+            reason: UnschedulableReason::TaskUnschedulable { .. },
+            rounds,
+        } => assert!(rounds >= 2, "rejected in {rounds} round(s)"),
+        other => panic!("DPCP-p-EP must reject the fixture by a task, got {other:?}"),
+    }
+    (tasks, platform)
+}
+
 /// The search engine the `placement/search_*` benches run: the default
 /// knobs with a budget of 32 probes.
 fn bench_search() -> PlacementSearch {
@@ -168,7 +194,8 @@ fn bench_search() -> PlacementSearch {
 /// `c`: the `fixed_point/*` trio contrasting the per-iterate scan
 /// reference (one signature and a whole task frontier) with the batched
 /// lockstep kernel, full task-set analysis under EP/EN
-/// (`analyze/task_set_*`), the signature cache, the `placement/*`
+/// (`analyze/task_set_*`), the signature cache, Algorithm 1 on a set it
+/// rejects (`partition/algorithm1_rejected`), the `placement/*`
 /// search-engine quartet, the two wire layers a cold `/analyze` crosses
 /// before any analysis (`json/parse_request`, `dto/structural_key`) and
 /// the `enumerate/*` triple (DFS reference, signature-domain DP,
@@ -181,13 +208,18 @@ fn bench_search() -> PlacementSearch {
 /// # Panics
 ///
 /// Panics when a fixture breaks its precondition: the
-/// `placement/search_seeded` set must be seed-schedulable, and the
-/// `placement/search_*` fixtures must spend the probe counts they are
-/// chosen for.
+/// `partition/algorithm1_rejected` set must be rejected by a task after at
+/// least two rounds, the `placement/search_seeded` set must be
+/// seed-schedulable, and the `placement/search_*` fixtures must spend the
+/// probe counts they are chosen for.
 pub fn components(c: &mut Criterion) {
     let tasks = panel_task_set(Fig2Panel::A, 8.0, 13);
     let platform = Platform::new(16).expect("16-core platform");
-    let sizes: Vec<usize> = tasks.iter().map(initial_processors).collect();
+    let sizes: Vec<usize> = tasks
+        .iter()
+        .map(initial_processors)
+        .collect::<Option<_>>()
+        .expect("generated tasks have L* < D");
     let layout = layout_clusters(&sizes, 16).expect("initial sizes fit");
     let homes =
         assign_resources(&tasks, &layout, ResourceHeuristic::WorstFitDecreasing).expect("fits");
@@ -294,6 +326,22 @@ pub fn components(c: &mut Criterion) {
                         ResourceHeuristic::WorstFitDecreasing,
                     )
                     .probes,
+            )
+        })
+    });
+    // partition/algorithm1_rejected: Algorithm 1's decision path on a
+    // panel-B set at U/m 0.6 that DPCP-p-EP rejects after top-up rounds,
+    // with a fresh session per iteration (what a cold request pays: no
+    // enumeration survives from one sample to the next).
+    let (rejected, platform_b) = algorithm1_rejected_fixture();
+    c.bench_function("partition/algorithm1_rejected", |b| {
+        b.iter(|| {
+            black_box(
+                AnalysisSession::new(AnalysisConfig::ep()).partition_and_analyze(
+                    &rejected,
+                    &platform_b,
+                    ResourceHeuristic::WorstFitDecreasing,
+                ),
             )
         })
     });

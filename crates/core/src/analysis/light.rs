@@ -179,7 +179,8 @@ pub fn wcrt_light(ctx: &AnalysisContext<'_>, i: TaskId, cfg: &AnalysisConfig) ->
                 &all_on_path,
                 horizon,
                 cfg.max_fixpoint_iterations,
-            )?;
+            )
+            .ok()?;
             demand = demand.saturating_add(w.saturating_mul(n));
             let own = task.cs_length(q).unwrap_or(Time::ZERO);
             blocking = blocking.saturating_add(w.saturating_sub(own).saturating_mul(n));

@@ -11,9 +11,11 @@
 //! [`AnalysisVariant::EnumeratePaths`] (`DPCP-p-EP`) and
 //! [`AnalysisVariant::EnumerateRequestCounts`] (`DPCP-p-EN`).
 
+use std::cell::OnceCell;
+
 use dpcp_model::{
-    enumerate_signatures_capped, enumerate_signatures_dp_capped, Partition, PathSignatures, TaskId,
-    TaskSet, Time,
+    enumerate_signatures_capped, enumerate_signatures_dp_capped, DagTask, Partition, PathSignature,
+    PathSignatures, TaskId, TaskSet, Time,
 };
 use serde::{Deserialize, Serialize};
 
@@ -31,6 +33,8 @@ pub use demand::{DemandStepTable, DemandTables};
 pub use request::RequestBoundCache;
 pub use screen::infeasible_under_every_placement;
 pub use wcrt::EvalScratch;
+
+use request::Unsolved;
 
 /// Which analysis the paper's evaluation calls `DPCP-p-EP` / `DPCP-p-EN`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -179,11 +183,16 @@ impl SchedulabilityReport {
     }
 }
 
-/// Pre-enumerated path signatures, shareable across partitioning rounds
+/// Path signatures per task, shareable across partitioning rounds
 /// (signatures depend only on the task, never on the partition).
+///
+/// [`new`](Self::new) enumerates every task up front. The session's own
+/// cache is lazy instead: it enumerates a task the first time an analysis
+/// needs that task's signatures, so a task that Algorithm 1 decides
+/// without them is never enumerated.
 #[derive(Debug, Clone)]
 pub struct SignatureCache {
-    per_task: Vec<PathSignatures>,
+    per_task: Vec<OnceCell<PathSignatures>>,
 }
 
 impl SignatureCache {
@@ -193,16 +202,17 @@ impl SignatureCache {
     pub fn new(tasks: &TaskSet, cfg: &AnalysisConfig) -> Self {
         let per_task = tasks
             .iter()
-            .map(|t| {
-                enumerate_signatures_dp_capped(
-                    t,
-                    cfg.path_signature_cap,
-                    cfg.path_visit_cap,
-                    cfg.prune_dominated,
-                )
-            })
+            .map(|t| OnceCell::from(enumerate(t, cfg)))
             .collect();
         SignatureCache { per_task }
+    }
+
+    /// A cache that enumerates each task on first use, under the caps of
+    /// the configuration the first analysis passes in.
+    pub(crate) fn lazy(task_count: usize) -> Self {
+        SignatureCache {
+            per_task: (0..task_count).map(|_| OnceCell::new()).collect(),
+        }
     }
 
     /// [`new`](Self::new) through the depth-first reference enumerator
@@ -212,51 +222,118 @@ impl SignatureCache {
     pub fn new_dfs(tasks: &TaskSet, cfg: &AnalysisConfig) -> Self {
         let per_task = tasks
             .iter()
-            .map(|t| enumerate_signatures_capped(t, cfg.path_signature_cap, cfg.path_visit_cap))
+            .map(|t| {
+                OnceCell::from(enumerate_signatures_capped(
+                    t,
+                    cfg.path_signature_cap,
+                    cfg.path_visit_cap,
+                ))
+            })
             .collect();
         SignatureCache { per_task }
-    }
-
-    /// A cache with no signatures, for analyses that never consult paths
-    /// (the EN variant).
-    pub fn empty(task_count: usize) -> Self {
-        SignatureCache {
-            per_task: (0..task_count)
-                .map(|_| PathSignatures {
-                    signatures: Vec::new(),
-                    truncated: false,
-                    paths_visited: 0,
-                })
-                .collect(),
-        }
     }
 
     /// The signatures of one task.
     ///
     /// # Panics
     ///
-    /// Panics if the task is out of range.
+    /// Panics if the task is out of range, or if a lazy cache has not
+    /// enumerated it yet.
     pub fn signatures(&self, task: TaskId) -> &PathSignatures {
-        &self.per_task[task.index()]
+        self.per_task[task.index()]
+            .get()
+            .expect("a lazy signature cache reads only enumerated tasks")
+    }
+
+    /// The signatures of `task`, enumerated under `cfg` now if this is a
+    /// lazy cache's first use of the task.
+    fn signatures_of(&self, task: &DagTask, cfg: &AnalysisConfig) -> &PathSignatures {
+        self.per_task[task.id().index()].get_or_init(|| enumerate(task, cfg))
+    }
+
+    /// Whether the task's signatures are already in the cache.
+    fn is_enumerated(&self, task: TaskId) -> bool {
+        self.per_task[task.index()].get().is_some()
     }
 }
 
-/// The whole-task-set analysis behind `AnalysisSession::analyze`: tasks in decreasing priority order,
-/// each converged bound feeding the remaining tasks' `η_j`, one scratch
-/// across all of them.
+/// One task's signatures under the config's caps and pruning.
+fn enumerate(task: &DagTask, cfg: &AnalysisConfig) -> PathSignatures {
+    enumerate_signatures_dp_capped(
+        task,
+        cfg.path_signature_cap,
+        cfg.path_visit_cap,
+        cfg.prune_dominated,
+    )
+}
+
+/// The whole-task-set analysis behind `AnalysisSession::analyze` (and,
+/// with `mixed` set, `analyze_mixed`): tasks in decreasing priority
+/// order, each converged bound feeding the remaining tasks' `η_j`, one
+/// scratch across all of them.
 pub(crate) fn analyze_impl(
     tasks: &TaskSet,
     partition: &Partition,
     cfg: &AnalysisConfig,
     cache: &SignatureCache,
     scratch: &mut EvalScratch,
+    mixed: bool,
 ) -> SchedulabilityReport {
+    analyze_tasks(tasks, partition, cfg, cache, scratch, mixed, false)
+        .expect("a full analysis runs every task")
+}
+
+/// Algorithm 1's decision over one partition: [`analyze_impl`]'s report
+/// when every task passes, else the first failing task in decreasing
+/// priority order.
+///
+/// Every task before the first failure passed with its bound computed in
+/// full, so each later task sees the same `R_j` as in the full analysis
+/// and the outcome is exactly the full report's. Under EP a task whose
+/// longest path already misses its deadline ([`longest_path_exceeds`])
+/// fails before its signatures are enumerated.
+pub(crate) fn first_failure_impl(
+    tasks: &TaskSet,
+    partition: &Partition,
+    cfg: &AnalysisConfig,
+    cache: &SignatureCache,
+    scratch: &mut EvalScratch,
+    mixed: bool,
+) -> Result<SchedulabilityReport, TaskId> {
+    analyze_tasks(tasks, partition, cfg, cache, scratch, mixed, true)
+}
+
+/// The priority-ordered loop behind [`analyze_impl`] and
+/// [`first_failure_impl`]; `decide` stops it at the first failing task.
+fn analyze_tasks(
+    tasks: &TaskSet,
+    partition: &Partition,
+    cfg: &AnalysisConfig,
+    cache: &SignatureCache,
+    scratch: &mut EvalScratch,
+    mixed: bool,
+    decide: bool,
+) -> Result<SchedulabilityReport, TaskId> {
     let mut ctx = AnalysisContext::new(tasks, partition);
     let mut bounds: Vec<Option<TaskBound>> = vec![None; tasks.len()];
     let mut all_ok = true;
     let mut any_truncated = false;
     for i in tasks.by_decreasing_priority() {
-        let bound = analyze_task_impl(&ctx, i, cfg, cache, scratch);
+        let light = mixed && !ctx.task(i).is_heavy();
+        // The longest-path proof saves the enumeration it avoids, so only
+        // a task not yet enumerated tries it.
+        if decide
+            && !light
+            && cfg.variant == AnalysisVariant::EnumeratePaths
+            && !cache.is_enumerated(i)
+            && longest_path_exceeds(&ctx, i, cfg)
+        {
+            return Err(i);
+        }
+        let bound = analyze_task_impl(&ctx, i, cfg, cache, scratch, light);
+        if decide && !bound.schedulable {
+            return Err(i);
+        }
         if let Some(w) = bound.wcrt {
             ctx.set_response_bound(i, w);
         }
@@ -264,66 +341,68 @@ pub(crate) fn analyze_impl(
         any_truncated |= bound.truncated;
         bounds[i.index()] = Some(bound);
     }
-    SchedulabilityReport {
+    Ok(SchedulabilityReport {
         task_bounds: bounds.into_iter().map(Option::unwrap).collect(),
         schedulable: all_ok,
         truncated: any_truncated,
-    }
+    })
 }
 
-/// The EP arm shared by the session's EP path and the mixed analysis:
-/// the batched kernel's task bound over the cached signatures plus the
-/// `(evaluated, truncated)` accounting. Truncated tasks skip the
-/// per-signature sweep and report the dominating EN fallback directly —
-/// one evaluation.
-pub(crate) fn evaluate_ep_arm(
+/// Whether Theorem 1 on `τ_i`'s longest path `λ*` exceeds `D_i`, which
+/// proves the EP bound unschedulable without enumerating a path.
+///
+/// The EP bound dominates the bound of the single path `λ*`: without
+/// truncation the (pruned) signature set holds `λ*`'s signature or a
+/// dominator of it (equal request vector, no shorter, no less critical
+/// content), and a truncated task reports the EN bound, which dominates
+/// every signature (`en_dominates_every_single_signature`). By the orbit
+/// comparison in the [`screen`] module docs, a dominating recurrence has
+/// no fixed point at or below `D_i` when `λ*`'s orbit exceeds it. An orbit
+/// that merely exhausts `max_fixpoint_iterations` proves nothing (the
+/// dominating orbit may converge in fewer steps), so it decides nothing.
+fn longest_path_exceeds(ctx: &AnalysisContext<'_>, i: TaskId, cfg: &AnalysisConfig) -> bool {
+    let task = ctx.task(i);
+    let lambda = PathSignature::from_path(task, task.longest_path());
+    wcrt::wcrt_for_signature_direct(ctx, i, &lambda, cfg) == Err(Unsolved::Exceeded)
+}
+
+/// One task's bound: the sequential tabled bound for a `light` task of a
+/// mixed partition, else Theorem 1 under the configured variant (EP
+/// through the batched kernel over the task's signatures; a truncated
+/// task reports the dominating EN fallback, one evaluation).
+fn analyze_task_impl(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
     cfg: &AnalysisConfig,
     cache: &SignatureCache,
     scratch: &mut EvalScratch,
-) -> (Option<wcrt::PathBound>, usize, bool) {
-    let sigs = cache.signatures(i);
-    let evaluated = if sigs.truncated {
-        1
-    } else {
-        sigs.signatures.len()
-    };
-    let bound = wcrt::wcrt_over_signatures_batched(ctx, i, sigs, cfg, scratch);
-    (bound, evaluated, sigs.truncated)
-}
-
-/// The single-task analysis primitive behind the session and the mixed
-/// analysis.
-pub(crate) fn analyze_task_impl(
-    ctx: &AnalysisContext<'_>,
-    i: TaskId,
-    cfg: &AnalysisConfig,
-    cache: &SignatureCache,
-    scratch: &mut EvalScratch,
+    light: bool,
 ) -> TaskBound {
-    let deadline = ctx.task(i).deadline();
-    let (result, evaluated, truncated) = match cfg.variant {
-        AnalysisVariant::EnumeratePaths => evaluate_ep_arm(ctx, i, cfg, cache, scratch),
-        AnalysisVariant::EnumerateRequestCounts => (wcrt::wcrt_en(ctx, i, cfg), 1, false),
+    let task = ctx.task(i);
+    let (result, evaluated, truncated) = if light {
+        (light::wcrt_light_with(ctx, i, cfg, scratch), 1, false)
+    } else {
+        match cfg.variant {
+            AnalysisVariant::EnumeratePaths => {
+                let sigs = cache.signatures_of(task, cfg);
+                let evaluated = if sigs.truncated {
+                    1
+                } else {
+                    sigs.signatures.len()
+                };
+                let bound = wcrt::wcrt_over_signatures_batched(ctx, i, sigs, cfg, scratch);
+                (bound, evaluated, sigs.truncated)
+            }
+            AnalysisVariant::EnumerateRequestCounts => (wcrt::wcrt_en(ctx, i, cfg), 1, false),
+        }
     };
-    match result {
-        Some(b) => TaskBound {
-            task: i,
-            wcrt: Some(b.wcrt),
-            schedulable: b.wcrt <= deadline,
-            breakdown: Some(b.breakdown),
-            signatures_evaluated: evaluated,
-            truncated,
-        },
-        None => TaskBound {
-            task: i,
-            wcrt: None,
-            schedulable: false,
-            breakdown: None,
-            signatures_evaluated: evaluated,
-            truncated,
-        },
+    TaskBound {
+        task: i,
+        wcrt: result.as_ref().map(|b| b.wcrt),
+        schedulable: result.as_ref().is_some_and(|b| b.wcrt <= task.deadline()),
+        breakdown: result.map(|b| b.breakdown),
+        signatures_evaluated: evaluated,
+        truncated,
     }
 }
 
@@ -372,13 +451,20 @@ mod tests {
         let (_, partition, tasks) = fig1::platform_and_partition().unwrap();
         let cfg = AnalysisConfig::ep();
         let cache = SignatureCache::new(&tasks, &cfg);
-        let report = analyze_impl(&tasks, &partition, &cfg, &cache, &mut EvalScratch::new());
+        let report = analyze_impl(
+            &tasks,
+            &partition,
+            &cfg,
+            &cache,
+            &mut EvalScratch::new(),
+            false,
+        );
 
         let order = tasks.by_decreasing_priority();
         let lo = order[1];
         // Fresh context: R_hi = D (pessimistic).
         let ctx = AnalysisContext::new(&tasks, &partition);
-        let pessimistic = analyze_task_impl(&ctx, lo, &cfg, &cache, &mut EvalScratch::new());
+        let pessimistic = analyze_task_impl(&ctx, lo, &cfg, &cache, &mut EvalScratch::new(), false);
         assert!(report.bound(lo).wcrt.unwrap() <= pessimistic.wcrt.unwrap());
     }
 
@@ -399,11 +485,18 @@ mod tests {
         let (_, partition, tasks) = fig1::platform_and_partition().unwrap();
         for cfg in [AnalysisConfig::ep(), AnalysisConfig::en()] {
             let cache = SignatureCache::new(&tasks, &cfg);
-            let shared = analyze_impl(&tasks, &partition, &cfg, &cache, &mut EvalScratch::new());
+            let shared = analyze_impl(
+                &tasks,
+                &partition,
+                &cfg,
+                &cache,
+                &mut EvalScratch::new(),
+                false,
+            );
             let mut ctx = AnalysisContext::new(&tasks, &partition);
             let mut bounds = Vec::new();
             for i in tasks.by_decreasing_priority() {
-                let b = analyze_task_impl(&ctx, i, &cfg, &cache, &mut EvalScratch::new());
+                let b = analyze_task_impl(&ctx, i, &cfg, &cache, &mut EvalScratch::new(), false);
                 if let Some(w) = b.wcrt {
                     ctx.set_response_bound(i, w);
                 }
@@ -428,5 +521,139 @@ mod tests {
         assert_eq!(cache.signatures(TaskId::new(0)).signatures.len(), 3);
         // τ_j: paths through v4 and v5 share a signature → 3 distinct.
         assert_eq!(cache.signatures(TaskId::new(1)).signatures.len(), 3);
+    }
+
+    #[test]
+    fn an_exhausted_longest_path_orbit_decides_nothing() {
+        // A truncated task reports the EN bound, whose orbits can converge
+        // in fewer iterations than λ*'s own. In this panel-A set (every
+        // task truncated by a cap of one signature) at a budget of three
+        // iterations, τ1's longest-path orbit runs out of budget while its
+        // EN bound converges below D_1: the longest path must leave τ1 to
+        // its bound, and the first failure must equal the full analysis's.
+        use crate::partition::{assign_resources, layout_clusters, ResourceHeuristic};
+        use dpcp_gen::scenario::{Fig2Panel, Scenario};
+        use dpcp_model::{initial_processors, Platform};
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let scenario = Scenario::fig2(Fig2Panel::A);
+        let platform = Platform::new(scenario.m).unwrap();
+        let mut rng = StdRng::seed_from_u64(0xE8A0_0000 + 113);
+        let tasks = scenario.sample_task_set(4.0, &mut rng).unwrap();
+        let sizes: Vec<usize> = tasks
+            .iter()
+            .map(initial_processors)
+            .collect::<Option<_>>()
+            .unwrap();
+        let layout = layout_clusters(&sizes, scenario.m).unwrap();
+        let homes =
+            assign_resources(&tasks, &layout, ResourceHeuristic::WorstFitDecreasing).unwrap();
+        let partition = Partition::new(&tasks, &platform, layout, homes).unwrap();
+        let cfg = AnalysisConfig {
+            path_signature_cap: 1,
+            max_fixpoint_iterations: 3,
+            ..AnalysisConfig::ep()
+        };
+        let cache = SignatureCache::new(&tasks, &cfg);
+        let full = analyze_impl(
+            &tasks,
+            &partition,
+            &cfg,
+            &cache,
+            &mut EvalScratch::new(),
+            false,
+        );
+
+        // τ1's context in the analysis: every higher-priority task passed.
+        let tau1 = TaskId::new(1);
+        let mut ctx = AnalysisContext::new(&tasks, &partition);
+        for i in tasks.by_decreasing_priority() {
+            if i == tau1 {
+                break;
+            }
+            let bound = full.bound(i);
+            assert!(bound.schedulable, "{i} passes before τ1");
+            ctx.set_response_bound(i, bound.wcrt.unwrap());
+        }
+        let task = tasks.task(tau1);
+        let lambda = PathSignature::from_path(task, task.longest_path());
+        assert!(cache.signatures(tau1).truncated);
+        assert_eq!(
+            wcrt::wcrt_for_signature_direct(&ctx, tau1, &lambda, &cfg),
+            Err(Unsolved::Exhausted)
+        );
+        assert!(full.bound(tau1).schedulable);
+        assert!(!longest_path_exceeds(&ctx, tau1, &cfg));
+
+        let reference = tasks
+            .by_decreasing_priority()
+            .into_iter()
+            .find(|&i| !full.bound(i).schedulable)
+            .map_or(Ok(full), Err);
+        let decided = first_failure_impl(
+            &tasks,
+            &partition,
+            &cfg,
+            &SignatureCache::lazy(tasks.len()),
+            &mut EvalScratch::new(),
+            false,
+        );
+        assert_eq!(decided, reference);
+    }
+
+    #[test]
+    fn a_task_decided_by_its_longest_path_is_never_enumerated() {
+        // Two tasks hammering one resource homed on τ0's only processor:
+        // the lower-priority task's longest path alone blows past its
+        // deadline, so the first failure names it without enumeration,
+        // and nothing below it is reached.
+        use dpcp_model::{DagTask, Platform, ProcessorId, RequestSpec, ResourceId, VertexSpec};
+        let mk = |id: usize| {
+            DagTask::builder(TaskId::new(id), Time::from_ms(1))
+                .vertex(VertexSpec::with_requests(
+                    Time::from_us(900),
+                    [RequestSpec::new(ResourceId::new(0), 20)],
+                ))
+                .critical_section(ResourceId::new(0), Time::from_us(40))
+                .build()
+                .unwrap()
+        };
+        let tasks = TaskSet::new(vec![mk(0), mk(1)], 1).unwrap();
+        let p = ProcessorId::new;
+        let partition = Partition::new(
+            &tasks,
+            &Platform::new(2).unwrap(),
+            vec![vec![p(0)], vec![p(1)]],
+            [(ResourceId::new(0), p(0))].into_iter().collect(),
+        )
+        .unwrap();
+        let cfg = AnalysisConfig::ep();
+        let cache = SignatureCache::lazy(tasks.len());
+        let decided = first_failure_impl(
+            &tasks,
+            &partition,
+            &cfg,
+            &cache,
+            &mut EvalScratch::new(),
+            false,
+        );
+        let full = analyze_impl(
+            &tasks,
+            &partition,
+            &cfg,
+            &SignatureCache::new(&tasks, &cfg),
+            &mut EvalScratch::new(),
+            false,
+        );
+        let failing = tasks
+            .by_decreasing_priority()
+            .into_iter()
+            .find(|&i| !full.bound(i).schedulable)
+            .expect("the contended set fails");
+        assert_eq!(decided, Err(failing));
+        assert!(!cache.is_enumerated(failing));
+        let order = tasks.by_decreasing_priority();
+        let at = order.iter().position(|&i| i == failing).unwrap();
+        assert!(order[at..].iter().all(|&i| !cache.is_enumerated(i)));
     }
 }

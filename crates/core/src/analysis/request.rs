@@ -13,11 +13,10 @@ use super::context::AnalysisContext;
 
 type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// How a monotone fixed-point iteration ended.
+/// Why a monotone fixed-point iteration found no fixed point at or below
+/// its horizon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Orbit {
-    /// A fixed point at or below the horizon.
-    Converged(Time),
+pub enum Unsolved {
     /// An iterate exceeded the horizon: no fixed point lies at or below it.
     Exceeded,
     /// The iteration budget ran out first, which says nothing about the
@@ -26,29 +25,30 @@ pub(crate) enum Orbit {
 }
 
 /// Runs a monotone fixed-point iteration `x_{n+1} = f(x_n)` from `start`
-/// and reports how it ended (see [`fixed_point`]).
+/// and reports how it ended: the fixed point reached at or below
+/// `horizon`, or why there is none (see [`fixed_point`]).
 pub(crate) fn orbit(
     start: Time,
     horizon: Time,
     max_iters: usize,
     mut f: impl FnMut(Time) -> Time,
-) -> Orbit {
+) -> Result<Time, Unsolved> {
     let mut x = start;
     if x > horizon {
-        return Orbit::Exceeded;
+        return Err(Unsolved::Exceeded);
     }
     for _ in 0..max_iters {
         let next = f(x);
         if next == x {
-            return Orbit::Converged(x);
+            return Ok(x);
         }
         debug_assert!(next > x, "response-time recurrence must be inflationary");
         if next > horizon {
-            return Orbit::Exceeded;
+            return Err(Unsolved::Exceeded);
         }
         x = next;
     }
-    Orbit::Exhausted
+    Err(Unsolved::Exhausted)
 }
 
 /// Runs a monotone fixed-point iteration `x_{n+1} = f(x_n)` from `start`.
@@ -68,10 +68,7 @@ pub fn fixed_point(
     max_iters: usize,
     f: impl FnMut(Time) -> Time,
 ) -> Option<Time> {
-    match orbit(start, horizon, max_iters, f) {
-        Orbit::Converged(x) => Some(x),
-        Orbit::Exceeded | Orbit::Exhausted => None,
-    }
+    orbit(start, horizon, max_iters, f).ok()
 }
 
 /// `β_{i,q}` — the longest critical section of a *lower*-priority task on
@@ -136,8 +133,13 @@ pub fn gamma_on(
 ///      + β_{i,q} + γ_{i,q}(W)`.
 ///
 /// `path_requests(u)` supplies `N^λ_{i,u}`; the EN variant passes the
-/// term-wise worst case instead of a concrete path's counts. Returns
-/// `None` when the recurrence has no solution below `horizon`.
+/// term-wise worst case instead of a concrete path's counts. Returns the
+/// fixed point at or below `horizon`, or why the orbit found none.
+///
+/// # Errors
+///
+/// [`Unsolved::Exceeded`] when an iterate exceeds `horizon`,
+/// [`Unsolved::Exhausted`] when `max_iters` runs out first.
 pub fn request_response_bound(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
@@ -145,9 +147,9 @@ pub fn request_response_bound(
     path_requests: &dyn Fn(ResourceId) -> u32,
     horizon: Time,
     max_iters: usize,
-) -> Option<Time> {
+) -> Result<Time, Unsolved> {
     let base = request_bound_base(ctx, i, q, path_requests);
-    fixed_point(base, horizon, max_iters, |w| {
+    orbit(base, horizon, max_iters, |w| {
         base.saturating_add(gamma(ctx, i, q, w))
     })
 }
@@ -180,8 +182,12 @@ fn request_bound_base(
 }
 
 /// The per-request blocking bound `β_{i,q} + γ_{i,q}(W_{i,q})` that Eq. 4
-/// charges for every path request to `ℓ_q`, or `None` when `W_{i,q}` has
-/// no fixed point below the deadline.
+/// charges for every path request to `ℓ_q`.
+///
+/// # Errors
+///
+/// Why `W_{i,q}` has no fixed point at or below `horizon`
+/// (see [`request_response_bound`]).
 pub fn request_blocking_bound(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
@@ -189,9 +195,9 @@ pub fn request_blocking_bound(
     path_requests: &dyn Fn(ResourceId) -> u32,
     horizon: Time,
     max_iters: usize,
-) -> Option<Time> {
+) -> Result<Time, Unsolved> {
     let w = request_response_bound(ctx, i, q, path_requests, horizon, max_iters)?;
-    Some(beta(ctx, i, q).saturating_add(gamma(ctx, i, q, w)))
+    Ok(beta(ctx, i, q).saturating_add(gamma(ctx, i, q, w)))
 }
 
 /// [`request_response_bound`] with `γ` read from the per-task demand tables
@@ -436,7 +442,7 @@ mod tests {
             ts.task(lo).deadline(),
             64,
         );
-        assert_eq!(w, Some(fig1::unit() * 9));
+        assert_eq!(w, Ok(fig1::unit() * 9));
     }
 
     /// Builds the two-task system of `wcrt::tests::diverging_task_returns_none`:
@@ -498,7 +504,8 @@ mod tests {
                     }
                 };
                 let direct =
-                    request_blocking_bound(&ctx, i, fig1::GLOBAL_RESOURCE, &counts, horizon, 64);
+                    request_blocking_bound(&ctx, i, fig1::GLOBAL_RESOURCE, &counts, horizon, 64)
+                        .ok();
                 // First query misses, second hits; both must equal the
                 // direct computation.
                 for _ in 0..2 {
@@ -533,7 +540,11 @@ mod tests {
         let horizon = ts.task(lo).deadline();
         let counts = |q: ResourceId| u32::from(q == ResourceId::new(0));
         let direct = request_blocking_bound(&ctx, lo, ResourceId::new(0), &counts, horizon, 64);
-        assert_eq!(direct, None, "the heavy system must diverge");
+        assert_eq!(
+            direct,
+            Err(Unsolved::Exceeded),
+            "the heavy system must diverge"
+        );
         let mut cache = RequestBoundCache::new();
         let tables = tables_for(&ctx, lo);
         for _ in 0..2 {
@@ -592,11 +603,11 @@ mod tests {
         assert_ne!(w_on, w_off);
         assert_eq!(
             with_request,
-            request_blocking_bound(&ctx, lo, fig1::GLOBAL_RESOURCE, &on_path, horizon, 64)
+            request_blocking_bound(&ctx, lo, fig1::GLOBAL_RESOURCE, &on_path, horizon, 64).ok()
         );
         assert_eq!(
             without_request,
-            request_blocking_bound(&ctx, lo, fig1::GLOBAL_RESOURCE, &off_path, horizon, 64)
+            request_blocking_bound(&ctx, lo, fig1::GLOBAL_RESOURCE, &off_path, horizon, 64).ok()
         );
     }
 
@@ -618,6 +629,6 @@ mod tests {
             ts.task(hi).deadline(),
             64,
         );
-        assert_eq!(w, Some(fig1::unit() * 6));
+        assert_eq!(w, Ok(fig1::unit() * 6));
     }
 }

@@ -38,10 +38,10 @@
 //! every placement `P` of the move space `AnalysisSession::analyze`
 //! reports `τ_i` unschedulable — under `DPCP-p-EP` (pruned or not, at any
 //! caps) and under `DPCP-p-EN`, at any iteration budget — provided every
-//! task has `L*_j ≤ D_j`. Every set the search sees does
-//! (`initial_processors` requires it), and a set that breaks it fails
-//! under every placement anyway: that task's recurrence starts above its
-//! deadline.
+//! task has `L*_j ≤ D_j`. Every set the search screens does (it returns
+//! the seed outcome first when `initial_processors` finds a task with
+//! `L*_j ≥ D_j`), and a set that breaks it fails under every placement
+//! anyway: that task's recurrence starts above its deadline.
 //!
 //! **Orbit comparison.** Let `f ≤ g` pointwise with `f` non-decreasing,
 //! and iterate both from the same start. By induction `x_k ≤ y_k`:
@@ -107,7 +107,7 @@
 
 use dpcp_model::{eta_jobs, DagTask, PathSignature, ResourceId, TaskId, TaskSet, Time};
 
-use super::request::{orbit, Orbit};
+use super::request::{orbit, Unsolved};
 
 /// The first task (in identifier order) whose placement-free lower bound
 /// on Theorem 1 exceeds its deadline on `processors` processors, or
@@ -206,9 +206,9 @@ fn lower_orbit_exceeds(tasks: &TaskSet, i: TaskId, widest: u64, max_iters: usize
         let w = match orbit(base, deadline, max_iters, |w| {
             base.saturating_add(demand(q, w, true))
         }) {
-            Orbit::Converged(w) => w,
-            Orbit::Exceeded => return true,
-            Orbit::Exhausted => return false,
+            Ok(w) => w,
+            Err(Unsolved::Exceeded) => return true,
+            Err(Unsolved::Exhausted) => return false,
         };
         let per_request = beta.saturating_add(demand(q, w, true));
         eps.push((q, per_request.saturating_mul(u64::from(on_path))));
@@ -221,7 +221,7 @@ fn lower_orbit_exceeds(tasks: &TaskSet, i: TaskId, widest: u64, max_iters: usize
             .saturating_add(b_lb)
             .saturating_add(interference)
     };
-    orbit(len, deadline, max_iters, rhs) == Orbit::Exceeded
+    orbit(len, deadline, max_iters, rhs) == Err(Unsolved::Exceeded)
 }
 
 #[cfg(test)]

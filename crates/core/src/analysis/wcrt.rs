@@ -69,7 +69,7 @@ use super::interference::{
     agent_interference_own_en, intra_task_interference, intra_task_interference_counts,
     intra_task_interference_en,
 };
-use super::request::{fixed_point, request_blocking_bound, RequestBoundCache};
+use super::request::{fixed_point, orbit, request_blocking_bound, RequestBoundCache, Unsolved};
 use super::{AnalysisConfig, DelayBreakdown};
 
 /// The outcome of one per-path (or per-virtual-path) Theorem 1 evaluation.
@@ -346,14 +346,18 @@ fn path_bound_at(
 /// asserted bit-identical to (divergent `None` included) and measured
 /// against by the `fixed_point/*` component benches.
 ///
-/// Returns `None` when any request bound `W_{i,q}` or the response-time
-/// recurrence has no solution below the task's deadline.
+/// # Errors
+///
+/// How the first orbit without a fixed point at or below `D_i` ended: a
+/// request bound `W_{i,q}` (in request order), else the response-time
+/// recurrence. Only [`Unsolved::Exceeded`] proves that the path misses its
+/// deadline; [`Unsolved::Exhausted`] means the budget ran out first.
 pub fn wcrt_for_signature_direct(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
     sig: &PathSignature,
     cfg: &AnalysisConfig,
-) -> Option<PathBound> {
+) -> Result<PathBound, Unsolved> {
     let task = ctx.task(i);
     let horizon = task.deadline();
     let m_i = ctx.cluster_size(i);
@@ -387,7 +391,7 @@ pub fn wcrt_for_signature_direct(
     let agent_own = agent_interference_own(ctx, i, sig);
     let len = sig.len();
 
-    let r = fixed_point(len, horizon, cfg.max_fixpoint_iterations, |r| {
+    let r = orbit(len, horizon, cfg.max_fixpoint_iterations, |r| {
         let b_inter = inter_task_blocking(ctx, i, &eps, r);
         let agents = agent_own.saturating_add(agent_interference_others(ctx, i, r));
         len.saturating_add(b_inter)
@@ -397,7 +401,7 @@ pub fn wcrt_for_signature_direct(
 
     let b_inter = inter_task_blocking(ctx, i, &eps, r);
     let agents = agent_own.saturating_add(agent_interference_others(ctx, i, r));
-    Some(PathBound {
+    Ok(PathBound {
         wcrt: r,
         breakdown: DelayBreakdown {
             path_len: len,
@@ -432,7 +436,8 @@ pub fn wcrt_en(ctx: &AnalysisContext<'_>, i: TaskId, cfg: &AnalysisConfig) -> Op
         }
         let counts = move |u: ResourceId| u32::from(u == q);
         let blocking =
-            request_blocking_bound(ctx, i, q, &counts, horizon, cfg.max_fixpoint_iterations)?;
+            request_blocking_bound(ctx, i, q, &counts, horizon, cfg.max_fixpoint_iterations)
+                .ok()?;
         per_request.push((q, n, blocking));
     }
     // ε maximised at N^λ_q = N_{i,q}.
@@ -505,7 +510,7 @@ pub fn wcrt_over_signatures_sweep_direct(
 ) -> Option<PathBound> {
     let mut best: Option<PathBound> = None;
     for sig in &sigs.signatures {
-        let bound = wcrt_for_signature_direct(ctx, i, sig, cfg)?;
+        let bound = wcrt_for_signature_direct(ctx, i, sig, cfg).ok()?;
         if best.as_ref().is_none_or(|b| bound.wcrt > b.wcrt) {
             best = Some(bound);
         }

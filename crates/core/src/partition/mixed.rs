@@ -13,15 +13,13 @@
 //! more processor; a failing light task grows the shared pool by one
 //! processor (both roll back the resource assignment).
 
-use dpcp_model::{initial_processors, Partition, Platform, ProcessorId, TaskId, TaskSet};
+use dpcp_model::{Partition, Platform, ProcessorId, TaskId, TaskSet};
 
-use crate::analysis::context::AnalysisContext;
-use crate::analysis::light::wcrt_light_with;
-use crate::analysis::{
-    AnalysisConfig, AnalysisVariant, EvalScratch, SchedulabilityReport, SignatureCache, TaskBound,
-};
+use crate::analysis::EvalScratch;
 use crate::partition::wfd::{assign_resources_to_bins, CapacityBin};
-use crate::partition::{PartitionOutcome, ResourceHeuristic, UnschedulableReason};
+use crate::partition::{
+    initial_sizes, PartitionOutcome, ResourceHeuristic, SchedAnalyzer, UnschedulableReason,
+};
 
 /// Packs light tasks onto `pool` processors, Worst-Fit Decreasing by
 /// utilization. Returns per-task processor assignments, or `None` when
@@ -111,79 +109,17 @@ fn pack_lights(
     Some(placement)
 }
 
-/// The mixed analysis behind `AnalysisSession::analyze_mixed`:
-/// heavy tasks run the table-driven Theorem 1 enumeration,
-/// light tasks the tabled sequential bound ([`wcrt_light_with`]) — every
-/// per-task entry point resets the task-scoped state itself, so one
-/// scratch serves all rounds.
-pub(crate) fn analyze_mixed_impl(
-    tasks: &TaskSet,
-    partition: &Partition,
-    cfg: &AnalysisConfig,
-    cache: &SignatureCache,
-    scratch: &mut EvalScratch,
-) -> SchedulabilityReport {
-    let mut ctx = AnalysisContext::new(tasks, partition);
-    let mut bounds: Vec<Option<TaskBound>> = vec![None; tasks.len()];
-    let mut all_ok = true;
-    let mut any_truncated = false;
-    for i in tasks.by_decreasing_priority() {
-        let deadline = ctx.task(i).deadline();
-        let (result, evaluated, truncated) = if ctx.task(i).is_heavy() {
-            match cfg.variant {
-                AnalysisVariant::EnumeratePaths => {
-                    crate::analysis::evaluate_ep_arm(&ctx, i, cfg, cache, scratch)
-                }
-                AnalysisVariant::EnumerateRequestCounts => {
-                    (crate::analysis::wcrt::wcrt_en(&ctx, i, cfg), 1, false)
-                }
-            }
-        } else {
-            (wcrt_light_with(&ctx, i, cfg, scratch), 1, false)
-        };
-        let bound = match result {
-            Some(b) => {
-                ctx.set_response_bound(i, b.wcrt);
-                TaskBound {
-                    task: i,
-                    wcrt: Some(b.wcrt),
-                    schedulable: b.wcrt <= deadline,
-                    breakdown: Some(b.breakdown),
-                    signatures_evaluated: evaluated,
-                    truncated,
-                }
-            }
-            None => TaskBound {
-                task: i,
-                wcrt: None,
-                schedulable: false,
-                breakdown: None,
-                signatures_evaluated: evaluated,
-                truncated,
-            },
-        };
-        all_ok &= bound.schedulable;
-        any_truncated |= bound.truncated;
-        bounds[i.index()] = Some(bound);
-    }
-    SchedulabilityReport {
-        task_bounds: bounds.into_iter().map(Option::unwrap).collect(),
-        schedulable: all_ok,
-        truncated: any_truncated,
-    }
-}
-
 /// The mixed Algorithm 1 loop behind
-/// `AnalysisSession::partition_and_analyze_mixed`:
-/// signature cache and evaluation scratch are injected so
-/// one allocation serves every top-up round (and, via the session, every
-/// sample of a sweep).
+/// `AnalysisSession::partition_and_analyze_mixed` and
+/// `partition_mixed_with`: the evaluation scratch is injected so one
+/// allocation serves every top-up round (and, via the session, every
+/// sample of a sweep), and each round asks the analyzer only for its
+/// [`first_failure`](SchedAnalyzer::first_failure).
 pub(crate) fn algorithm1_mixed_impl(
     tasks: &TaskSet,
     platform: &Platform,
     heuristic: ResourceHeuristic,
-    cfg: &AnalysisConfig,
-    cache: &SignatureCache,
+    analyzer: &dyn SchedAnalyzer,
     scratch: &mut EvalScratch,
 ) -> PartitionOutcome {
     let m = platform.processor_count();
@@ -198,16 +134,20 @@ pub(crate) fn algorithm1_mixed_impl(
         .map(|t| t.id())
         .collect();
 
-    let mut heavy_size: Vec<usize> = tasks
-        .iter()
-        .map(|t| {
-            if t.is_heavy() {
-                initial_processors(t)
-            } else {
-                0
+    let mut heavy_size = match initial_sizes(tasks) {
+        Ok(sizes) => sizes,
+        Err(task) => {
+            return PartitionOutcome::Unschedulable {
+                reason: UnschedulableReason::TaskUnschedulable { task },
+                rounds: 0,
             }
-        })
-        .collect();
+        }
+    };
+    for (size, t) in heavy_size.iter_mut().zip(tasks.iter()) {
+        if !t.is_heavy() {
+            *size = 0;
+        }
+    }
     let light_util: f64 = lights.iter().map(|&t| tasks.task(t).utilization()).sum();
     let mut light_pool: usize = if lights.is_empty() {
         0
@@ -292,20 +232,15 @@ pub(crate) fn algorithm1_mixed_impl(
         let partition = Partition::mixed(tasks, platform, clusters, homes)
             .expect("layout and homes are valid by construction");
 
-        let report = analyze_mixed_impl(tasks, &partition, cfg, cache, scratch);
-        let failing = tasks
-            .by_decreasing_priority()
-            .into_iter()
-            .find(|&i| !report.bound(i).schedulable);
-        match failing {
-            None => {
+        match analyzer.first_failure(tasks, &partition, scratch) {
+            Ok(report) => {
                 return PartitionOutcome::Schedulable {
                     partition,
                     report,
                     rounds,
                 }
             }
-            Some(task) => {
+            Err(task) => {
                 if heavy_total + light_pool < m {
                     if tasks.task(task).is_heavy() {
                         heavy_size[task.index()] += 1;
@@ -326,6 +261,7 @@ pub(crate) fn algorithm1_mixed_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::AnalysisConfig;
     use crate::session::AnalysisSession;
     use dpcp_model::{Dag, DagTask, RequestSpec, ResourceId, Time, VertexSpec};
 

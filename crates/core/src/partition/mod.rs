@@ -6,12 +6,26 @@
 //! resources are placed by Worst-Fit Decreasing ([`wfd`], Algorithm 2);
 //! tasks are analysed in decreasing priority order; the first failing task
 //! receives one more processor (if any remains unassigned), the resource
-//! assignment is rolled back, and the round restarts.
+//! assignment is rolled back, and the round restarts. A heavy task with
+//! `L*_i ≥ D_i` fits no cluster size, so such a set is rejected before any
+//! round, naming the highest-priority such task.
 //!
 //! The loop is generic over a [`SchedAnalyzer`], so the same partitioning
 //! policy drives DPCP-p and every baseline protocol — exactly the setup of
 //! the paper's evaluation, where all protocols run under federated
 //! scheduling with the same initial assignment.
+//!
+//! A round acts only on its first failing task, so the loop asks the
+//! analyzer for [`SchedAnalyzer::first_failure`], not for a full report.
+//! The trait's default analyses every task and scans the report. The
+//! session's DPCP-p analyzer stops at the first failure instead. Under EP
+//! it first evaluates Theorem 1 on the task's longest path: when that
+//! orbit exceeds `D_i` the task fails without its paths ever being
+//! enumerated, since the EP bound dominates every single path's. Both
+//! return exactly what the full analysis would: the tasks before the first
+//! failure are computed in full, so a round in which every task passes
+//! yields the complete report. The Sec. VI mixed loop ([`mixed`]) decides
+//! its rounds the same way.
 
 use dpcp_model::{initial_processors, Partition, Platform, TaskId, TaskSet};
 use serde::{Deserialize, Serialize};
@@ -39,23 +53,58 @@ pub trait SchedAnalyzer {
     }
 
     /// Analyses every task and reports per-task schedulability.
-    fn analyze(&self, tasks: &TaskSet, partition: &Partition) -> SchedulabilityReport;
-
-    /// [`analyze`](Self::analyze) with caller-provided evaluation scratch.
     ///
-    /// Analyses that maintain per-task evaluation state ([`EvalScratch`]:
+    /// Analyses that keep per-task evaluation state ([`EvalScratch`]:
     /// request-bound memo, demand prefix tables, batched-kernel arenas)
     /// reuse the caller's allocation across partitioning rounds and across
     /// methods; protocols without such state ignore the scratch.
-    fn analyze_with_scratch(
+    fn analyze(
         &self,
         tasks: &TaskSet,
         partition: &Partition,
         scratch: &mut EvalScratch,
-    ) -> SchedulabilityReport {
-        let _ = scratch;
-        self.analyze(tasks, partition)
+    ) -> SchedulabilityReport;
+
+    /// Algorithm 1's decision over one partition: the full report when
+    /// every task passes, else the first failing task in decreasing
+    /// priority order.
+    ///
+    /// The default runs [`analyze`](Self::analyze) and scans its report.
+    /// An override may stop at the first failure, but must return exactly
+    /// what the default would.
+    fn first_failure(
+        &self,
+        tasks: &TaskSet,
+        partition: &Partition,
+        scratch: &mut EvalScratch,
+    ) -> Result<SchedulabilityReport, TaskId> {
+        let report = self.analyze(tasks, partition, scratch);
+        match tasks
+            .by_decreasing_priority()
+            .into_iter()
+            .find(|&i| !report.bound(i).schedulable)
+        {
+            Some(task) => Err(task),
+            None => Ok(report),
+        }
     }
+}
+
+/// Algorithm 1 line 3's federated cluster size of every task, or the
+/// highest-priority task with `L*_i ≥ D_i`, which no number of processors
+/// can schedule.
+pub(crate) fn initial_sizes(tasks: &TaskSet) -> Result<Vec<usize>, TaskId> {
+    tasks
+        .iter()
+        .map(initial_processors)
+        .collect::<Option<Vec<usize>>>()
+        .ok_or_else(|| {
+            tasks
+                .by_decreasing_priority()
+                .into_iter()
+                .find(|&i| initial_processors(tasks.task(i)).is_none())
+                .expect("some task has no initial size")
+        })
 }
 
 /// Why Algorithm 1 declared a task set unschedulable.
@@ -147,7 +196,8 @@ impl PartitionOutcome {
 /// The Algorithm 1 loop behind the session entry points
 /// (`partition_with`, `partition_and_analyze`): the analysis memo tables and buffers in
 /// `scratch` are reused across every partition-analyse round (and across
-/// methods when the caller shares one scratch).
+/// methods when the caller shares one scratch). Each round asks the
+/// analyzer only for its [`first_failure`](SchedAnalyzer::first_failure).
 pub(crate) fn algorithm1_impl(
     tasks: &TaskSet,
     platform: &Platform,
@@ -156,7 +206,15 @@ pub(crate) fn algorithm1_impl(
     scratch: &mut EvalScratch,
 ) -> PartitionOutcome {
     let m = platform.processor_count();
-    let mut sizes: Vec<usize> = tasks.iter().map(initial_processors).collect();
+    let mut sizes = match initial_sizes(tasks) {
+        Ok(sizes) => sizes,
+        Err(task) => {
+            return PartitionOutcome::Unschedulable {
+                reason: UnschedulableReason::TaskUnschedulable { task },
+                rounds: 0,
+            }
+        }
+    };
     let demanded: usize = sizes.iter().sum();
     if demanded > m {
         return PartitionOutcome::Unschedulable {
@@ -190,20 +248,15 @@ pub(crate) fn algorithm1_impl(
                 .expect("layout is valid by construction")
         };
 
-        let report = analyzer.analyze_with_scratch(tasks, &partition, scratch);
-        let failing = tasks
-            .by_decreasing_priority()
-            .into_iter()
-            .find(|&i| !report.bound(i).schedulable);
-        match failing {
-            None => {
+        match analyzer.first_failure(tasks, &partition, scratch) {
+            Ok(report) => {
                 return PartitionOutcome::Schedulable {
                     partition,
                     report,
                     rounds,
                 }
             }
-            Some(task) => {
+            Err(task) => {
                 let assigned: usize = sizes.iter().sum();
                 if assigned < m {
                     // Top up the failing task; the resource assignment is

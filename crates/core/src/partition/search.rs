@@ -40,10 +40,12 @@
 
 use std::collections::BTreeMap;
 
-use dpcp_model::{initial_processors, Partition, Platform, ProcessorId, ResourceId, TaskSet};
+use dpcp_model::{Partition, Platform, ProcessorId, ResourceId, TaskSet};
 
 use crate::analysis::{infeasible_under_every_placement, SchedulabilityReport};
-use crate::partition::{assign_resources, layout_clusters, PartitionOutcome, ResourceHeuristic};
+use crate::partition::{
+    assign_resources, initial_sizes, layout_clusters, PartitionOutcome, ResourceHeuristic,
+};
 use crate::registry::ProtocolAnalysis;
 use crate::session::AnalysisSession;
 
@@ -326,7 +328,10 @@ impl PlacementSearch {
             return seeded;
         }
         let m = platform.processor_count();
-        let sizes: Vec<usize> = tasks.iter().map(initial_processors).collect();
+        let Ok(sizes) = initial_sizes(tasks) else {
+            // A task with `L*_i ≥ D_i` fits no cluster of the move space.
+            return seeded;
+        };
         if sizes.iter().sum::<usize>() > m || self.cfg.probe_budget == 0 {
             // Not even the initial federated assignment fits (no local
             // move can repair an over-demanded platform), or search is

@@ -34,13 +34,13 @@
 //! # Ok::<(), dpcp_model::ModelError>(())
 //! ```
 
-use dpcp_model::{Partition, Platform, TaskSet};
+use dpcp_model::{Partition, Platform, TaskId, TaskSet};
 
 use crate::analysis::{
-    analyze_impl, AnalysisConfig, AnalysisVariant, EvalScratch, SchedulabilityReport,
-    SignatureCache,
+    analyze_impl, first_failure_impl, AnalysisConfig, AnalysisVariant, EvalScratch,
+    SchedulabilityReport, SignatureCache,
 };
-use crate::partition::mixed::{algorithm1_mixed_impl, analyze_mixed_impl};
+use crate::partition::mixed::algorithm1_mixed_impl;
 use crate::partition::{algorithm1_impl, PartitionOutcome, ResourceHeuristic, SchedAnalyzer};
 use crate::registry::ProtocolAnalysis;
 
@@ -68,9 +68,12 @@ impl EnumerationParams {
 /// The EP signature cache together with the key it was built for: the
 /// task set's structure and the enumeration parameters. Clones of a task
 /// set compare equal and correctly share the cache (signatures depend
-/// only on task structure, never on the partition). The EN variant never
-/// reads signatures and never touches this slot — an EP → EN → EP
-/// sequence on one session reuses the enumeration.
+/// only on task structure, never on the partition). The cache is lazy: it
+/// enumerates a task the first time an analysis reads its signatures, so
+/// a task Algorithm 1 decides without them (or never reaches) is never
+/// enumerated. The EN variant never reads signatures and never touches
+/// this slot — an EP → EN → EP sequence on one session reuses the
+/// enumeration.
 #[derive(Debug)]
 struct CachedSignatures {
     tasks: TaskSet,
@@ -150,11 +153,11 @@ impl AnalysisSession {
         out
     }
 
-    /// Rebuilds the EP signature cache when the task set or the
-    /// enumeration parameters changed since the last call. Only the EP
-    /// variant calls this; the identity clone it stores is paid once per
-    /// `(task set, enumeration params)` and amortized across partition
-    /// rounds, repeated analyses and protocol switches.
+    /// Replaces the EP signature cache with an empty lazy one when the
+    /// task set or the enumeration parameters changed since the last call.
+    /// Only the EP variant calls this; the identity clone it stores is paid
+    /// once per `(task set, enumeration params)` and amortized across
+    /// partition rounds, repeated analyses and protocol switches.
     fn ensure_ep_cache(&mut self, tasks: &TaskSet) {
         let params = EnumerationParams::of(&self.cfg);
         let stale = match &self.cache {
@@ -165,13 +168,13 @@ impl AnalysisSession {
             self.cache = Some(CachedSignatures {
                 tasks: tasks.clone(),
                 params,
-                cache: SignatureCache::new(tasks, &self.cfg),
+                cache: SignatureCache::lazy(tasks.len()),
             });
         }
     }
 
     /// Runs `f` with the signatures the current variant needs: the cached
-    /// EP enumeration, or a throwaway empty cache for EN (which never
+    /// EP enumeration, or a throwaway lazy cache for EN (which never
     /// reads signatures — the EP slot is left untouched).
     fn with_cache<T>(
         &mut self,
@@ -185,8 +188,8 @@ impl AnalysisSession {
                 f(&self.cfg, &cached.cache, &mut self.scratch)
             }
             AnalysisVariant::EnumerateRequestCounts => {
-                let empty = SignatureCache::empty(tasks.len());
-                f(&self.cfg, &empty, &mut self.scratch)
+                let unread = SignatureCache::lazy(tasks.len());
+                f(&self.cfg, &unread, &mut self.scratch)
             }
         }
     }
@@ -194,9 +197,12 @@ impl AnalysisSession {
     /// Analyses a `(task set, partition)` pair: every task's WCRT bound
     /// under Theorem 1 (EP) or the request-count bound (EN), in
     /// decreasing priority order.
+    ///
+    /// This is the full-report reference: every task is analysed (and,
+    /// under EP, enumerated), whatever the first failure.
     pub fn analyze(&mut self, tasks: &TaskSet, partition: &Partition) -> SchedulabilityReport {
         self.with_cache(tasks, |cfg, cache, scratch| {
-            analyze_impl(tasks, partition, cfg, cache, scratch)
+            analyze_impl(tasks, partition, cfg, cache, scratch, false)
         })
     }
 
@@ -210,7 +216,7 @@ impl AnalysisSession {
         partition: &Partition,
         cache: &SignatureCache,
     ) -> SchedulabilityReport {
-        analyze_impl(tasks, partition, &self.cfg, cache, &mut self.scratch)
+        analyze_impl(tasks, partition, &self.cfg, cache, &mut self.scratch, false)
     }
 
     /// Analyses a mixed heavy/light partition (Sec. VI): Theorem 1 for
@@ -221,18 +227,20 @@ impl AnalysisSession {
         partition: &Partition,
     ) -> SchedulabilityReport {
         self.with_cache(tasks, |cfg, cache, scratch| {
-            analyze_mixed_impl(tasks, partition, cfg, cache, scratch)
+            analyze_impl(tasks, partition, cfg, cache, scratch, true)
         })
     }
 
     /// Algorithm 1 with the session's DPCP-p analysis: iterative
     /// partitioning with per-task processor top-up and
-    /// resource-assignment rollback.
+    /// resource-assignment rollback. Each round stops at its first
+    /// failing task, and under EP a task whose longest path already
+    /// misses its deadline fails before it is enumerated; the outcome is
+    /// exactly that of the same loop over [`analyze`](Self::analyze).
     ///
-    /// # Panics
-    ///
-    /// Panics if a heavy task has `L*_i ≥ D_i` (no processor count can
-    /// make it schedulable; the paper's generator enforces `L*_i < D_i/2`).
+    /// A heavy task with `L*_i ≥ D_i` fits no cluster size: the set is
+    /// unschedulable before any round, naming the highest-priority such
+    /// task.
     pub fn partition_and_analyze(
         &mut self,
         tasks: &TaskSet,
@@ -240,19 +248,20 @@ impl AnalysisSession {
         heuristic: ResourceHeuristic,
     ) -> PartitionOutcome {
         self.with_cache(tasks, |cfg, cache, scratch| {
-            let analyzer = SessionDpcp { cfg, cache };
+            let analyzer = SessionDpcp {
+                cfg,
+                cache,
+                mixed: false,
+            };
             algorithm1_impl(tasks, platform, heuristic, &analyzer, scratch)
         })
     }
 
     /// Algorithm 1 extended to mixed heavy/light task sets: heavy tasks
     /// keep exclusive federated clusters, light tasks are packed onto a
-    /// shared pool, and Algorithm 2 places resources over both.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a heavy task has `L*_i ≥ D_i` (same precondition as
-    /// [`partition_and_analyze`](Self::partition_and_analyze)).
+    /// shared pool, and Algorithm 2 places resources over both. Rounds
+    /// decide as in [`partition_and_analyze`](Self::partition_and_analyze),
+    /// with the longest-path proof for heavy tasks.
     pub fn partition_and_analyze_mixed(
         &mut self,
         tasks: &TaskSet,
@@ -260,7 +269,12 @@ impl AnalysisSession {
         heuristic: ResourceHeuristic,
     ) -> PartitionOutcome {
         self.with_cache(tasks, |cfg, cache, scratch| {
-            algorithm1_mixed_impl(tasks, platform, heuristic, cfg, cache, scratch)
+            let analyzer = SessionDpcp {
+                cfg,
+                cache,
+                mixed: true,
+            };
+            algorithm1_mixed_impl(tasks, platform, heuristic, &analyzer, scratch)
         })
     }
 
@@ -276,6 +290,19 @@ impl AnalysisSession {
         analyzer: &dyn SchedAnalyzer,
     ) -> PartitionOutcome {
         algorithm1_impl(tasks, platform, heuristic, analyzer, &mut self.scratch)
+    }
+
+    /// The mixed Algorithm 1 loop (Sec. VI, see
+    /// [`partition_and_analyze_mixed`](Self::partition_and_analyze_mixed))
+    /// over any [`SchedAnalyzer`], with the session's scratch.
+    pub fn partition_mixed_with(
+        &mut self,
+        tasks: &TaskSet,
+        platform: &Platform,
+        heuristic: ResourceHeuristic,
+        analyzer: &dyn SchedAnalyzer,
+    ) -> PartitionOutcome {
+        algorithm1_mixed_impl(tasks, platform, heuristic, analyzer, &mut self.scratch)
     }
 
     /// Dispatches one registry protocol over this session — sugar for
@@ -298,30 +325,31 @@ impl Default for AnalysisSession {
 }
 
 /// The session's DPCP-p analysis as a [`SchedAnalyzer`], borrowing the
-/// session's configuration and cache.
+/// session's configuration and cache; `mixed` selects the Sec. VI
+/// analysis (the sequential bound for light tasks).
 struct SessionDpcp<'a> {
     cfg: &'a AnalysisConfig,
     cache: &'a SignatureCache,
+    mixed: bool,
 }
 
 impl SchedAnalyzer for SessionDpcp<'_> {
-    fn analyze(&self, tasks: &TaskSet, partition: &Partition) -> SchedulabilityReport {
-        analyze_impl(
-            tasks,
-            partition,
-            self.cfg,
-            self.cache,
-            &mut EvalScratch::new(),
-        )
-    }
-
-    fn analyze_with_scratch(
+    fn analyze(
         &self,
         tasks: &TaskSet,
         partition: &Partition,
         scratch: &mut EvalScratch,
     ) -> SchedulabilityReport {
-        analyze_impl(tasks, partition, self.cfg, self.cache, scratch)
+        analyze_impl(tasks, partition, self.cfg, self.cache, scratch, self.mixed)
+    }
+
+    fn first_failure(
+        &self,
+        tasks: &TaskSet,
+        partition: &Partition,
+        scratch: &mut EvalScratch,
+    ) -> Result<SchedulabilityReport, TaskId> {
+        first_failure_impl(tasks, partition, self.cfg, self.cache, scratch, self.mixed)
     }
 }
 

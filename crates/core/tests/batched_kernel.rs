@@ -43,7 +43,10 @@ fn instance(
     let mut rng = StdRng::seed_from_u64(seed);
     let tasks = generate_mixed_task_set(&params, utilization, light_fraction, 6, &mut rng).ok()?;
     let platform = Platform::new(m).ok()?;
-    let sizes: Vec<usize> = tasks.iter().map(initial_processors).collect();
+    let sizes: Vec<usize> = tasks
+        .iter()
+        .map(initial_processors)
+        .collect::<Option<_>>()?;
     let layout = layout_clusters(&sizes, m)?;
     let homes = assign_resources(&tasks, &layout, ResourceHeuristic::WorstFitDecreasing)?;
     let partition = Partition::new(&tasks, &platform, layout, homes).ok()?;
@@ -204,7 +207,7 @@ fn group_collapse_never_changes_a_lane_result() {
                 truncated: false,
                 paths_visited: 0,
             };
-            let direct = wcrt_for_signature_direct(&ctx, i, sig, &cfg);
+            let direct = wcrt_for_signature_direct(&ctx, i, sig, &cfg).ok();
             let batched = wcrt_over_signatures_batched(&ctx, i, &alone, &cfg, &mut scratch);
             assert_eq!(batched, direct, "singleton lane diverged on task {i}");
             lanes += 1;

@@ -285,13 +285,6 @@ impl TaskSet {
         ids.sort_by_key(|&i| core::cmp::Reverse(self.task(i).priority()));
         ids
     }
-
-    /// The minimal processor demand of federated scheduling:
-    /// `Σ_i ⌈(C_i − L*_i) / (D_i − L*_i)⌉` over heavy tasks, counting light
-    /// tasks as 1 (used by feasibility pre-checks).
-    pub fn min_processor_demand(&self) -> usize {
-        self.inner.tasks.iter().map(initial_processors).sum()
-    }
 }
 
 impl<'a> IntoIterator for &'a TaskSet {
@@ -303,34 +296,27 @@ impl<'a> IntoIterator for &'a TaskSet {
 }
 
 /// The initial federated processor assignment of Algorithm 1 line 3:
-/// `m_i = ⌈(C_i − L*_i) / (D_i − L*_i)⌉`, clamped to at least 1.
+/// `m_i = ⌈(C_i − L*_i) / (D_i − L*_i)⌉`, clamped to at least 1 (light
+/// tasks get 1).
 ///
-/// # Panics
-///
-/// Panics if `D_i ≤ L*_i` for a heavy task — such a task cannot meet its
-/// deadline on any number of processors and should have been filtered by
-/// generation (the paper enforces `L*_i < D_i / 2`).
-pub fn initial_processors(task: &DagTask) -> usize {
+/// `None` for a heavy task with `L*_i ≥ D_i`: its longest path alone
+/// misses the deadline, so no number of processors can schedule it (the
+/// paper's generator enforces `L*_i < D_i / 2`).
+pub fn initial_processors(task: &DagTask) -> Option<usize> {
     if !task.is_heavy() {
-        return 1;
+        return Some(1);
     }
     let num = task.wcet().saturating_sub(task.longest_path_len()).as_ns();
     let den = task
         .deadline()
         .checked_sub(task.longest_path_len())
-        .unwrap_or_else(|| {
-            panic!(
-                "heavy task {} has L* {} ≥ deadline {}",
-                task.id(),
-                task.longest_path_len(),
-                task.deadline()
-            )
-        })
+        .filter(|slack| !slack.is_zero())?
         .as_ns();
-    assert!(den > 0, "heavy task with L* = D cannot be scheduled");
-    usize::try_from(num.div_ceil(den))
-        .unwrap_or(usize::MAX)
-        .max(1)
+    Some(
+        usize::try_from(num.div_ceil(den))
+            .unwrap_or(usize::MAX)
+            .max(1),
+    )
 }
 
 fn assign_priorities(tasks: &mut [DagTask], assignment: PriorityAssignment) {
@@ -487,11 +473,13 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(t2.longest_path_len(), Time::from_ms(60));
-        assert_eq!(initial_processors(&t2), 4); // ⌈(100−60)/(70−60)⌉
+        assert_eq!(initial_processors(&t2), Some(4)); // ⌈(100−60)/(70−60)⌉
+                                                      // The chain is heavy with L* = 100 > D = 70: no size fits it.
         assert!(t.is_heavy());
+        assert_eq!(initial_processors(&t), None);
         // Light task gets one processor.
         let light = task_using(0, 100, None);
-        assert_eq!(initial_processors(&light), 1);
+        assert_eq!(initial_processors(&light), Some(1));
     }
 
     #[test]

@@ -278,12 +278,13 @@ fn huge_processor_count_is_a_400_and_the_process_survives() {
 }
 
 #[test]
-fn analysis_panic_is_a_500_counted_in_metrics_and_the_worker_survives() {
+fn hopeless_heavy_task_is_an_unschedulable_verdict_and_the_worker_survives() {
+    use dpcp_core::UnschedulableReason;
     use dpcp_model::{Dag, DagTask, TaskId, TaskSet, Time, VertexSpec};
 
     // A well-formed heavy task (C = 20 ms > D = 15 ms) whose longest path
-    // alone exceeds its deadline: no cluster size can fit it, and
-    // partitioning panics on it.
+    // alone exceeds its deadline: no cluster size can fit it, so every
+    // protocol rejects the set before any partitioning round, naming it.
     let hopeless = DagTask::builder(TaskId::new(0), Time::from_ms(20))
         .deadline(Time::from_ms(15))
         .dag(Dag::chain(2).expect("chain"))
@@ -291,31 +292,42 @@ fn analysis_panic_is_a_500_counted_in_metrics_and_the_worker_survives() {
         .vertex(VertexSpec::new(Time::from_ms(10)))
         .build()
         .expect("valid task");
-    let request = AnalysisRequest {
-        tasks: TaskSet::new(vec![hopeless], 0).expect("valid set"),
-        ..fig1_request("DPCP-p-EP")
-    };
+    let tasks = TaskSet::new(vec![hopeless], 0).expect("valid set");
 
     let server = one_worker_server();
     let addr = server.local_addr().to_string();
-    let (status, _, body) = post_analyze(&addr, &request);
-    let body = String::from_utf8(body).expect("utf-8");
-    assert_eq!(status, 500, "{body}");
-    assert!(body.contains("analysis panicked"), "{body}");
-    // The worker answers on: a valid submission, and the metrics count
-    // the one panic.
+    for protocol in dpcp_baselines::standard_registry().names() {
+        let request = AnalysisRequest {
+            tasks: tasks.clone(),
+            ..fig1_request(protocol)
+        };
+        let (status, _, body) = post_analyze(&addr, &request);
+        let body = String::from_utf8(body).expect("utf-8");
+        assert_eq!(status, 200, "{protocol}: {body}");
+        let verdict: AnalysisVerdict = serde_json::from_str(&body).expect("verdict JSON");
+        assert!(!verdict.schedulable, "{protocol}");
+        assert_eq!(verdict.rounds, 0, "{protocol}");
+        assert_eq!(
+            verdict.reason,
+            Some(UnschedulableReason::TaskUnschedulable {
+                task: TaskId::new(0)
+            }),
+            "{protocol}"
+        );
+    }
+    // The worker answers on, and nothing panicked.
     let (status, _, _) = post_analyze(&addr, &fig1_request("DPCP-p-EP"));
     assert_eq!(status, 200);
     let (status, _, body) = roundtrip(&addr, "GET", "/metrics", b"").expect("roundtrip");
     assert_eq!(status, 200);
     let metrics: serde::Value =
         serde_json::from_str(std::str::from_utf8(&body).expect("utf-8")).expect("metrics JSON");
-    assert_eq!(metrics.field("panics"), &serde::Value::U64(1));
+    assert_eq!(metrics.field("panics"), &serde::Value::U64(0));
     assert_eq!(
         metrics.field("analyze").field("errors"),
-        &serde::Value::U64(1)
+        &serde::Value::U64(0)
     );
-    assert_eq!(server.metrics.snapshot(server.cache.stats()).panics, 1);
+    assert_eq!(server.metrics.snapshot(server.cache.stats()).panics, 0);
     server.shutdown();
 }
 

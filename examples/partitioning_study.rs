@@ -23,7 +23,7 @@ fn main() {
     println!("== Generated task set (Fig. 2(a) parameters, U = 6) ==");
     for t in tasks.iter() {
         println!(
-            "  {}: U = {:.2}, |V| = {:>3}, L*/D = {:.2}, initial m_i = {}",
+            "  {}: U = {:.2}, |V| = {:>3}, L*/D = {:.2}, initial m_i = {:?}",
             t.id(),
             t.utilization(),
             t.dag().vertex_count(),
@@ -40,8 +40,8 @@ fn main() {
     );
 
     println!("\n== Algorithm 2 placements under each heuristic ==");
-    let sizes: Vec<usize> = tasks.iter().map(initial_processors).collect();
-    if let Some(layout) = layout_clusters(&sizes, scenario.m) {
+    let sizes: Option<Vec<usize>> = tasks.iter().map(initial_processors).collect();
+    if let Some(layout) = sizes.and_then(|sizes| layout_clusters(&sizes, scenario.m)) {
         for h in [
             ResourceHeuristic::WorstFitDecreasing,
             ResourceHeuristic::FirstFitDecreasing,

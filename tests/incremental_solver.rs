@@ -43,7 +43,13 @@ fn sweep_scenario() -> Scenario {
 /// local-execution placement (SPIN-SON / LPP / FED-FP).
 fn method_partitions(tasks: &TaskSet, platform: &Platform) -> Vec<Partition> {
     let m = platform.processor_count();
-    let sizes: Vec<usize> = tasks.iter().map(initial_processors).collect();
+    let Some(sizes) = tasks
+        .iter()
+        .map(initial_processors)
+        .collect::<Option<Vec<_>>>()
+    else {
+        return Vec::new();
+    };
     if sizes.iter().sum::<usize>() > m {
         return Vec::new();
     }

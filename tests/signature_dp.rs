@@ -78,7 +78,13 @@ fn unpruned_default_cfg() -> AnalysisConfig {
 /// The WFD-resource-home and local-execution placements for one task set.
 fn method_partitions(tasks: &TaskSet, platform: &Platform) -> Vec<Partition> {
     let m = platform.processor_count();
-    let sizes: Vec<usize> = tasks.iter().map(initial_processors).collect();
+    let Some(sizes) = tasks
+        .iter()
+        .map(initial_processors)
+        .collect::<Option<Vec<_>>>()
+    else {
+        return Vec::new();
+    };
     if sizes.iter().sum::<usize>() > m {
         return Vec::new();
     }
