@@ -274,15 +274,18 @@ pub fn components(c: &mut Criterion) {
         b.iter(|| black_box(SignatureCache::new(&tasks, &cfg)))
     });
     // placement/*: the search engine's cost model. `probe_warm` is one
-    // re-analysis of a perturbed candidate against a resident session —
-    // the marginal cost of a search probe (signatures depend only on the
-    // task set, so the cache stays hot across placements). `search_seeded`
-    // is the full wrapper run on a seed-schedulable set (the common
-    // campaign-cell path: one inner evaluation, zero probes).
+    // re-analysis of a perturbed candidate over signatures enumerated up
+    // front — the marginal cost of a search probe the session's task-bound
+    // memo cannot serve (caller-provided signatures carry no memo, so
+    // alternating two placements never turns into timing hits).
+    // `search_seeded` is the full wrapper run on a seed-schedulable set
+    // (the common campaign-cell path: one inner evaluation, zero probes).
     // `search_probing` is the budgeted annealing loop on a contended
     // sample where every bin-packing seed fails and the placement-free
     // bound proves nothing, and `search_screened` the same wrapper run on
-    // a sample the bound screens (seeds, then zero probes).
+    // a sample the bound screens (seeds, then zero probes). Each search
+    // iteration gets a fresh session, as each campaign sample does: a
+    // reused one would replay a deterministic trajectory from its memo.
     let probe_layout = layout_clusters(&sizes, 16).expect("initial sizes fit");
     let homes_wfd = assign_resources(&tasks, &probe_layout, ResourceHeuristic::WorstFitDecreasing)
         .expect("fits");
@@ -292,12 +295,11 @@ pub fn components(c: &mut Criterion) {
     let part_b = Partition::new(&tasks, &platform, probe_layout, homes_bfd).expect("valid");
     c.bench_function("placement/probe_warm", |b| {
         let mut session = AnalysisSession::new(AnalysisConfig::ep());
-        session.analyze(&tasks, &part_a);
         let mut flip = false;
         b.iter(|| {
             flip = !flip;
             let p = if flip { &part_a } else { &part_b };
-            black_box(session.analyze(&tasks, p))
+            black_box(session.analyze_with_signatures(&tasks, p, &cache))
         })
     });
     let seeded_tasks = panel_task_set(Fig2Panel::A, 4.0, 13);
@@ -314,12 +316,11 @@ pub fn components(c: &mut Criterion) {
     c.bench_function("placement/search_seeded", |b| {
         let engine = PlacementSearch::new(SearchConfig::default());
         let inner = DpcpProtocol::ep();
-        let mut session = AnalysisSession::new(AnalysisConfig::ep());
         b.iter(|| {
             black_box(
                 engine
                     .run(
-                        &mut session,
+                        &mut AnalysisSession::new(AnalysisConfig::ep()),
                         &inner,
                         &seeded_tasks,
                         &platform,
@@ -353,12 +354,11 @@ pub fn components(c: &mut Criterion) {
         c.bench_function(name, |b| {
             let engine = bench_search();
             let inner = DpcpProtocol::ep();
-            let mut session = AnalysisSession::new(AnalysisConfig::ep());
             b.iter(|| {
                 black_box(
                     engine
                         .run(
-                            &mut session,
+                            &mut AnalysisSession::new(AnalysisConfig::ep()),
                             &inner,
                             tasks,
                             &search.platform,

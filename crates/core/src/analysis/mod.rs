@@ -10,8 +10,58 @@
 //! Two variants mirror the paper's evaluation:
 //! [`AnalysisVariant::EnumeratePaths`] (`DPCP-p-EP`) and
 //! [`AnalysisVariant::EnumerateRequestCounts`] (`DPCP-p-EN`).
+//!
+//! # The per-set task-bound memo
+//!
+//! Algorithm 1's rounds and the placement search's seeds and probes
+//! re-analyse the same task set under many placements, and most of them
+//! leave a given task's inputs unchanged. The session's lazy
+//! [`SignatureCache`] therefore carries a memo of heavy tasks' EP
+//! [`TaskBound`]s, keyed by everything one task's analysis reads. A hit
+//! replaces both the longest-path witness and the batched kernel.
+//!
+//! **The read-set.** The task set and the enumeration parameters are
+//! fixed for the memo's lifetime (the session replaces the cache, memo
+//! included, when either changes). Beyond them, a heavy task `τ_i`'s EP
+//! bound reads only:
+//!
+//! - `max_fixpoint_iterations` (every orbit's budget) and `i` itself;
+//! - `m_i` ([`AnalysisContext::cluster_size`], the divisor of Theorem 1);
+//! - the co-location classes of the global resources: which globals share
+//!   a home processor. Every processor-indexed read reaches its processor
+//!   only through the resources homed there: `Φ(℘_k)` in Eq. 7
+//!   (`resources_on`), `Φ^℘(ℓ_q)` in β and in `W_{i,q}`'s intra term
+//!   (`co_located`), and the per-processor demand sums `cs_demand_on`
+//!   behind `ζ^k` (Eq. 5) and `γ` (Eq. 2), which `home_of` selects by
+//!   `ℓ_q`'s home. The ε rows of Eq. 4 and the demand-table rows are
+//!   keyed by processor id, but consistently within one analysis, so a
+//!   relabelling of processors maps every lookup and every row equality
+//!   of the lane interning onto itself. `resource_processors` only fixes
+//!   the order of saturating sums of non-negative terms, which commute;
+//! - for each class, whether its home lies in `τ_i`'s cluster: this
+//!   selects `Φ^℘(τ_i)` (`resources_on_cluster`, Eq. 9) and
+//!   `cluster_cs_demand` (Eq. 8);
+//! - `R_j` of every task (`response_bound`, through `η_j`), including
+//!   the deadlines still standing in for unanalysed tasks;
+//! - the ceilings (`ceiling_base`), fixed by the task set.
+//!
+//! Processor ids stay out of the key: the search's `MigrateProcessor`
+//! re-lays every cluster, so one placement recurs under new ids. The
+//! key holds the budget, `i`, `m_i`, one word per global resource in
+//! ascending id order (the lowest global resource on its home, and the
+//! in-cluster flag) and every `R_j`.
+//!
+//! **Never memoised:** light tasks of a mixed partition (their bound
+//! reads the shared processor and its sharers through `ctx.partition`),
+//! anything under EN, and analyses over caller-provided signatures
+//! ([`SignatureCache::new`] and [`SignatureCache::new_dfs`] carry no
+//! memo, which makes them the memo-free reference). The memo holds at
+//! most [`TASK_BOUND_MEMO_CAP`] bounds per set and stops storing when
+//! full; what it holds never changes a result, only how fast one comes.
+//! Debug builds recompute every hit and assert it equal.
 
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
+use std::collections::HashMap;
 
 use dpcp_model::{
     enumerate_signatures_capped, enumerate_signatures_dp_capped, DagTask, Partition, PathSignature,
@@ -189,10 +239,12 @@ impl SchedulabilityReport {
 /// [`new`](Self::new) enumerates every task up front. The session's own
 /// cache is lazy instead: it enumerates a task the first time an analysis
 /// needs that task's signatures, so a task that Algorithm 1 decides
-/// without them is never enumerated.
+/// without them is never enumerated. Only the lazy cache carries the
+/// task-bound memo (see the module docs).
 #[derive(Debug, Clone)]
 pub struct SignatureCache {
     per_task: Vec<OnceCell<PathSignatures>>,
+    memo: Option<RefCell<TaskBoundMemo>>,
 }
 
 impl SignatureCache {
@@ -204,15 +256,43 @@ impl SignatureCache {
             .iter()
             .map(|t| OnceCell::from(enumerate(t, cfg)))
             .collect();
-        SignatureCache { per_task }
+        SignatureCache {
+            per_task,
+            memo: None,
+        }
     }
 
     /// A cache that enumerates each task on first use, under the caps of
-    /// the configuration the first analysis passes in.
+    /// the configuration the first analysis passes in, with an empty
+    /// task-bound memo.
     pub(crate) fn lazy(task_count: usize) -> Self {
         SignatureCache {
             per_task: (0..task_count).map(|_| OnceCell::new()).collect(),
+            memo: Some(RefCell::default()),
         }
+    }
+
+    /// A cache for an analysis that reads no signatures (EN): nothing to
+    /// enumerate and no memo.
+    pub(crate) fn unread() -> Self {
+        SignatureCache {
+            per_task: Vec::new(),
+            memo: None,
+        }
+    }
+
+    /// The task-bound memo's counters: zeros for a cache without one,
+    /// which every cache built by [`new`](Self::new) and
+    /// [`new_dfs`](Self::new_dfs) is.
+    pub fn memo_counters(&self) -> MemoCounters {
+        self.memo.as_ref().map_or_else(MemoCounters::default, |m| {
+            let m = m.borrow();
+            MemoCounters {
+                hits: m.hits,
+                misses: m.misses,
+                entries: m.bounds.len(),
+            }
+        })
     }
 
     /// [`new`](Self::new) through the depth-first reference enumerator
@@ -230,7 +310,10 @@ impl SignatureCache {
                 ))
             })
             .collect();
-        SignatureCache { per_task }
+        SignatureCache {
+            per_task,
+            memo: None,
+        }
     }
 
     /// The signatures of one task.
@@ -265,6 +348,78 @@ fn enumerate(task: &DagTask, cfg: &AnalysisConfig) -> PathSignatures {
         cfg.path_visit_cap,
         cfg.prune_dominated,
     )
+}
+
+/// The most bounds one task set's memo holds; later misses are computed
+/// as usual and not stored.
+pub const TASK_BOUND_MEMO_CAP: usize = 4096;
+
+/// Read-only counters of the task-bound memo for the session's current
+/// task set (see the module docs). They depend only on the sequence of
+/// analyses run, never on timing.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct MemoCounters {
+    /// Heavy-task EP analyses served from the memo.
+    pub hits: u64,
+    /// Heavy-task EP analyses the memo could not serve.
+    pub misses: u64,
+    /// Bounds held, at most [`TASK_BOUND_MEMO_CAP`].
+    pub entries: usize,
+}
+
+/// Heavy tasks' EP bounds for one task set, keyed by everything one
+/// task's analysis reads (see the module docs). The keys derive from
+/// request bodies, so the map keeps the collision-resistant default
+/// hasher.
+#[derive(Debug, Clone, Default)]
+struct TaskBoundMemo {
+    bounds: HashMap<Box<[u64]>, TaskBound>,
+    /// The key of the last [`get`](Self::get), which
+    /// [`insert`](Self::insert) stores under.
+    key: Vec<u64>,
+    hits: u64,
+    misses: u64,
+}
+
+impl TaskBoundMemo {
+    /// The stored bound of `τ_i` under `ctx` at `cfg`'s budget, if any.
+    fn get(
+        &mut self,
+        ctx: &AnalysisContext<'_>,
+        i: TaskId,
+        cfg: &AnalysisConfig,
+    ) -> Option<TaskBound> {
+        let key = &mut self.key;
+        key.clear();
+        key.push(cfg.max_fixpoint_iterations as u64);
+        key.push(i.index() as u64);
+        key.push(ctx.cluster_size(i));
+        let cluster = ctx.partition.cluster(i);
+        key.extend(ctx.tasks.global_resources().map(|q| match ctx.home_of(q) {
+            // The co-location class is named by the lowest global resource
+            // on the home, so it does not depend on the processor's id.
+            Some(home) => {
+                let class = ctx.resources_on(home)[0].index() as u64;
+                (class << 1) | u64::from(cluster.contains(&home))
+            }
+            None => u64::MAX,
+        }));
+        key.extend(ctx.tasks.iter().map(|t| ctx.response_bound(t.id()).as_ns()));
+        let hit = self.bounds.get(key.as_slice()).cloned();
+        match hit {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        hit
+    }
+
+    /// Stores `bound` under the key of the last [`get`](Self::get), unless
+    /// the memo is full.
+    fn insert(&mut self, bound: TaskBound) {
+        if self.bounds.len() < TASK_BOUND_MEMO_CAP {
+            self.bounds.insert(self.key.as_slice().into(), bound);
+        }
+    }
 }
 
 /// The whole-task-set analysis behind `AnalysisSession::analyze` (and,
@@ -305,6 +460,11 @@ pub(crate) fn first_failure_impl(
 
 /// The priority-ordered loop behind [`analyze_impl`] and
 /// [`first_failure_impl`]; `decide` stops it at the first failing task.
+///
+/// Under EP a heavy task first asks the cache's task-bound memo, if it
+/// has one. A stored bound is the bound the analysis would compute, so
+/// an unschedulable one fails the task exactly as the witness or the
+/// full bound would.
 fn analyze_tasks(
     tasks: &TaskSet,
     partition: &Partition,
@@ -318,19 +478,38 @@ fn analyze_tasks(
     let mut bounds: Vec<Option<TaskBound>> = vec![None; tasks.len()];
     let mut all_ok = true;
     let mut any_truncated = false;
+    let ep = cfg.variant == AnalysisVariant::EnumeratePaths;
+    let memo = cache.memo.as_ref().filter(|_| ep);
     for i in tasks.by_decreasing_priority() {
         let light = mixed && !ctx.task(i).is_heavy();
-        // The longest-path proof saves the enumeration it avoids, so only
-        // a task not yet enumerated tries it.
-        if decide
-            && !light
-            && cfg.variant == AnalysisVariant::EnumeratePaths
-            && !cache.is_enumerated(i)
-            && longest_path_exceeds(&ctx, i, cfg)
-        {
-            return Err(i);
-        }
-        let bound = analyze_task_impl(&ctx, i, cfg, cache, scratch, light);
+        let memo = memo.filter(|_| !light);
+        let bound = match memo.and_then(|m| m.borrow_mut().get(&ctx, i, cfg)) {
+            Some(bound) => {
+                debug_assert_eq!(
+                    bound,
+                    analyze_task_impl(&ctx, i, cfg, cache, scratch, false),
+                    "memoised bound of {i}"
+                );
+                bound
+            }
+            None => {
+                // The longest-path proof saves the enumeration it avoids,
+                // so only a task not yet enumerated tries it.
+                if decide
+                    && !light
+                    && ep
+                    && !cache.is_enumerated(i)
+                    && longest_path_exceeds(&ctx, i, cfg)
+                {
+                    return Err(i);
+                }
+                let bound = analyze_task_impl(&ctx, i, cfg, cache, scratch, light);
+                if let Some(m) = memo {
+                    m.borrow_mut().insert(bound.clone());
+                }
+                bound
+            }
+        };
         if decide && !bound.schedulable {
             return Err(i);
         }
@@ -506,6 +685,74 @@ mod tests {
                 assert_eq!(shared.bound(i), &fresh, "variant {:?}", cfg.variant);
             }
         }
+    }
+
+    #[test]
+    fn the_memo_key_ignores_processor_ids_but_not_whether_a_home_is_in_the_cluster() {
+        // fig1 homes ℓ1 on ℘1, inside τ_j's cluster {℘0, ℘1}. ℘0 is the
+        // same placement under another id, so every task hits; ℘2 lies in
+        // τ_i's cluster instead, which only the in-cluster flag tells.
+        use dpcp_model::ProcessorId;
+        let (platform, partition, tasks) = fig1::platform_and_partition().unwrap();
+        let cfg = AnalysisConfig::ep();
+        let homed_on = |p: usize| {
+            let homes = [(fig1::GLOBAL_RESOURCE, ProcessorId::new(p))];
+            Partition::new(
+                &tasks,
+                &platform,
+                partition.clusters().to_vec(),
+                homes.into_iter().collect(),
+            )
+            .unwrap()
+        };
+        let cache = SignatureCache::lazy(tasks.len());
+        let reference = SignatureCache::new(&tasks, &cfg);
+        let mut scratch = EvalScratch::new();
+        let n = tasks.len() as u64;
+        for (home, hits) in [(1, 0), (0, n), (2, n)] {
+            let placed = homed_on(home);
+            let report = analyze_impl(&tasks, &placed, &cfg, &cache, &mut scratch, false);
+            let memo_free = analyze_impl(&tasks, &placed, &cfg, &reference, &mut scratch, false);
+            assert_eq!(report, memo_free, "ℓ1 on ℘{home}");
+            assert_eq!(cache.memo_counters().hits, hits, "ℓ1 on ℘{home}");
+        }
+    }
+
+    #[test]
+    fn the_memo_stops_storing_at_its_cap() {
+        let (_, partition, tasks) = fig1::platform_and_partition().unwrap();
+        let cfg = AnalysisConfig::ep();
+        let mut ctx = AnalysisContext::new(&tasks, &partition);
+        let (other, analysed) = (TaskId::new(0), TaskId::new(1));
+        let bound = analyze_task_impl(
+            &ctx,
+            analysed,
+            &cfg,
+            &SignatureCache::new(&tasks, &cfg),
+            &mut EvalScratch::new(),
+            false,
+        );
+        let cache = SignatureCache::lazy(tasks.len());
+        let memo = cache.memo.as_ref().expect("a lazy cache has a memo");
+        let past_cap = TASK_BOUND_MEMO_CAP as u64 + 100;
+        // Each `R_j` of the other task is a distinct input of the analysis.
+        for r in 1..=past_cap {
+            ctx.set_response_bound(other, Time::from_ns(r));
+            assert_eq!(memo.borrow_mut().get(&ctx, analysed, &cfg), None);
+            memo.borrow_mut().insert(bound.clone());
+        }
+        let full = MemoCounters {
+            hits: 0,
+            misses: past_cap,
+            entries: TASK_BOUND_MEMO_CAP,
+        };
+        assert_eq!(cache.memo_counters(), full);
+        // The first inputs stay stored; the ones past the cap never were.
+        ctx.set_response_bound(other, Time::from_ns(1));
+        assert_eq!(memo.borrow_mut().get(&ctx, analysed, &cfg), Some(bound));
+        ctx.set_response_bound(other, Time::from_ns(past_cap));
+        assert_eq!(memo.borrow_mut().get(&ctx, analysed, &cfg), None);
+        assert_eq!(cache.memo_counters().entries, TASK_BOUND_MEMO_CAP);
     }
 
     #[test]

@@ -80,6 +80,20 @@ pub struct AnalysisRequest {
 /// requests, no `schema` member) and v2 (reader-writer access modes).
 pub const SUPPORTED_SCHEMA_VERSIONS: [u32; 2] = [1, 2];
 
+/// The ceiling `dpcp-serve` puts on each analysis knob of a request, by
+/// its `config` member. Each knob scales the work of one request, and
+/// without a ceiling one body could pin a worker for days (the probe
+/// loop runs up to 2 × `search_probe_budget` steps). The probe budget
+/// multiplies the cost the other three allow per probe, so its ceiling
+/// is the lowest: with every knob at its ceiling, SEARCH answered each of
+/// 32 fig2 panel-A/B bodies in at most 3.3 s on one core.
+pub const KNOB_CEILINGS: [(&str, u64); 4] = [
+    ("search_probe_budget", 1_024),
+    ("max_fixpoint_iterations", 4_096),
+    ("path_signature_cap", 65_536),
+    ("path_visit_cap", 20_000_000),
+];
+
 impl AnalysisRequest {
     /// The declared wire-schema version (absent ⇒ 1).
     pub fn schema_version(&self) -> u32 {
@@ -107,6 +121,32 @@ impl AnalysisRequest {
                 supported.join(", ")
             ))
         }
+    }
+
+    /// Checks the analysis knobs against [`KNOB_CEILINGS`]. Only the
+    /// server holds requests to them; library callers and manifests are
+    /// free to go beyond.
+    ///
+    /// # Errors
+    ///
+    /// Names the first knob above its ceiling, and the ceiling
+    /// (`dpcp-serve` surfaces it as a 422).
+    pub fn check_limits(&self) -> Result<(), String> {
+        let c = &self.config;
+        let values = [
+            c.search_probe_budget.map_or(0, |b| b as u64),
+            c.max_fixpoint_iterations as u64,
+            c.path_signature_cap as u64,
+            c.path_visit_cap,
+        ];
+        for ((knob, ceiling), value) in KNOB_CEILINGS.into_iter().zip(values) {
+            if value > ceiling {
+                return Err(format!(
+                    "config.{knob} {value} exceeds its ceiling of {ceiling}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The canonical structural key of this request.
@@ -769,6 +809,33 @@ mod tests {
         assert!(err.contains("unsupported schema version 7"), "{err}");
         assert!(err.contains("1, 2"), "{err}");
         assert_eq!(req.structural_key(), base_key);
+    }
+
+    #[test]
+    fn knobs_above_their_ceilings_are_named() {
+        let mut req = request(set(vec![diamond(0, 10, [0, 1, 2, 3]).unwrap()]));
+        assert_eq!(req.check_limits(), Ok(()));
+        req.config = AnalysisConfig {
+            search_probe_budget: Some(1_024),
+            max_fixpoint_iterations: 4_096,
+            path_signature_cap: 65_536,
+            path_visit_cap: 20_000_000,
+            ..AnalysisConfig::ep()
+        };
+        assert_eq!(req.check_limits(), Ok(()), "the ceilings themselves pass");
+        let over = |f: fn(&mut AnalysisConfig)| {
+            let mut r = req.clone();
+            f(&mut r.config);
+            r.check_limits().unwrap_err()
+        };
+        let err = over(|c| c.search_probe_budget = Some(1_000_000_000));
+        assert_eq!(
+            err,
+            "config.search_probe_budget 1000000000 exceeds its ceiling of 1024"
+        );
+        assert!(over(|c| c.max_fixpoint_iterations = 4_097).contains("max_fixpoint_iterations"));
+        assert!(over(|c| c.path_signature_cap = 65_537).contains("path_signature_cap"));
+        assert!(over(|c| c.path_visit_cap = 20_000_001).contains("path_visit_cap"));
     }
 
     #[test]

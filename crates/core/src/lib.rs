@@ -55,7 +55,9 @@ pub mod session;
 pub use analysis::{
     AnalysisConfig, AnalysisVariant, DelayBreakdown, SchedulabilityReport, TaskBound,
 };
-pub use dto::{structural_key, AnalysisRequest, AnalysisVerdict, SUPPORTED_SCHEMA_VERSIONS};
+pub use dto::{
+    structural_key, AnalysisRequest, AnalysisVerdict, KNOB_CEILINGS, SUPPORTED_SCHEMA_VERSIONS,
+};
 pub use partition::{
     PartitionOutcome, PlacementSearch, ResourceHeuristic, SchedAnalyzer, SearchConfig, SearchMove,
     SearchOutcome, UnschedulableReason,

@@ -15,6 +15,17 @@
 //! buffers stay allocated across calls, task sets and even protocols
 //! (every per-task entry point resets the task-scoped state itself).
 //!
+//! The EP cache also carries the per-set task-bound memo
+//! ([`analysis`](crate::analysis#the-per-set-task-bound-memo) states its
+//! key and why the key is exact). Beside the task set and the enumeration
+//! parameters, which the cache is keyed by, a heavy task's EP bound reads
+//! only the fixed-point budget, its cluster size, which global resources
+//! share a home and whether that home is in its cluster, and every
+//! `R_j`; the memo key holds exactly these. The memo lives and dies with
+//! the cache: a new task set or new enumeration parameters start an empty
+//! one, a budget change keeps it (the budget is in the key), and EN never
+//! reads it. [`AnalysisSession::memo_counters`] reads its counters.
+//!
 //! # Examples
 //!
 //! ```
@@ -37,7 +48,7 @@
 use dpcp_model::{Partition, Platform, TaskId, TaskSet};
 
 use crate::analysis::{
-    analyze_impl, first_failure_impl, AnalysisConfig, AnalysisVariant, EvalScratch,
+    analyze_impl, first_failure_impl, AnalysisConfig, AnalysisVariant, EvalScratch, MemoCounters,
     SchedulabilityReport, SignatureCache,
 };
 use crate::partition::mixed::algorithm1_mixed_impl;
@@ -73,7 +84,8 @@ impl EnumerationParams {
 /// a task Algorithm 1 decides without them (or never reaches) is never
 /// enumerated. The EN variant never reads signatures and never touches
 /// this slot — an EP → EN → EP sequence on one session reuses the
-/// enumeration.
+/// enumeration. The cache owns the task-bound memo, so replacing the
+/// slot empties the memo too.
 #[derive(Debug)]
 struct CachedSignatures {
     tasks: TaskSet,
@@ -153,8 +165,9 @@ impl AnalysisSession {
         out
     }
 
-    /// Replaces the EP signature cache with an empty lazy one when the
-    /// task set or the enumeration parameters changed since the last call.
+    /// Replaces the EP signature cache (and with it the task-bound memo)
+    /// with an empty lazy one when the task set or the enumeration
+    /// parameters changed since the last call.
     /// Only the EP variant calls this; the identity clone it stores is paid
     /// once per `(task set, enumeration params)` and amortized across
     /// partition rounds, repeated analyses and protocol switches.
@@ -174,8 +187,9 @@ impl AnalysisSession {
     }
 
     /// Runs `f` with the signatures the current variant needs: the cached
-    /// EP enumeration, or a throwaway lazy cache for EN (which never
-    /// reads signatures — the EP slot is left untouched).
+    /// EP enumeration and its memo, or for EN (which never reads
+    /// signatures) an empty cache without a memo — the EP slot is left
+    /// untouched.
     fn with_cache<T>(
         &mut self,
         tasks: &TaskSet,
@@ -188,8 +202,7 @@ impl AnalysisSession {
                 f(&self.cfg, &cached.cache, &mut self.scratch)
             }
             AnalysisVariant::EnumerateRequestCounts => {
-                let unread = SignatureCache::lazy(tasks.len());
-                f(&self.cfg, &unread, &mut self.scratch)
+                f(&self.cfg, &SignatureCache::unread(), &mut self.scratch)
             }
         }
     }
@@ -198,8 +211,11 @@ impl AnalysisSession {
     /// under Theorem 1 (EP) or the request-count bound (EN), in
     /// decreasing priority order.
     ///
-    /// This is the full-report reference: every task is analysed (and,
-    /// under EP, enumerated), whatever the first failure.
+    /// Every task is analysed, whatever the first failure, but under EP
+    /// a heavy task whose inputs the session has already seen for this
+    /// set is served from the task-bound memo. The memo-free reference is
+    /// [`analyze_with_signatures`](Self::analyze_with_signatures) over an
+    /// eager [`SignatureCache::new`].
     pub fn analyze(&mut self, tasks: &TaskSet, partition: &Partition) -> SchedulabilityReport {
         self.with_cache(tasks, |cfg, cache, scratch| {
             analyze_impl(tasks, partition, cfg, cache, scratch, false)
@@ -209,7 +225,9 @@ impl AnalysisSession {
     /// [`analyze`](Self::analyze) over caller-provided signatures —
     /// for reference enumerators (e.g. the depth-first
     /// [`SignatureCache::new_dfs`]) and equivalence tests; the session's
-    /// own cache is left untouched.
+    /// own cache is left untouched. Caller-built caches carry no
+    /// task-bound memo, so this is the memo-free full-report reference:
+    /// every task is analysed (and, under EP, solved) from scratch.
     pub fn analyze_with_signatures(
         &mut self,
         tasks: &TaskSet,
@@ -229,6 +247,19 @@ impl AnalysisSession {
         self.with_cache(tasks, |cfg, cache, scratch| {
             analyze_impl(tasks, partition, cfg, cache, scratch, true)
         })
+    }
+
+    /// [`analyze_mixed`](Self::analyze_mixed) over caller-provided
+    /// signatures: the memo-free reference for mixed partitions, as
+    /// [`analyze_with_signatures`](Self::analyze_with_signatures) is for
+    /// the classic ones.
+    pub fn analyze_mixed_with_signatures(
+        &mut self,
+        tasks: &TaskSet,
+        partition: &Partition,
+        cache: &SignatureCache,
+    ) -> SchedulabilityReport {
+        analyze_impl(tasks, partition, &self.cfg, cache, &mut self.scratch, true)
     }
 
     /// Algorithm 1 with the session's DPCP-p analysis: iterative
@@ -303,6 +334,15 @@ impl AnalysisSession {
         analyzer: &dyn SchedAnalyzer,
     ) -> PartitionOutcome {
         algorithm1_mixed_impl(tasks, platform, heuristic, analyzer, &mut self.scratch)
+    }
+
+    /// The task-bound memo's counters for the session's current EP task
+    /// set: hits, misses and stored bounds. Zeros before the first EP
+    /// analysis; a new task set or new enumeration parameters reset them.
+    pub fn memo_counters(&self) -> MemoCounters {
+        self.cache
+            .as_ref()
+            .map_or_else(MemoCounters::default, |c| c.cache.memo_counters())
     }
 
     /// Dispatches one registry protocol over this session — sugar for

@@ -14,9 +14,11 @@
 //!   of range, a request on an undeclared resource, fewer than 2
 //!   processors), is `400` naming the problem; an unknown protocol name,
 //!   an unsupported `schema` version (the response lists the supported
-//!   ones) or a reader-writer task set routed to a write-only protocol is
-//!   `422`. A dispatch that panics is `500` naming the panic; the worker
-//!   replaces its session and keeps serving.
+//!   ones), an analysis knob above its ceiling
+//!   ([`KNOB_CEILINGS`](dpcp_core::KNOB_CEILINGS); the response names the
+//!   knob and the ceiling) or a reader-writer task set routed to a
+//!   write-only protocol is `422`. A dispatch that panics is `500` naming
+//!   the panic; the worker replaces its session and keeps serving.
 //! - `GET /metrics` — cache counters, per-endpoint p50/p99 latency,
 //!   verdicts/sec and the count of panicked dispatches as JSON.
 //! - `GET /healthz` — liveness.
@@ -377,9 +379,13 @@ fn analyze(
         }
     };
 
-    // Schema gate before any structural work: an unknown wire version
-    // must never be hashed into the cache or dispatched.
-    if let Err(e) = analysis.check_schema() {
+    // Schema and knob gates before any structural work: an unknown wire
+    // version or a knob above its ceiling must never be hashed into the
+    // cache or dispatched.
+    if let Err(e) = analysis
+        .check_schema()
+        .and_then(|_| analysis.check_limits())
+    {
         return Reply::error(422, "Unprocessable Entity", &e);
     }
 

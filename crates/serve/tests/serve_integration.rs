@@ -363,6 +363,40 @@ fn unsupported_schema_version_is_a_422_listing_supported_ones() {
 }
 
 #[test]
+fn a_knob_above_its_ceiling_is_a_prompt_422_and_the_worker_survives() {
+    // A SEARCH body with a probe budget of 10^9 would pin the only worker
+    // for days; it is refused before any analysis, naming the knob.
+    let server = one_worker_server();
+    let addr = server.local_addr().to_string();
+    let mut request = fig1_request("DPCP-p-EP/SEARCH");
+    request.config.search_probe_budget = Some(1_000_000_000);
+    let sent = std::time::Instant::now();
+    let (status, _, body) = post_analyze(&addr, &request);
+    let body = String::from_utf8(body).expect("utf-8");
+    assert_eq!(status, 422, "{body}");
+    assert!(
+        body.contains("search_probe_budget") && body.contains("ceiling of 1024"),
+        "{body}"
+    );
+    assert!(
+        sent.elapsed() < std::time::Duration::from_secs(5),
+        "the refusal took {:?}",
+        sent.elapsed()
+    );
+    // The same worker analyses a body with every knob at its ceiling.
+    request.config = AnalysisConfig {
+        search_probe_budget: Some(1_024),
+        max_fixpoint_iterations: 4_096,
+        path_signature_cap: 65_536,
+        path_visit_cap: 20_000_000,
+        ..AnalysisConfig::ep()
+    };
+    let (status, _, body) = post_analyze(&addr, &request);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    server.shutdown();
+}
+
+#[test]
 fn rw_task_set_on_write_only_protocol_is_a_422_naming_it() {
     use dpcp_model::{DagTask, RequestSpec, ResourceId, TaskId, TaskSet, Time, VertexSpec};
 

@@ -4,9 +4,13 @@
 //! `partition_and_analyze_mixed`) stop every round at its first failing
 //! task, and under EP prove most failures from the longest path before
 //! enumerating anything. The reference here is a `SchedAnalyzer` whose
-//! `analyze` runs a second session's full `analyze` (or `analyze_mixed`)
+//! `analyze` runs a session's full `analyze_with_signatures` (or
+//! `analyze_mixed_with_signatures`) over signatures enumerated up front,
 //! and which keeps the trait's default `first_failure`: full report, then
-//! scan. Both drive the same loop, so every outcome must match exactly:
+//! scan. Caller-provided signatures carry no task-bound memo, so the
+//! reference solves every task from scratch, while the session under test
+//! reuses its memo across rounds, heuristics and budgets. Both drive the
+//! same loop, so every outcome must match exactly:
 //! `schedulable`, `rounds`, the rejecting reason and task, the accepted
 //! partition and every byte of each accepted report.
 //!
@@ -17,9 +21,7 @@
 //! truncates every task, under both DPCP-p variants, all three
 //! heuristics and fixed-point budgets {2, 3, 5, 512}.
 
-use std::cell::RefCell;
-
-use dpcp_p::core::analysis::{EvalScratch, SchedulabilityReport};
+use dpcp_p::core::analysis::{EvalScratch, SchedulabilityReport, SignatureCache};
 use dpcp_p::core::partition::{PartitionOutcome, ResourceHeuristic};
 use dpcp_p::core::{AnalysisConfig, AnalysisSession, AnalysisVerdict, SchedAnalyzer};
 use dpcp_p::gen::scenario::{Fig2Panel, Scenario};
@@ -36,25 +38,27 @@ const HEURISTICS: [ResourceHeuristic; 3] = [
     ResourceHeuristic::BestFitDecreasing,
 ];
 
-/// The full-report reference: a second session's `analyze` (or
-/// `analyze_mixed`) behind the trait's default `first_failure`.
-struct Reference {
-    session: RefCell<AnalysisSession>,
+/// The memo-free full-report reference: a session's full analysis over
+/// eagerly enumerated signatures, behind the trait's default
+/// `first_failure`.
+struct Reference<'a> {
+    cfg: AnalysisConfig,
+    signatures: &'a SignatureCache,
     mixed: bool,
 }
 
-impl SchedAnalyzer for Reference {
+impl SchedAnalyzer for Reference<'_> {
     fn analyze(
         &self,
         tasks: &TaskSet,
         partition: &Partition,
         _: &mut EvalScratch,
     ) -> SchedulabilityReport {
-        let mut session = self.session.borrow_mut();
+        let mut session = AnalysisSession::new(self.cfg.clone());
         if self.mixed {
-            session.analyze_mixed(tasks, partition)
+            session.analyze_mixed_with_signatures(tasks, partition, self.signatures)
         } else {
-            session.analyze(tasks, partition)
+            session.analyze_with_signatures(tasks, partition, self.signatures)
         }
     }
 }
@@ -88,13 +92,10 @@ fn verdict_bytes(outcome: &PartitionOutcome) -> String {
 /// every variant, budget and heuristic.
 fn compare(tasks: &TaskSet, platform: &Platform, base: &AnalysisConfig, label: &str) -> Tally {
     let mixed = tasks.iter().any(|t| !t.is_heavy());
+    let signatures = SignatureCache::new(tasks, base);
     let mut tally = Tally::default();
     for variant in [AnalysisConfig::ep(), AnalysisConfig::en()] {
         let mut decided = AnalysisSession::new(base.clone());
-        let reference = Reference {
-            session: RefCell::new(AnalysisSession::new(base.clone())),
-            mixed,
-        };
         let mut driver = AnalysisSession::new(base.clone());
         for budget in BUDGETS {
             let cfg = AnalysisConfig {
@@ -103,7 +104,11 @@ fn compare(tasks: &TaskSet, platform: &Platform, base: &AnalysisConfig, label: &
                 ..base.clone()
             };
             decided.set_config(cfg.clone());
-            reference.session.borrow_mut().set_config(cfg.clone());
+            let reference = Reference {
+                cfg: cfg.clone(),
+                signatures: &signatures,
+                mixed,
+            };
             for heuristic in HEURISTICS {
                 let got = if mixed {
                     decided.partition_and_analyze_mixed(tasks, platform, heuristic)
