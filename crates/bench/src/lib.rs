@@ -197,7 +197,8 @@ fn bench_search() -> PlacementSearch {
 /// (`analyze/task_set_*`), the signature cache, Algorithm 1 on a set it
 /// rejects (`partition/algorithm1_rejected`), the `placement/*`
 /// search-engine quartet, the two wire layers a cold `/analyze` crosses
-/// before any analysis (`json/parse_request`, `dto/structural_key`) and
+/// before any analysis (`json/parse_request`, with `json/parse_request_pretty`
+/// on a whitespace-heavy body, and `dto/structural_key`) and
 /// the `enumerate/*` triple (DFS reference, signature-domain DP,
 /// dominance-pruned DP).
 ///
@@ -210,8 +211,9 @@ fn bench_search() -> PlacementSearch {
 /// Panics when a fixture breaks its precondition: the
 /// `partition/algorithm1_rejected` set must be rejected by a task after at
 /// least two rounds, the `placement/search_seeded` set must be
-/// seed-schedulable, and the `placement/search_*` fixtures must spend the
-/// probe counts they are chosen for.
+/// seed-schedulable, the `placement/search_*` fixtures must spend the
+/// probe counts they are chosen for, and the pretty-parse fixture's
+/// compact body must lie in `serve-hot`'s 26–28 KiB band.
 pub fn components(c: &mut Criterion) {
     let tasks = panel_task_set(Fig2Panel::A, 8.0, 13);
     let platform = Platform::new(16).expect("16-core platform");
@@ -372,7 +374,10 @@ pub fn components(c: &mut Criterion) {
     // The wire layers of a cold request: parsing the fixture's body
     // (18 KiB) into an `AnalysisRequest`, and its structural key. Both
     // are linear in the body; the gate catches a quadratic string decode
-    // or a WL refinement that runs to its round cap again.
+    // or a WL refinement that runs to its round cap again. The pretty
+    // body is `serve-hot`'s re-encoded shape: a set whose compact body
+    // lies in that workload's 26–28 KiB band, pretty-printed, so most of
+    // its 113 KiB are whitespace the parser must skip.
     let request = AnalysisRequest {
         schema: None,
         protocol: "DPCP-p-EP".to_string(),
@@ -384,6 +389,20 @@ pub fn components(c: &mut Criterion) {
     let body = serde_json::to_string(&request).expect("requests serialize");
     c.bench_function("json/parse_request", |b| {
         b.iter(|| black_box(serde_json::from_str::<AnalysisRequest>(black_box(&body))))
+    });
+    let hot = AnalysisRequest {
+        tasks: panel_task_set(Fig2Panel::A, 8.0, 14),
+        ..request.clone()
+    };
+    let compact = serde_json::to_string(&hot).expect("requests serialize");
+    assert!(
+        (26 * 1024..=28 * 1024).contains(&compact.len()),
+        "the pretty-parse fixture's compact body is {} bytes, outside 26-28 KiB",
+        compact.len()
+    );
+    let pretty = serde_json::to_string_pretty(&hot).expect("requests serialize");
+    c.bench_function("json/parse_request_pretty", |b| {
+        b.iter(|| black_box(serde_json::from_str::<AnalysisRequest>(black_box(&pretty))))
     });
     c.bench_function("dto/structural_key", |b| {
         b.iter(|| black_box(black_box(&request).structural_key()))

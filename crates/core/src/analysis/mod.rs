@@ -98,15 +98,6 @@ pub enum AnalysisVariant {
     EnumerateRequestCounts,
 }
 
-impl core::fmt::Display for AnalysisVariant {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            AnalysisVariant::EnumeratePaths => f.write_str("DPCP-p-EP"),
-            AnalysisVariant::EnumerateRequestCounts => f.write_str("DPCP-p-EN"),
-        }
-    }
-}
-
 /// Tuning knobs for the analysis.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AnalysisConfig {
@@ -645,15 +636,6 @@ mod tests {
         let ctx = AnalysisContext::new(&tasks, &partition);
         let pessimistic = analyze_task_impl(&ctx, lo, &cfg, &cache, &mut EvalScratch::new(), false);
         assert!(report.bound(lo).wcrt.unwrap() <= pessimistic.wcrt.unwrap());
-    }
-
-    #[test]
-    fn display_names_match_paper() {
-        assert_eq!(AnalysisVariant::EnumeratePaths.to_string(), "DPCP-p-EP");
-        assert_eq!(
-            AnalysisVariant::EnumerateRequestCounts.to_string(),
-            "DPCP-p-EN"
-        );
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use partition::{
     PartitionOutcome, PlacementSearch, ResourceHeuristic, SchedAnalyzer, SearchConfig, SearchMove,
     SearchOutcome, UnschedulableReason,
 };
-pub use protocol::{CeilingTable, LockDecision, ProcessorCeiling};
+pub use protocol::{CeilingTable, ProcessorCeiling};
 pub use registry::{
     dpcp_protocols, DpcpProtocol, ProtocolAnalysis, ProtocolRegistry, RegistryError, SearchVariant,
 };

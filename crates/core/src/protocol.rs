@@ -166,51 +166,6 @@ impl ProcessorCeiling {
     }
 }
 
-/// Outcome of applying the locking rules to a fresh request (what the
-/// runtime must do with the requesting vertex and the request itself).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum LockDecision {
-    /// Rule 2: local resource was free — the vertex holds it and becomes
-    /// ready in `RQ^L_i`.
-    LocalGranted,
-    /// Rule 1: local resource is held — the vertex suspends in `SQ_i`.
-    LocalBlocked,
-    /// Rule 3, granted: the vertex suspends in `SQ_i`; the agent request is
-    /// ready in `RQ^G_k`.
-    GlobalGranted,
-    /// Rule 3, refused by the ceiling test: the vertex suspends in `SQ_i`;
-    /// the request waits in `SQ^G_k`.
-    GlobalQueued,
-}
-
-/// Applies Rules 1–3 for a request to a **local** resource.
-#[inline]
-pub fn decide_local(locked_by_other_vertex: bool) -> LockDecision {
-    if locked_by_other_vertex {
-        LockDecision::LocalBlocked
-    } else {
-        LockDecision::LocalGranted
-    }
-}
-
-/// Applies Rule 3's ceiling test for a request to a **global** resource on
-/// a processor whose ceiling state is `pc`.
-///
-/// `resource_locked` is whether `ℓ_q` itself is already held; even when the
-/// ceiling test passes, a held resource cannot be re-granted.
-#[inline]
-pub fn decide_global(
-    pc: &ProcessorCeiling,
-    resource_locked: bool,
-    request: EffectivePriority,
-) -> LockDecision {
-    if !resource_locked && pc.admits(request) {
-        LockDecision::GlobalGranted
-    } else {
-        LockDecision::GlobalQueued
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,29 +240,6 @@ mod tests {
         // Equal priority is refused — strict exceedance required.
         assert!(!pc.admits(four));
         assert!(pc.admits(five));
-    }
-
-    #[test]
-    fn local_decisions() {
-        assert_eq!(decide_local(false), LockDecision::LocalGranted);
-        assert_eq!(decide_local(true), LockDecision::LocalBlocked);
-    }
-
-    #[test]
-    fn global_decision_respects_both_lock_and_ceiling() {
-        let mut pc = ProcessorCeiling::new();
-        let lo = effective_priority(Priority::new(1));
-        let hi = effective_priority(Priority::new(8));
-        // Free processor, free resource.
-        assert_eq!(decide_global(&pc, false, lo), LockDecision::GlobalGranted);
-        // Resource itself held: queued even though ceiling admits.
-        assert_eq!(decide_global(&pc, true, hi), LockDecision::GlobalQueued);
-        // Ceiling refuses a low-priority request.
-        pc.lock(hi);
-        assert_eq!(decide_global(&pc, false, lo), LockDecision::GlobalQueued);
-        // Ceiling admits a strictly higher request to another free resource.
-        let top = effective_priority(Priority::new(9));
-        assert_eq!(decide_global(&pc, false, top), LockDecision::GlobalGranted);
     }
 
     /// The scenario from Lemma 1's proof: once a request `<_{i,q}` is

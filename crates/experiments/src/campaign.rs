@@ -327,11 +327,18 @@ impl<H: Serialize, R: Serialize> Serialize for LineRecord<H, R> {
 }
 
 impl<H: Deserialize, R: Deserialize> Deserialize for LineRecord<H, R> {
-    fn deserialize(value: &Value) -> Result<Self, serde::Error> {
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut header, mut cell, mut failed) = (None, None, None);
+        r.object(|r, key| match key {
+            "header" => r.member(&mut header),
+            "cell" => r.member(&mut cell),
+            "failed" => r.member(&mut failed),
+            _ => r.skip(),
+        })?;
         Ok(LineRecord {
-            header: Deserialize::deserialize(value.field("header"))?,
-            cell: Deserialize::deserialize(value.field("cell"))?,
-            failed: Deserialize::deserialize(value.field("failed"))?,
+            header: serde::or_null(header)?,
+            cell: serde::or_null(cell)?,
+            failed: serde::or_null(failed)?,
         })
     }
 }

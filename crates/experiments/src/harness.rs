@@ -153,11 +153,12 @@ impl Serialize for Method {
 }
 
 impl Deserialize for Method {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let name = value
-            .as_str()
-            .ok_or_else(|| serde::Error::custom("expected a method name string"))?;
-        Method::from_name(name).ok_or_else(|| {
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        if r.peek()? != b'"' {
+            return Err(serde::Error::custom("expected a method name string"));
+        }
+        let name = r.str()?;
+        Method::from_name(&name).ok_or_else(|| {
             serde::Error::custom(format!(
                 "unknown method '{name}' (known methods: {})",
                 standard_registry().names().join(", ")

@@ -89,6 +89,14 @@ pub enum ModelError {
         /// The total critical-section demand of the vertex.
         critical: Time,
     },
+    /// A task's requests to one resource sum past `u32::MAX`, within one
+    /// vertex or across its vertices.
+    RequestCountOverflow {
+        /// The offending task.
+        task: TaskId,
+        /// The resource whose request count overflows.
+        resource: ResourceId,
+    },
     /// A task references a resource outside the task set's declared universe.
     ResourceOutOfRange {
         /// The offending task.
@@ -195,6 +203,11 @@ impl fmt::Display for ModelError {
             } => write!(
                 f,
                 "{task} {vertex} WCET {wcet} is below its critical-section demand {critical}"
+            ),
+            ModelError::RequestCountOverflow { task, resource } => write!(
+                f,
+                "{task} issues more than {} requests to {resource}",
+                u32::MAX
             ),
             ModelError::ResourceOutOfRange {
                 task,
@@ -304,6 +317,10 @@ mod tests {
                 vertex: VertexId::new(0),
                 wcet: Time::from_us(1),
                 critical: Time::from_us(2),
+            },
+            ModelError::RequestCountOverflow {
+                task: TaskId::new(0),
+                resource: ResourceId::new(1),
             },
             ModelError::ResourceOutOfRange {
                 task: TaskId::new(0),

@@ -46,23 +46,53 @@ pub struct Dag {
 }
 
 // Reads `vertex_count` and `succs` only and builds through `Dag::new`:
-// the derived members are serialized but recomputed on input, and the
-// edges are validated exactly as for a DAG built in code.
+// the derived members are serialized but skipped unread on input (their
+// syntax is still checked), and the edges are validated exactly as for a
+// DAG built in code. `vertex_count` sizes `Dag::new`'s tables, so it is
+// checked against the successor lists read before anything is allocated.
 impl Deserialize for Dag {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let vertex_count = usize::deserialize(value.field("vertex_count"))?;
-        let succs = Vec::<Vec<VertexId>>::deserialize(value.field("succs"))?;
-        if succs.len() != vertex_count {
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut vertex_count, mut succs) = (None, None);
+        r.object(|r, key| match key {
+            "vertex_count" => r.member(&mut vertex_count),
+            "succs" => r.member(&mut succs),
+            _ => r.skip(),
+        })?;
+        let vertex_count: usize = serde::or_null(vertex_count)?;
+        let Successors { lists, edges } = serde::or_null(succs)?;
+        if lists != vertex_count {
             return Err(serde::Error::custom(format!(
-                "a DAG with {vertex_count} vertices lists successors of {}",
-                succs.len()
+                "a DAG with {vertex_count} vertices lists successors of {lists}"
             )));
         }
-        let edges = succs
-            .iter()
-            .enumerate()
-            .flat_map(|(from, to)| to.iter().map(move |t| (from, t.index())));
         Ok(Dag::new(vertex_count, edges)?)
+    }
+}
+
+/// `succs` as sent (an array of `VertexId` arrays), flattened to its
+/// `(from, to)` edges while it is read.
+struct Successors {
+    lists: usize,
+    edges: Vec<(usize, usize)>,
+}
+
+impl Deserialize for Successors {
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut lists = r.array()?;
+        let (mut from, mut edges) = (0, Vec::new());
+        while lists
+            .next_with(|r| {
+                let mut targets = r.array()?;
+                while let Some(to) = targets.next::<VertexId>()? {
+                    edges.push((from, to.index()));
+                }
+                Ok(())
+            })?
+            .is_some()
+        {
+            from += 1;
+        }
+        Ok(Successors { lists: from, edges })
     }
 }
 

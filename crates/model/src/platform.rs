@@ -40,8 +40,13 @@ const MAX_WIRE_PROCESSORS: usize = 1024;
 // Built through `Platform::new`, so input declaring fewer than 2
 // processors is refused like code doing the same.
 impl Deserialize for Platform {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let processors = usize::deserialize(value.field("processors"))?;
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut processors = None;
+        r.object(|r, key| match key {
+            "processors" => r.member(&mut processors),
+            _ => r.skip(),
+        })?;
+        let processors: usize = serde::or_null(processors)?;
         if processors > MAX_WIRE_PROCESSORS {
             return Err(serde::Error::custom(format!(
                 "a platform may declare at most {MAX_WIRE_PROCESSORS} processors, \

@@ -50,17 +50,22 @@ impl Serialize for AccessMode {
     }
 }
 
-// Hand-written so a *missing* field (the vendored derive passes
-// `Value::Null` for absent members) defaults to `Write`: all committed
-// JSON predates access modes and must keep deserializing bit-for-bit.
+// Hand-written so a *missing* field (the vendored serde reads an absent
+// member as `null`) defaults to `Write`: all committed JSON predates
+// access modes and must keep deserializing bit-for-bit.
 impl Deserialize for AccessMode {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value {
-            serde::Value::Null => Ok(AccessMode::Write),
-            serde::Value::String(s) if s == "Write" => Ok(AccessMode::Write),
-            serde::Value::String(s) if s == "Read" => Ok(AccessMode::Read),
-            _ => Err(serde::Error::custom("expected \"Write\" or \"Read\"")),
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        if r.null()? {
+            return Ok(AccessMode::Write);
         }
+        if r.peek()? == b'"' {
+            match &*r.str()? {
+                "Write" => return Ok(AccessMode::Write),
+                "Read" => return Ok(AccessMode::Read),
+                _ => {}
+            }
+        }
+        Err(serde::Error::custom("expected \"Write\" or \"Read\""))
     }
 }
 
@@ -112,16 +117,13 @@ pub struct VertexSpec {
     requests: Vec<RequestSpec>,
 }
 
-// Built through `VertexSpec::with_requests`, so the request list is in
-// its canonical order (merged, sorted, zero counts dropped) whatever the
-// input's order.
-impl Deserialize for VertexSpec {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(VertexSpec::with_requests(
-            Time::deserialize(value.field("wcet"))?,
-            Vec::<RequestSpec>::deserialize(value.field("requests"))?,
-        ))
-    }
+/// A vertex as sent: [`DagTask`]'s reader merges it through
+/// [`VertexSpec::merged`] once the task's id is known, so an overflowing
+/// merge is refused by name.
+#[derive(Deserialize)]
+struct WireVertex {
+    wcet: Time,
+    requests: Vec<RequestSpec>,
 }
 
 impl VertexSpec {
@@ -135,23 +137,39 @@ impl VertexSpec {
 
     /// Creates a vertex with the given WCET and request list (merged and
     /// sorted; zero counts dropped).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the counts merged into one `(resource, mode)` entry
+    /// exceed `u32::MAX`.
     pub fn with_requests(wcet: Time, requests: impl IntoIterator<Item = RequestSpec>) -> Self {
-        let mut merged: BTreeMap<(ResourceId, AccessMode), u32> = BTreeMap::new();
-        for r in requests {
-            if r.count > 0 {
-                *merged.entry((r.resource, r.mode)).or_insert(0) += r.count;
+        Self::merged(wcet, requests).unwrap_or_else(|resource| {
+            panic!("the requests of one vertex to {resource} overflow a u32 count")
+        })
+    }
+
+    /// [`VertexSpec::with_requests`], or the resource whose merged count
+    /// overflows `u32`.
+    fn merged(
+        wcet: Time,
+        requests: impl IntoIterator<Item = RequestSpec>,
+    ) -> Result<Self, ResourceId> {
+        let mut requests: Vec<RequestSpec> = requests.into_iter().filter(|r| r.count > 0).collect();
+        requests.sort_unstable_by_key(|r| (r.resource, r.mode));
+        let mut overflow = None;
+        requests.dedup_by(|r, kept| {
+            if (r.resource, r.mode) != (kept.resource, kept.mode) {
+                return false;
             }
-        }
-        VertexSpec {
-            wcet,
-            requests: merged
-                .into_iter()
-                .map(|((resource, mode), count)| RequestSpec {
-                    resource,
-                    count,
-                    mode,
-                })
-                .collect(),
+            match kept.count.checked_add(r.count) {
+                Some(count) => kept.count = count,
+                None => overflow = Some(r.resource),
+            }
+            true
+        });
+        match overflow {
+            Some(resource) => Err(resource),
+            None => Ok(VertexSpec { wcet, requests }),
         }
     }
 
@@ -243,31 +261,44 @@ pub struct DagTask {
 
 // Built through `DagTask::builder`, keeping the priority as sent: the
 // derived members (`wcet`, `longest_path*`, `total_*`) are serialized but
-// recomputed on input, and every constructor check applies. The two RW
-// maps are absent from every pre-RW artifact (the vendored serde reads a
-// missing member as `Value::Null`) and default to empty.
+// skipped unread on input, and every constructor check applies. The two
+// RW maps are absent from every pre-RW artifact (read as `null`) and
+// default to empty.
 impl Deserialize for DagTask {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        fn map_or_empty<K: Deserialize + Ord, V: Deserialize>(
-            value: &serde::Value,
-        ) -> Result<BTreeMap<K, V>, serde::Error> {
-            match value {
-                serde::Value::Null => Ok(BTreeMap::new()),
-                other => BTreeMap::deserialize(other),
-            }
-        }
-        let mut builder = DagTask::builder(
-            TaskId::deserialize(value.field("id"))?,
-            Time::deserialize(value.field("period"))?,
-        )
-        .deadline(Time::deserialize(value.field("deadline"))?)
-        .priority(Priority::deserialize(value.field("priority"))?)
-        .dag(Dag::deserialize(value.field("dag"))?)
-        .vertex_specs(Vec::<VertexSpec>::deserialize(value.field("vertices"))?);
-        for (q, len) in BTreeMap::deserialize(value.field("cs_lengths"))? {
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut id, mut period, mut deadline, mut priority) = (None, None, None, None);
+        let (mut dag, mut vertices, mut cs_lengths, mut read_cs_lengths) = (None, None, None, None);
+        r.object(|r, key| match key {
+            "id" => r.member(&mut id),
+            "period" => r.member(&mut period),
+            "deadline" => r.member(&mut deadline),
+            "priority" => r.member(&mut priority),
+            "dag" => r.member(&mut dag),
+            "vertices" => r.member(&mut vertices),
+            "cs_lengths" => r.member(&mut cs_lengths),
+            "read_cs_lengths" => r.member(&mut read_cs_lengths),
+            _ => r.skip(),
+        })?;
+        let id: TaskId = serde::or_null(id)?;
+        let vertices: Vec<WireVertex> = serde::or_null(vertices)?;
+        let vertices = vertices
+            .into_iter()
+            .map(|v| {
+                VertexSpec::merged(v.wcet, v.requests)
+                    .map_err(|resource| ModelError::RequestCountOverflow { task: id, resource })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let cs_lengths: BTreeMap<ResourceId, Time> = serde::or_null(cs_lengths)?;
+        let read_cs_lengths: Option<BTreeMap<ResourceId, Time>> = serde::or_null(read_cs_lengths)?;
+        let mut builder = DagTask::builder(id, serde::or_null(period)?)
+            .deadline(serde::or_null(deadline)?)
+            .priority(serde::or_null(priority)?)
+            .dag(serde::or_null(dag)?)
+            .vertex_specs(vertices);
+        for (q, len) in cs_lengths {
             builder = builder.critical_section(q, len);
         }
-        for (q, len) in map_or_empty(value.field("read_cs_lengths"))? {
+        for (q, len) in read_cs_lengths.unwrap_or_default() {
             builder = builder.read_critical_section(q, len);
         }
         Ok(builder.build()?)
@@ -550,7 +581,8 @@ impl DagTaskBuilder {
     /// # Errors
     ///
     /// Returns a [`ModelError`] when the timing parameters, DAG/vertex
-    /// arity, or critical-section containment constraints are violated
+    /// arity, or critical-section containment constraints are violated,
+    /// or when the task's requests to one resource sum past `u32::MAX`
     /// (see the variants for details). A default single-vertex chain DAG is
     /// used when [`DagTaskBuilder::dag`] was never called and exactly one
     /// vertex was supplied.
@@ -626,8 +658,15 @@ impl DagTaskBuilder {
         let mut total_reads: BTreeMap<ResourceId, u32> = BTreeMap::new();
         for spec in &self.vertices {
             for r in spec.requests() {
-                *total_requests.entry(r.resource).or_insert(0) += r.count;
+                let total = total_requests.entry(r.resource).or_insert(0);
+                *total = total
+                    .checked_add(r.count)
+                    .ok_or(ModelError::RequestCountOverflow {
+                        task: id,
+                        resource: r.resource,
+                    })?;
                 if r.mode.is_read() {
+                    // A share of the total, which did not overflow.
                     *total_reads.entry(r.resource).or_insert(0) += r.count;
                 }
             }
@@ -946,5 +985,54 @@ mod tests {
             AccessMode::Read
         );
         assert!(AccessMode::deserialize(&serde::Value::U64(1)).is_err());
+    }
+
+    /// Two vertices of `2^31` requests each to one resource (each vertex
+    /// contains its critical sections), on task `id`.
+    fn overflowing_builder(id: usize) -> DagTaskBuilder {
+        let half = RequestSpec::new(rid(0), 1 << 31);
+        DagTask::builder(TaskId::new(id), Time::from_ns(1 << 40))
+            .dag(Dag::new(2, [(0, 1)]).unwrap())
+            .vertex(VertexSpec::with_requests(Time::from_ns(1 << 32), [half]))
+            .vertex(VertexSpec::with_requests(Time::from_ns(1 << 32), [half]))
+            .critical_section(rid(0), Time::from_ns(1))
+    }
+
+    #[test]
+    fn request_counts_past_u32_are_refused_not_wrapped() {
+        use serde::Serialize;
+        let overflow = ModelError::RequestCountOverflow {
+            task: TaskId::new(3),
+            resource: rid(0),
+        };
+        // Across vertices, in code.
+        assert_eq!(overflowing_builder(3).build(), Err(overflow.clone()));
+        // Within one vertex, on the wire: two entries of one resource and
+        // mode that would merge past `u32::MAX`.
+        let one = DagTask::builder(TaskId::new(3), Time::from_ns(1 << 40))
+            .vertex(VertexSpec::with_requests(
+                Time::from_ns(1 << 33),
+                [RequestSpec::new(rid(0), 1 << 31)],
+            ))
+            .critical_section(rid(0), Time::from_ns(1))
+            .build()
+            .unwrap();
+        let text = one.serialize().to_json(false);
+        let entry = r#"{"resource":0,"count":2147483648,"mode":"Write"}"#;
+        let doubled = text.replacen(entry, &format!("{entry},{entry}"), 1);
+        assert_ne!(doubled, text);
+        let err = serde::from_json::<DagTask>(&doubled).unwrap_err();
+        assert_eq!(err.to_string(), overflow.to_string());
+        assert!(
+            err.to_string().contains("tau3") && err.to_string().contains("l0"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow a u32 count")]
+    fn merging_past_u32_in_code_panics() {
+        let half = RequestSpec::new(rid(0), 1 << 31);
+        VertexSpec::with_requests(Time::from_ns(1 << 33), [half, half]);
     }
 }

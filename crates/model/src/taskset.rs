@@ -85,17 +85,25 @@ const MAX_WIRE_RESOURCES: usize = 1 << 16;
 
 // Input is checked like `TaskSet::new` checks it (dense ids, resources
 // inside the universe) and `users` is rebuilt, never read; the priorities
-// are kept as sent, since the sender's assignment policy made them.
+// are kept as sent, since the sender's assignment policy made them. The
+// resource cap applies before `assemble` allocates per resource, in
+// whichever order the members arrive.
 impl Deserialize for TaskSet {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let resource_count = usize::deserialize(value.field("resource_count"))?;
+    fn read(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut tasks, mut resource_count) = (None, None);
+        r.object(|r, key| match key {
+            "tasks" => r.member(&mut tasks),
+            "resource_count" => r.member(&mut resource_count),
+            _ => r.skip(),
+        })?;
+        let resource_count: usize = serde::or_null(resource_count)?;
         if resource_count > MAX_WIRE_RESOURCES {
             return Err(serde::Error::custom(format!(
                 "a task set may declare at most {MAX_WIRE_RESOURCES} resources, \
                  got {resource_count}"
             )));
         }
-        let tasks = Vec::<DagTask>::deserialize(value.field("tasks"))?;
+        let tasks: Vec<DagTask> = serde::or_null(tasks)?;
         Ok(TaskSet::assemble(tasks, resource_count)?)
     }
 }

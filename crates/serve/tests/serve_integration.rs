@@ -252,6 +252,63 @@ fn model_breaking_an_invariant_is_a_400_and_the_worker_survives() {
 }
 
 #[test]
+fn request_counts_past_u32_are_a_400_naming_the_task_and_resource() {
+    use dpcp_model::{Dag, DagTask, RequestSpec, ResourceId, TaskId, TaskSet, Time, VertexSpec};
+    use serde::Serialize;
+
+    // One request to l0 from each of two vertices, whose WCETs contain
+    // 2^31 such critical sections. The bodies below raise the counts to
+    // 2^31 apiece, merged within one vertex or summed across both: 2^32
+    // used to wrap to 0 in release builds, pricing the task as issuing
+    // no request, and to panic in debug builds.
+    let l0 = ResourceId::new(0);
+    let vertex = || VertexSpec::with_requests(Time::from_ns(1 << 40), [RequestSpec::new(l0, 1)]);
+    let task = DagTask::builder(TaskId::new(0), Time::from_ns(1 << 41))
+        .dag(Dag::new(2, [(0, 1)]).expect("a chain"))
+        .vertex(vertex())
+        .vertex(vertex())
+        .critical_section(l0, Time::from_ns(1))
+        .build()
+        .expect("a valid task");
+    let request = AnalysisRequest {
+        tasks: TaskSet::new(vec![task], 1).expect("a valid set"),
+        ..fig1_request("DPCP-p-EP")
+    };
+    let half = serde::Value::U64(1 << 31);
+
+    let server = one_worker_server();
+    let addr = server.local_addr().to_string();
+    for within_one_vertex in [true, false] {
+        let mut wire = request.serialize();
+        let tasks = member(member(&mut wire, "tasks"), "tasks");
+        let vertices = member(element(tasks, 0), "vertices");
+        if within_one_vertex {
+            let requests = member(element(vertices, 0), "requests");
+            *member(element(requests, 0), "count") = half.clone();
+            let entry = element(requests, 0).clone();
+            *requests = serde::Value::Array(vec![entry.clone(), entry]);
+        } else {
+            for x in 0..2 {
+                let requests = member(element(vertices, x), "requests");
+                *member(element(requests, 0), "count") = half.clone();
+            }
+        }
+        let hostile = serde_json::to_string(&wire).expect("serialize");
+        let (status, _, body) =
+            roundtrip(&addr, "POST", "/analyze", hostile.as_bytes()).expect("roundtrip");
+        let body = String::from_utf8(body).expect("utf-8");
+        assert_eq!(status, 400, "{body}");
+        assert!(
+            body.contains("tau0 issues more than 4294967295 requests to l0"),
+            "{body}"
+        );
+    }
+    let (status, _, _) = roundtrip(&addr, "GET", "/healthz", b"").expect("worker alive");
+    assert_eq!(status, 200);
+    server.shutdown();
+}
+
+#[test]
 fn huge_processor_count_is_a_400_and_the_process_survives() {
     use serde::Serialize;
 
