@@ -14,7 +14,7 @@
 use dpcp_core::analysis::request::fixed_point;
 use dpcp_core::analysis::{DelayBreakdown, EvalScratch, SchedulabilityReport, TaskBound};
 use dpcp_core::partition::PartitionOutcome;
-use dpcp_core::{AnalysisSession, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
+use dpcp_core::{AnalysisSession, Placement, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
 use dpcp_model::{Partition, Platform, TaskId, TaskSet, Time};
 
 use crate::common::{max_mode_len, windowed_remote_demand, ResponseBounds};
@@ -90,8 +90,8 @@ fn serialized_blocking(tasks: &TaskSet, resp: &ResponseBounds, i: TaskId, r: Tim
 }
 
 impl SchedAnalyzer for Dga {
-    fn needs_resource_homes(&self) -> bool {
-        false
+    fn placement(&self) -> Placement {
+        Placement::LocalExecution
     }
 
     fn analyze(
@@ -212,6 +212,6 @@ mod tests {
         assert_eq!(ProtocolAnalysis::name(&d), "DGA");
         assert_eq!(ProtocolAnalysis::tag(&d), 'G');
         assert!(ProtocolAnalysis::supports_rw(&d));
-        assert!(!d.needs_resource_homes());
+        assert_eq!(d.placement(), Placement::LocalExecution);
     }
 }

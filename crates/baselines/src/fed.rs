@@ -10,7 +10,7 @@
 
 use dpcp_core::analysis::{DelayBreakdown, EvalScratch, SchedulabilityReport, TaskBound};
 use dpcp_core::partition::PartitionOutcome;
-use dpcp_core::{AnalysisSession, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
+use dpcp_core::{AnalysisSession, Placement, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
 use dpcp_model::{Partition, Platform, TaskSet, Time};
 
 /// The FED-FP analyzer (implements [`SchedAnalyzer`]).
@@ -51,8 +51,8 @@ impl FedFp {
 }
 
 impl SchedAnalyzer for FedFp {
-    fn needs_resource_homes(&self) -> bool {
-        false
+    fn placement(&self) -> Placement {
+        Placement::LocalExecution
     }
 
     fn analyze(
@@ -157,7 +157,7 @@ mod tests {
             assert_eq!(b.agent_interference, Time::ZERO);
         }
         assert_eq!(ProtocolAnalysis::name(&fed), "FED-FP");
-        assert!(!fed.needs_resource_homes());
+        assert_eq!(fed.placement(), Placement::LocalExecution);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use dpcp_core::analysis::{DelayBreakdown, EvalScratch, SchedulabilityReport, TaskBound};
 use dpcp_core::partition::PartitionOutcome;
-use dpcp_core::{AnalysisSession, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
+use dpcp_core::{AnalysisSession, Placement, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
 use dpcp_model::{Partition, Platform, TaskSet};
 
 use crate::common::{baseline_wcrt, QueueDepth, ResponseBounds};
@@ -77,8 +77,8 @@ impl Lpp {
 }
 
 impl SchedAnalyzer for Lpp {
-    fn needs_resource_homes(&self) -> bool {
-        false
+    fn placement(&self) -> Placement {
+        Placement::LocalExecution
     }
 
     fn analyze(
@@ -233,6 +233,6 @@ mod tests {
     fn name_and_homes() {
         let l = Lpp::new();
         assert_eq!(ProtocolAnalysis::name(&l), "LPP");
-        assert!(!l.needs_resource_homes());
+        assert_eq!(l.placement(), Placement::LocalExecution);
     }
 }

@@ -25,7 +25,7 @@
 
 use dpcp_core::analysis::{DelayBreakdown, EvalScratch, SchedulabilityReport, TaskBound};
 use dpcp_core::partition::PartitionOutcome;
-use dpcp_core::{AnalysisSession, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
+use dpcp_core::{AnalysisSession, Placement, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
 #[cfg(test)]
 use dpcp_model::Time;
 use dpcp_model::{Partition, Platform, TaskSet};
@@ -115,8 +115,8 @@ impl Mpcp {
 }
 
 impl SchedAnalyzer for Mpcp {
-    fn needs_resource_homes(&self) -> bool {
-        false
+    fn placement(&self) -> Placement {
+        Placement::LocalExecution
     }
 
     fn analyze(
@@ -345,7 +345,7 @@ mod tests {
         assert_eq!(ProtocolAnalysis::tag(&so), 'O');
         assert!(ProtocolAnalysis::supports_rw(&sa));
         assert!(ProtocolAnalysis::supports_rw(&so));
-        assert!(!sa.needs_resource_homes());
+        assert_eq!(sa.placement(), Placement::LocalExecution);
         assert_eq!(sa.variant(), MpcpVariant::SuspensionAware);
     }
 }

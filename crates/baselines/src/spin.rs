@@ -19,7 +19,7 @@
 
 use dpcp_core::analysis::{DelayBreakdown, EvalScratch, SchedulabilityReport, TaskBound};
 use dpcp_core::partition::PartitionOutcome;
-use dpcp_core::{AnalysisSession, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
+use dpcp_core::{AnalysisSession, Placement, ProtocolAnalysis, ResourceHeuristic, SchedAnalyzer};
 use dpcp_model::{Partition, Platform, TaskId, TaskSet, Time};
 
 use crate::common::{baseline_wcrt, per_request_delay, QueueDepth, ResponseBounds};
@@ -91,8 +91,8 @@ impl SpinSon {
 }
 
 impl SchedAnalyzer for SpinSon {
-    fn needs_resource_homes(&self) -> bool {
-        false
+    fn placement(&self) -> Placement {
+        Placement::LocalExecution
     }
 
     fn analyze(
@@ -204,7 +204,7 @@ mod tests {
     fn name_and_homes() {
         let s = SpinSon::new();
         assert_eq!(ProtocolAnalysis::name(&s), "SPIN-SON");
-        assert!(!s.needs_resource_homes());
+        assert_eq!(s.placement(), Placement::LocalExecution);
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub use dto::{
     structural_key, AnalysisRequest, AnalysisVerdict, KNOB_CEILINGS, SUPPORTED_SCHEMA_VERSIONS,
 };
 pub use partition::{
-    PartitionOutcome, PlacementSearch, ResourceHeuristic, SchedAnalyzer, SearchConfig, SearchMove,
-    SearchOutcome, UnschedulableReason,
+    PartitionOutcome, Placement, PlacementSearch, ResourceHeuristic, SchedAnalyzer, SearchConfig,
+    SearchMove, SearchOutcome, UnschedulableReason,
 };
 pub use protocol::{CeilingTable, ProcessorCeiling};
 pub use registry::{

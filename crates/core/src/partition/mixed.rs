@@ -1,29 +1,26 @@
-//! Mixed heavy/light partitioning — the Sec. VI extension.
+//! Light-task packing for the Sec. VI extension
+//! ([`Placement::SharedLightPool`](crate::partition::Placement::SharedLightPool)).
 //!
 //! Heavy tasks (`C_i > D_i`) receive exclusive federated clusters exactly
 //! as in Algorithm 1; light tasks are sequential and are packed onto a
 //! pool of shared processors (Worst-Fit Decreasing by utilization, one
-//! bin per shared processor). Global resources are then placed by the
+//! bin per shared processor). Algorithm 1's loop
+//! ([`partition`](crate::partition)) then places global resources by the
 //! generalised Algorithm 2 over all bins — heavy clusters *and* light
 //! processors — and the analysis combines Theorem 1 for heavy tasks with
 //! the sequential bound of [`wcrt_light`](crate::analysis::light) for
-//! light ones.
-//!
-//! The top-up loop mirrors Algorithm 1: a failing heavy task gets one
-//! more processor; a failing light task grows the shared pool by one
-//! processor (both roll back the resource assignment).
+//! light ones. A failing heavy task gets one more processor; a failing
+//! light task grows the shared pool by one processor (both roll back the
+//! resource assignment).
 
-use dpcp_model::{Partition, Platform, ProcessorId, TaskId, TaskSet};
+use dpcp_model::{ProcessorId, TaskId, TaskSet};
 
-use crate::analysis::EvalScratch;
-use crate::partition::wfd::{assign_resources_to_bins, CapacityBin};
-use crate::partition::{
-    initial_sizes, PartitionOutcome, ResourceHeuristic, SchedAnalyzer, UnschedulableReason,
-};
+/// Each packed light task's processor, and each pool processor's packed
+/// utilization.
+pub(crate) type Packing = (Vec<(TaskId, ProcessorId)>, Vec<f64>);
 
 /// Packs light tasks onto `pool` processors, Worst-Fit Decreasing by
-/// utilization. Returns per-task processor assignments, or `None` when
-/// some processor would exceed utilization 1.
+/// utilization, or `None` when some processor would exceed utilization 1.
 ///
 /// When the set leaves the write-only model ([`TaskSet::has_reads`]),
 /// bins that already host a reader of one of the incoming task's read
@@ -32,13 +29,13 @@ use crate::partition::{
 /// instead of crossing processors. The worst-fit criterion then breaks
 /// ties among equally-attractive bins, so write-only sets (the paper's
 /// model) take the exact historical path.
-fn pack_lights(
+pub(crate) fn pack_lights(
     tasks: &TaskSet,
     lights: &[TaskId],
     pool: &[ProcessorId],
-) -> Option<Vec<(TaskId, ProcessorId)>> {
+) -> Option<Packing> {
     if lights.is_empty() {
-        return Some(Vec::new());
+        return Some((Vec::new(), vec![0.0; pool.len()]));
     }
     if pool.is_empty() {
         return None;
@@ -106,164 +103,18 @@ fn pack_lights(
         bin_tasks[best].push(t);
         placement.push((t, pool[best]));
     }
-    Some(placement)
-}
-
-/// The mixed Algorithm 1 loop behind
-/// `AnalysisSession::partition_and_analyze_mixed` and
-/// `partition_mixed_with`: the evaluation scratch is injected so one
-/// allocation serves every top-up round (and, via the session, every
-/// sample of a sweep), and each round asks the analyzer only for its
-/// [`first_failure`](SchedAnalyzer::first_failure).
-pub(crate) fn algorithm1_mixed_impl(
-    tasks: &TaskSet,
-    platform: &Platform,
-    heuristic: ResourceHeuristic,
-    analyzer: &dyn SchedAnalyzer,
-    scratch: &mut EvalScratch,
-) -> PartitionOutcome {
-    let m = platform.processor_count();
-    let heavy: Vec<TaskId> = tasks
-        .iter()
-        .filter(|t| t.is_heavy())
-        .map(|t| t.id())
-        .collect();
-    let lights: Vec<TaskId> = tasks
-        .iter()
-        .filter(|t| !t.is_heavy())
-        .map(|t| t.id())
-        .collect();
-
-    let mut heavy_size = match initial_sizes(tasks) {
-        Ok(sizes) => sizes,
-        Err(task) => {
-            return PartitionOutcome::Unschedulable {
-                reason: UnschedulableReason::TaskUnschedulable { task },
-                rounds: 0,
-            }
-        }
-    };
-    for (size, t) in heavy_size.iter_mut().zip(tasks.iter()) {
-        if !t.is_heavy() {
-            *size = 0;
-        }
-    }
-    let light_util: f64 = lights.iter().map(|&t| tasks.task(t).utilization()).sum();
-    let mut light_pool: usize = if lights.is_empty() {
-        0
-    } else {
-        (light_util.ceil() as usize).clamp(1, lights.len())
-    };
-
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        let heavy_total: usize = heavy_size.iter().sum();
-        if heavy_total + light_pool > m {
-            return PartitionOutcome::Unschedulable {
-                reason: UnschedulableReason::InsufficientProcessors {
-                    demanded: heavy_total + light_pool,
-                    available: m,
-                },
-                rounds: rounds - 1,
-            };
-        }
-
-        // Deal processors: heavy clusters first, then the light pool.
-        let mut next = 0usize;
-        let mut clusters: Vec<Vec<ProcessorId>> = Vec::with_capacity(tasks.len());
-        for t in tasks.iter() {
-            if t.is_heavy() {
-                let c = (next..next + heavy_size[t.id().index()])
-                    .map(ProcessorId::new)
-                    .collect();
-                next += heavy_size[t.id().index()];
-                clusters.push(c);
-            } else {
-                clusters.push(Vec::new()); // filled after packing
-            }
-        }
-        let pool: Vec<ProcessorId> = (next..next + light_pool).map(ProcessorId::new).collect();
-        let placement = match pack_lights(tasks, &lights, &pool) {
-            Some(p) => p,
-            None => {
-                if heavy_total + light_pool < m {
-                    light_pool += 1;
-                    continue;
-                }
-                return PartitionOutcome::Unschedulable {
-                    reason: UnschedulableReason::InsufficientProcessors {
-                        demanded: heavy_total + light_pool + 1,
-                        available: m,
-                    },
-                    rounds,
-                };
-            }
-        };
-        for &(t, p) in &placement {
-            clusters[t.index()] = vec![p];
-        }
-
-        // Generalised Algorithm 2 over heavy clusters + light processors.
-        let mut bins: Vec<CapacityBin> = heavy
-            .iter()
-            .map(|&t| CapacityBin {
-                processors: clusters[t.index()].clone(),
-                utilization: tasks.task(t).utilization(),
-            })
-            .collect();
-        for &p in &pool {
-            let utilization = placement
-                .iter()
-                .filter(|&&(_, q)| q == p)
-                .map(|&(t, _)| tasks.task(t).utilization())
-                .sum();
-            bins.push(CapacityBin {
-                processors: vec![p],
-                utilization,
-            });
-        }
-        let Some(homes) = assign_resources_to_bins(tasks, &bins, heuristic) else {
-            return PartitionOutcome::Unschedulable {
-                reason: UnschedulableReason::ResourceAllocationInfeasible,
-                rounds,
-            };
-        };
-        let partition = Partition::mixed(tasks, platform, clusters, homes)
-            .expect("layout and homes are valid by construction");
-
-        match analyzer.first_failure(tasks, &partition, scratch) {
-            Ok(report) => {
-                return PartitionOutcome::Schedulable {
-                    partition,
-                    report,
-                    rounds,
-                }
-            }
-            Err(task) => {
-                if heavy_total + light_pool < m {
-                    if tasks.task(task).is_heavy() {
-                        heavy_size[task.index()] += 1;
-                    } else {
-                        light_pool += 1;
-                    }
-                } else {
-                    return PartitionOutcome::Unschedulable {
-                        reason: UnschedulableReason::TaskUnschedulable { task },
-                        rounds,
-                    };
-                }
-            }
-        }
-    }
+    Some((placement, bin_util))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::AnalysisConfig;
+    use crate::partition::{PartitionOutcome, ResourceHeuristic};
     use crate::session::AnalysisSession;
-    use dpcp_model::{Dag, DagTask, RequestSpec, ResourceId, Time, VertexSpec};
+    use dpcp_model::{
+        Dag, DagTask, Partition, Platform, RequestSpec, ResourceId, Time, VertexSpec,
+    };
 
     fn rid(i: usize) -> ResourceId {
         ResourceId::new(i)
@@ -386,13 +237,14 @@ mod tests {
         let lights = [TaskId::new(1), TaskId::new(2)];
         let pool = [ProcessorId::new(4)];
         // U = 0.3 + 0.2 = 0.5 fits on one processor.
-        let placement = pack_lights(&tasks, &lights, &pool).unwrap();
+        let (placement, util) = pack_lights(&tasks, &lights, &pool).unwrap();
         assert_eq!(placement.len(), 2);
         assert!(placement.iter().all(|&(_, p)| p == ProcessorId::new(4)));
+        assert_eq!(util, [0.5]);
         // Empty pool with lights → None.
         assert!(pack_lights(&tasks, &lights, &[]).is_none());
         // No lights → empty placement.
-        assert_eq!(pack_lights(&tasks, &[], &[]).unwrap().len(), 0);
+        assert_eq!(pack_lights(&tasks, &[], &[]).unwrap().0.len(), 0);
     }
 
     #[test]
@@ -416,7 +268,7 @@ mod tests {
             TaskSet::new(vec![reader(0, 4, 0), reader(1, 3, 1), reader(2, 2, 0)], 2).unwrap();
         let lights = [TaskId::new(0), TaskId::new(1), TaskId::new(2)];
         let pool = [ProcessorId::new(0), ProcessorId::new(1)];
-        let placement = pack_lights(&tasks, &lights, &pool).unwrap();
+        let (placement, _) = pack_lights(&tasks, &lights, &pool).unwrap();
         let home = |id: usize| {
             placement
                 .iter()
@@ -441,7 +293,7 @@ mod tests {
         };
         let tasks =
             TaskSet::new(vec![writer(0, 4, 0), writer(1, 3, 1), writer(2, 2, 0)], 2).unwrap();
-        let placement = pack_lights(&tasks, &lights, &pool).unwrap();
+        let (placement, _) = pack_lights(&tasks, &lights, &pool).unwrap();
         let home = |id: usize| {
             placement
                 .iter()
@@ -458,15 +310,15 @@ mod tests {
         let tasks = dpcp_model::fig1::task_set().unwrap();
         let platform = Platform::new(4).unwrap();
         let mixed = session_mixed(&tasks, &platform, AnalysisConfig::ep());
-        let classic = AnalysisSession::new(AnalysisConfig::ep()).partition_and_analyze(
+        let exclusive = AnalysisSession::new(AnalysisConfig::ep()).partition_and_analyze(
             &tasks,
             &platform,
             ResourceHeuristic::WorstFitDecreasing,
         );
         // Fig. 1 tasks are light (C ≤ D) with our chosen periods, so the
-        // mixed loop routes them through the sequential analysis; both
-        // paths must accept the system.
-        assert_eq!(mixed.is_schedulable(), classic.is_schedulable());
+        // shared pool routes them through the sequential analysis; both
+        // placements must accept the system.
+        assert_eq!(mixed.is_schedulable(), exclusive.is_schedulable());
     }
 
     #[test]

@@ -1,19 +1,26 @@
-//! Task and resource partitioning (Sec. V, Algorithm 1).
+//! Task and resource partitioning (Sec. V, Algorithm 1, and its Sec. VI
+//! extension to light tasks).
 //!
 //! [`AnalysisSession::partition_with`](crate::AnalysisSession::partition_with)
-//! reproduces the paper's iterative loop: every task starts
-//! with `m_i = ⌈(C_i − L*_i)/(D_i − L*_i)⌉` dedicated processors; global
-//! resources are placed by Worst-Fit Decreasing ([`wfd`], Algorithm 2);
-//! tasks are analysed in decreasing priority order; the first failing task
-//! receives one more processor (if any remains unassigned), the resource
-//! assignment is rolled back, and the round restarts. A heavy task with
-//! `L*_i ≥ D_i` fits no cluster size, so such a set is rejected before any
-//! round, naming the highest-priority such task.
+//! runs the paper's iterative loop for any [`SchedAnalyzer`]: every task
+//! starts with `m_i = ⌈(C_i − L*_i)/(D_i − L*_i)⌉` dedicated processors
+//! (1 for a light task); global resources are placed by Worst-Fit
+//! Decreasing ([`wfd`], Algorithm 2); tasks are analysed in decreasing
+//! priority order; the first failing task receives one more processor (if
+//! any remains unassigned), the resource assignment is rolled back, and
+//! the round restarts. A heavy task with `L*_i ≥ D_i` fits no cluster
+//! size, so such a set is rejected before any round, naming the
+//! highest-priority such task.
 //!
-//! The loop is generic over a [`SchedAnalyzer`], so the same partitioning
-//! policy drives DPCP-p and every baseline protocol — exactly the setup of
-//! the paper's evaluation, where all protocols run under federated
-//! scheduling with the same initial assignment.
+//! The loop needs one fact from a protocol: the [`Placement`] its analysis
+//! assumes. Local-execution protocols (spin locks, local semaphores) home
+//! no resource. DPCP-p homes every global resource on a designated
+//! processor, and under Sec. VI it packs light tasks onto a shared pool
+//! ([`mixed`]) that Algorithm 2 also places resources on; a failing light
+//! task then grows the pool by one processor. One loop thus drives DPCP-p
+//! and every baseline protocol — exactly the setup of the paper's
+//! evaluation, where all protocols run under federated scheduling with
+//! the same initial assignment.
 //!
 //! A round acts only on its first failing task, so the loop asks the
 //! analyzer for [`SchedAnalyzer::first_failure`], not for a full report.
@@ -24,10 +31,9 @@
 //! enumerated, since the EP bound dominates every single path's. Both
 //! return exactly what the full analysis would: the tasks before the first
 //! failure are computed in full, so a round in which every task passes
-//! yields the complete report. The Sec. VI mixed loop ([`mixed`]) decides
-//! its rounds the same way.
+//! yields the complete report.
 
-use dpcp_model::{initial_processors, Partition, Platform, TaskId, TaskSet};
+use dpcp_model::{initial_processors, Partition, Platform, ProcessorId, TaskId, TaskSet};
 use serde::{Deserialize, Serialize};
 
 use crate::analysis::{EvalScratch, SchedulabilityReport};
@@ -41,16 +47,30 @@ pub use wfd::{
     assign_resources, assign_resources_to_bins, layout_clusters, CapacityBin, ResourceHeuristic,
 };
 
+/// Where a protocol's analysis assumes tasks and global resources are
+/// placed: the one fact Algorithm 1's loop needs from a protocol.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// Every task gets an exclusive cluster and no resource is homed:
+    /// requests execute where the requesting vertex runs
+    /// ([`Partition::local_execution`]). Spin locks and local semaphores.
+    LocalExecution,
+    /// Every task, light ones included, gets an exclusive cluster, and
+    /// Algorithm 2 homes every global resource on a designated processor.
+    /// DPCP-p as Sec. V and Fig. 1 model it.
+    DesignatedHomes,
+    /// Sec. VI: heavy tasks get exclusive clusters and light tasks, which
+    /// are sequential, share a pool of processors; Algorithm 2 homes every
+    /// global resource over both. DPCP-p on mixed heavy/light sets.
+    SharedLightPool,
+}
+
 /// A schedulability analysis pluggable into Algorithm 1's loop
 /// ([`AnalysisSession::partition_with`](crate::AnalysisSession::partition_with)).
 pub trait SchedAnalyzer {
-    /// Whether the protocol executes global requests on designated
-    /// processors (DPCP-p) and therefore needs Algorithm 2's resource
-    /// placement. Local-execution protocols (spin locks, local semaphores)
-    /// return `false`.
-    fn needs_resource_homes(&self) -> bool {
-        true
-    }
+    /// The placement this analysis assumes, which decides how the loop
+    /// lays out clusters and whether it homes resources.
+    fn placement(&self) -> Placement;
 
     /// Analyses every task and reports per-task schedulability.
     ///
@@ -193,11 +213,18 @@ impl PartitionOutcome {
     }
 }
 
-/// The Algorithm 1 loop behind the session entry points
-/// (`partition_with`, `partition_and_analyze`): the analysis memo tables and buffers in
-/// `scratch` are reused across every partition-analyse round (and across
-/// methods when the caller shares one scratch). Each round asks the
-/// analyzer only for its [`first_failure`](SchedAnalyzer::first_failure).
+/// The Algorithm 1 loop behind every session entry point: the analysis
+/// memo tables and buffers in `scratch` are reused across every
+/// partition-analyse round (and across methods when the caller shares one
+/// scratch). Each round asks the analyzer only for its
+/// [`first_failure`](SchedAnalyzer::first_failure).
+///
+/// Only a light task under [`Placement::SharedLightPool`] is pooled; every
+/// other task keeps an exclusive cluster of Algorithm 1 line 3's size,
+/// grown by one processor each time it fails. The pool starts at
+/// `⌈Σ U_light⌉` processors (at least 1, at most one per light task), is
+/// dealt after the exclusive clusters, and grows when its lights do not
+/// fit or one of them fails.
 pub(crate) fn algorithm1_impl(
     tasks: &TaskSet,
     platform: &Platform,
@@ -206,6 +233,8 @@ pub(crate) fn algorithm1_impl(
     scratch: &mut EvalScratch,
 ) -> PartitionOutcome {
     let m = platform.processor_count();
+    let placement = analyzer.placement();
+    let pooled = |t: TaskId| placement == Placement::SharedLightPool && !tasks.task(t).is_heavy();
     let mut sizes = match initial_sizes(tasks) {
         Ok(sizes) => sizes,
         Err(task) => {
@@ -215,37 +244,86 @@ pub(crate) fn algorithm1_impl(
             }
         }
     };
-    let demanded: usize = sizes.iter().sum();
-    if demanded > m {
-        return PartitionOutcome::Unschedulable {
-            reason: UnschedulableReason::InsufficientProcessors {
-                demanded,
-                available: m,
-            },
-            rounds: 0,
-        };
+    let lights: Vec<TaskId> = (0..tasks.len())
+        .map(TaskId::new)
+        .filter(|&t| pooled(t))
+        .collect();
+    for &t in &lights {
+        sizes[t.index()] = 0;
     }
+    let light_util: f64 = lights.iter().map(|&t| tasks.task(t).utilization()).sum();
+    let mut light_pool: usize = if lights.is_empty() {
+        0
+    } else {
+        (light_util.ceil() as usize).clamp(1, lights.len())
+    };
 
     let mut rounds = 0usize;
     loop {
         rounds += 1;
-        let layout =
-            layout_clusters(&sizes, m).expect("sizes are kept within the platform by the loop");
+        let assigned = sizes.iter().sum::<usize>() + light_pool;
+        if assigned > m {
+            return PartitionOutcome::Unschedulable {
+                reason: UnschedulableReason::InsufficientProcessors {
+                    demanded: assigned,
+                    available: m,
+                },
+                rounds: rounds - 1,
+            };
+        }
 
-        let partition = if analyzer.needs_resource_homes() {
-            match assign_resources(tasks, &layout, heuristic) {
-                Some(homes) => Partition::new(tasks, platform, layout, homes)
-                    .expect("layout and homes are valid by construction"),
-                None => {
-                    return PartitionOutcome::Unschedulable {
-                        reason: UnschedulableReason::ResourceAllocationInfeasible,
-                        rounds,
-                    }
-                }
+        // Deal processors: exclusive clusters in task order, then the pool.
+        let mut clusters = layout_clusters(&sizes, m).expect("sizes fit the platform");
+        let pool: Vec<ProcessorId> = (assigned - light_pool..assigned)
+            .map(ProcessorId::new)
+            .collect();
+        let Some((packed, pool_util)) = mixed::pack_lights(tasks, &lights, &pool) else {
+            if assigned < m {
+                light_pool += 1;
+                continue;
             }
-        } else {
-            Partition::local_execution(tasks, platform, layout)
+            return PartitionOutcome::Unschedulable {
+                reason: UnschedulableReason::InsufficientProcessors {
+                    demanded: assigned + 1,
+                    available: m,
+                },
+                rounds,
+            };
+        };
+        for &(t, p) in &packed {
+            clusters[t.index()] = vec![p];
+        }
+
+        let partition = if placement == Placement::LocalExecution {
+            Partition::local_execution(tasks, platform, clusters)
                 .expect("layout is valid by construction")
+        } else {
+            // Algorithm 2 over the exclusive clusters and the pool's
+            // processors.
+            let mut bins: Vec<CapacityBin> = tasks
+                .iter()
+                .filter(|t| !pooled(t.id()))
+                .map(|t| CapacityBin {
+                    processors: clusters[t.id().index()].clone(),
+                    utilization: t.utilization(),
+                })
+                .collect();
+            bins.extend(
+                pool.iter()
+                    .zip(pool_util)
+                    .map(|(&p, utilization)| CapacityBin {
+                        processors: vec![p],
+                        utilization,
+                    }),
+            );
+            let Some(homes) = assign_resources_to_bins(tasks, &bins, heuristic) else {
+                return PartitionOutcome::Unschedulable {
+                    reason: UnschedulableReason::ResourceAllocationInfeasible,
+                    rounds,
+                };
+            };
+            Partition::mixed(tasks, platform, clusters, homes)
+                .expect("layout and homes are valid by construction")
         };
 
         match analyzer.first_failure(tasks, &partition, scratch) {
@@ -256,17 +334,14 @@ pub(crate) fn algorithm1_impl(
                     rounds,
                 }
             }
+            // Top up the failing task (or the pool); the resource
+            // assignment is rolled back by recomputing it next round.
+            Err(task) if assigned < m && pooled(task) => light_pool += 1,
+            Err(task) if assigned < m => sizes[task.index()] += 1,
             Err(task) => {
-                let assigned: usize = sizes.iter().sum();
-                if assigned < m {
-                    // Top up the failing task; the resource assignment is
-                    // implicitly rolled back by recomputing it next round.
-                    sizes[task.index()] += 1;
-                } else {
-                    return PartitionOutcome::Unschedulable {
-                        reason: UnschedulableReason::TaskUnschedulable { task },
-                        rounds,
-                    };
+                return PartitionOutcome::Unschedulable {
+                    reason: UnschedulableReason::TaskUnschedulable { task },
+                    rounds,
                 }
             }
         }

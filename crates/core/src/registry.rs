@@ -233,12 +233,13 @@ impl ProtocolRegistry {
 
 /// DPCP-p as a registry protocol, in either analysis variant.
 ///
-/// Task sets containing light (sequential, `C ≤ D`) tasks route through
-/// the mixed Algorithm 1 of Sec. VI — light tasks share pooled
-/// processors instead of receiving singleton federated clusters — so a
-/// generator scenario with `light_fraction > 0` exercises the shared
-/// light pools end to end. Purely heavy sets take the classic Algorithm 1
-/// path, bit-identical to the pre-registry pipeline.
+/// Every set runs
+/// [`partition_and_analyze_mixed`](AnalysisSession::partition_and_analyze_mixed),
+/// Algorithm 1 under the Sec. VI placement: light (sequential, `C ≤ D`)
+/// tasks share pooled processors instead of receiving singleton
+/// federated clusters, so a generator scenario with `light_fraction > 0`
+/// exercises the shared light pools end to end. On a purely heavy set the
+/// pool is empty and the loop is Sec. V's Algorithm 1.
 #[derive(Debug, Clone, Copy)]
 pub struct DpcpProtocol {
     variant: AnalysisVariant,
@@ -312,11 +313,7 @@ impl ProtocolAnalysis for DpcpProtocol {
             AnalysisVariant::EnumerateRequestCounts => AnalysisConfig::en(),
         };
         session.with_config(cfg, |s| {
-            if tasks.iter().any(|t| !t.is_heavy()) {
-                s.partition_and_analyze_mixed(tasks, platform, heuristic)
-            } else {
-                s.partition_and_analyze(tasks, platform, heuristic)
-            }
+            s.partition_and_analyze_mixed(tasks, platform, heuristic)
         })
     }
 }
@@ -415,7 +412,7 @@ mod tests {
     use dpcp_model::{DagTask, RequestSpec, ResourceId, TaskId, TaskSet, Time, VertexSpec};
 
     /// Two purely heavy (C > D) DAG tasks sharing one global resource —
-    /// the shape that takes the classic Algorithm 1 path.
+    /// a set on which the Sec. VI pool is empty.
     fn heavy_set() -> TaskSet {
         let rid = ResourceId::new(0);
         let mk = |id: usize, cs_us: u64| {
@@ -455,8 +452,8 @@ mod tests {
 
     #[test]
     fn dispatch_matches_direct_session_calls() {
-        // Purely heavy sets take the classic Algorithm 1 path through the
-        // registry, bit-identical to the direct session call.
+        // On purely heavy sets the registry's pooled loop is Sec. V's
+        // Algorithm 1, bit-identical to the direct session call.
         let tasks = heavy_set();
         let platform = Platform::new(6).unwrap();
         let wfd = ResourceHeuristic::WorstFitDecreasing;
@@ -553,7 +550,7 @@ mod tests {
     #[test]
     fn light_sets_route_through_the_mixed_loop() {
         // A set with light tasks dispatched through the registry must
-        // match the session's mixed entry point, not the classic loop.
+        // match the session's mixed entry point, which pools the lights.
         use dpcp_model::{DagTask, RequestSpec, ResourceId, TaskId, TaskSet, Time, VertexSpec};
         let rid = ResourceId::new(0);
         let heavy = {

@@ -1,9 +1,8 @@
 //! The unified analysis entry point: one [`AnalysisSession`] owns the
 //! [`AnalysisConfig`], the per-task-set [`SignatureCache`] and the
-//! [`EvalScratch`], replacing the former zoo of free functions
-//! (`analyze`, `analyze_with_cache[_scratch]`, `algorithm1[_scratch]`,
-//! `partition_and_analyze`, `algorithm1_mixed`, `analyze_mixed[_scratch]`
-//! — deprecated in one release cycle, now deleted).
+//! [`EvalScratch`]. Every partitioning entry point runs the one
+//! Algorithm 1 loop ([`partition`](crate::partition)); what differs is
+//! the analyzer and the [`Placement`] it declares.
 //!
 //! A session is cheap to build and reusable: the signature cache is keyed
 //! by the task set's structure plus the enumeration-relevant parts of the
@@ -51,8 +50,9 @@ use crate::analysis::{
     analyze_impl, first_failure_impl, AnalysisConfig, AnalysisVariant, EvalScratch, MemoCounters,
     SchedulabilityReport, SignatureCache,
 };
-use crate::partition::mixed::algorithm1_mixed_impl;
-use crate::partition::{algorithm1_impl, PartitionOutcome, ResourceHeuristic, SchedAnalyzer};
+use crate::partition::{
+    algorithm1_impl, PartitionOutcome, Placement, ResourceHeuristic, SchedAnalyzer,
+};
 use crate::registry::ProtocolAnalysis;
 
 /// The configuration fields path enumeration actually depends on — the
@@ -96,14 +96,15 @@ struct CachedSignatures {
 /// A reusable analysis session: configuration + signature cache +
 /// evaluation scratch behind one coherent API.
 ///
-/// All DPCP-p entry points live here ([`analyze`](Self::analyze),
+/// All DPCP-p entry points live here, one pair per job: the `_mixed`
+/// variant is the Sec. VI model, which pools light tasks and bounds them
+/// by the sequential analysis ([`analyze`](Self::analyze) /
 /// [`analyze_mixed`](Self::analyze_mixed),
-/// [`partition_and_analyze`](Self::partition_and_analyze),
-/// [`partition_and_analyze_mixed`](Self::partition_and_analyze_mixed)),
-/// and the generic Algorithm 1 loop over any [`SchedAnalyzer`] is
+/// [`partition_and_analyze`](Self::partition_and_analyze) /
+/// [`partition_and_analyze_mixed`](Self::partition_and_analyze_mixed)).
+/// Algorithm 1 over any other [`SchedAnalyzer`] is
 /// [`partition_with`](Self::partition_with). Protocol strategies from the
-/// [`registry`](crate::registry) dispatch through
-/// [`run`](Self::run).
+/// [`registry`](crate::registry) dispatch through [`run`](Self::run).
 #[derive(Debug)]
 pub struct AnalysisSession {
     cfg: AnalysisConfig,
@@ -250,9 +251,9 @@ impl AnalysisSession {
     }
 
     /// [`analyze_mixed`](Self::analyze_mixed) over caller-provided
-    /// signatures: the memo-free reference for mixed partitions, as
+    /// signatures: the memo-free reference for the Sec. VI analysis, as
     /// [`analyze_with_signatures`](Self::analyze_with_signatures) is for
-    /// the classic ones.
+    /// [`analyze`](Self::analyze).
     pub fn analyze_mixed_with_signatures(
         &mut self,
         tasks: &TaskSet,
@@ -264,7 +265,9 @@ impl AnalysisSession {
 
     /// Algorithm 1 with the session's DPCP-p analysis: iterative
     /// partitioning with per-task processor top-up and
-    /// resource-assignment rollback. Each round stops at its first
+    /// resource-assignment rollback, every task on an exclusive cluster
+    /// ([`Placement::DesignatedHomes`]; light tasks too, analysed by
+    /// Theorem 1, as Fig. 1 models them). Each round stops at its first
     /// failing task, and under EP a task whose longest path already
     /// misses its deadline fails before it is enumerated; the outcome is
     /// exactly that of the same loop over [`analyze`](Self::analyze).
@@ -278,41 +281,44 @@ impl AnalysisSession {
         platform: &Platform,
         heuristic: ResourceHeuristic,
     ) -> PartitionOutcome {
-        self.with_cache(tasks, |cfg, cache, scratch| {
-            let analyzer = SessionDpcp {
-                cfg,
-                cache,
-                mixed: false,
-            };
-            algorithm1_impl(tasks, platform, heuristic, &analyzer, scratch)
-        })
+        self.partition_dpcp(tasks, platform, heuristic, false)
     }
 
-    /// Algorithm 1 extended to mixed heavy/light task sets: heavy tasks
-    /// keep exclusive federated clusters, light tasks are packed onto a
-    /// shared pool, and Algorithm 2 places resources over both. Rounds
-    /// decide as in [`partition_and_analyze`](Self::partition_and_analyze),
-    /// with the longest-path proof for heavy tasks.
+    /// Algorithm 1 extended to mixed heavy/light task sets (Sec. VI,
+    /// [`Placement::SharedLightPool`]): heavy tasks keep exclusive
+    /// federated clusters, light tasks are packed onto a shared pool and
+    /// analysed by the sequential bound, and Algorithm 2 places resources
+    /// over both. Rounds decide as in
+    /// [`partition_and_analyze`](Self::partition_and_analyze), which this
+    /// equals on a set without light tasks. The registry's DPCP-p
+    /// protocols run this.
     pub fn partition_and_analyze_mixed(
         &mut self,
         tasks: &TaskSet,
         platform: &Platform,
         heuristic: ResourceHeuristic,
     ) -> PartitionOutcome {
+        self.partition_dpcp(tasks, platform, heuristic, true)
+    }
+
+    fn partition_dpcp(
+        &mut self,
+        tasks: &TaskSet,
+        platform: &Platform,
+        heuristic: ResourceHeuristic,
+        mixed: bool,
+    ) -> PartitionOutcome {
         self.with_cache(tasks, |cfg, cache, scratch| {
-            let analyzer = SessionDpcp {
-                cfg,
-                cache,
-                mixed: true,
-            };
-            algorithm1_mixed_impl(tasks, platform, heuristic, &analyzer, scratch)
+            let analyzer = SessionDpcp { cfg, cache, mixed };
+            algorithm1_impl(tasks, platform, heuristic, &analyzer, scratch)
         })
     }
 
-    /// The generic Algorithm 1 loop over any [`SchedAnalyzer`] — how the
-    /// baseline protocols (SPIN-SON, LPP, FED-FP) run with the session's
-    /// scratch. Analyses without per-task evaluation state ignore the
-    /// scratch.
+    /// Algorithm 1's loop over any [`SchedAnalyzer`], laid out by the
+    /// analyzer's [`placement`](SchedAnalyzer::placement) — how the
+    /// baseline protocols (SPIN-SON, LPP, FED-FP, MPCP, DGA) run with the
+    /// session's scratch. Analyses without per-task evaluation state
+    /// ignore the scratch.
     pub fn partition_with(
         &mut self,
         tasks: &TaskSet,
@@ -321,19 +327,6 @@ impl AnalysisSession {
         analyzer: &dyn SchedAnalyzer,
     ) -> PartitionOutcome {
         algorithm1_impl(tasks, platform, heuristic, analyzer, &mut self.scratch)
-    }
-
-    /// The mixed Algorithm 1 loop (Sec. VI, see
-    /// [`partition_and_analyze_mixed`](Self::partition_and_analyze_mixed))
-    /// over any [`SchedAnalyzer`], with the session's scratch.
-    pub fn partition_mixed_with(
-        &mut self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        heuristic: ResourceHeuristic,
-        analyzer: &dyn SchedAnalyzer,
-    ) -> PartitionOutcome {
-        algorithm1_mixed_impl(tasks, platform, heuristic, analyzer, &mut self.scratch)
     }
 
     /// The task-bound memo's counters for the session's current EP task
@@ -366,7 +359,7 @@ impl Default for AnalysisSession {
 
 /// The session's DPCP-p analysis as a [`SchedAnalyzer`], borrowing the
 /// session's configuration and cache; `mixed` selects the Sec. VI
-/// analysis (the sequential bound for light tasks).
+/// analysis (the sequential bound for light tasks) and its shared pool.
 struct SessionDpcp<'a> {
     cfg: &'a AnalysisConfig,
     cache: &'a SignatureCache,
@@ -374,6 +367,14 @@ struct SessionDpcp<'a> {
 }
 
 impl SchedAnalyzer for SessionDpcp<'_> {
+    fn placement(&self) -> Placement {
+        if self.mixed {
+            Placement::SharedLightPool
+        } else {
+            Placement::DesignatedHomes
+        }
+    }
+
     fn analyze(
         &self,
         tasks: &TaskSet,

@@ -4,7 +4,7 @@
 //! Tier-1 runs in debug, where the analysis recomputes every memo hit and
 //! asserts it equal to the stored bound, so every hit counted here has
 //! been checked. The seeded sweep covers Fig. 2 panels A–D, a
-//! light-fraction set (the Sec. VI mixed loop), a reader-writer set, a
+//! light-fraction set (the Sec. VI shared light pool), a reader-writer set, a
 //! signature cap of one that truncates every task, and contended sets
 //! whose placement search reaches its probe loop. It asserts hits inside
 //! Algorithm 1's rounds, in the search's WFD seed (which repeats

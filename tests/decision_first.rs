@@ -1,29 +1,30 @@
 //! Decision equivalence of the first-failure Algorithm 1 rounds.
 //!
-//! The session's own loops (`partition_and_analyze`,
+//! The session's DPCP-p entry points (`partition_and_analyze`,
 //! `partition_and_analyze_mixed`) stop every round at its first failing
 //! task, and under EP prove most failures from the longest path before
 //! enumerating anything. The reference here is a `SchedAnalyzer` whose
 //! `analyze` runs a session's full `analyze_with_signatures` (or
 //! `analyze_mixed_with_signatures`) over signatures enumerated up front,
-//! and which keeps the trait's default `first_failure`: full report, then
-//! scan. Caller-provided signatures carry no task-bound memo, so the
-//! reference solves every task from scratch, while the session under test
-//! reuses its memo across rounds, heuristics and budgets. Both drive the
-//! same loop, so every outcome must match exactly:
-//! `schedulable`, `rounds`, the rejecting reason and task, the accepted
-//! partition and every byte of each accepted report.
+//! which declares the entry point's placement and keeps the trait's
+//! default `first_failure`: full report, then scan. Caller-provided
+//! signatures carry no task-bound memo, so the reference solves every
+//! task from scratch, while the session under test reuses its memo across
+//! rounds, heuristics and budgets. Both drive the one Algorithm 1 loop
+//! (the reference through `partition_with`), so every outcome must match
+//! exactly: `schedulable`, `rounds`, the rejecting reason and task, the
+//! accepted partition and every byte of each accepted report.
 //!
-//! The seeded sweep covers Fig. 2 panels A–D (the classic loop), a
-//! light-fraction scenario (the Sec. VI mixed loop), the fuzz manifests'
-//! hostile shapes (64-layer and fork-join DAGs of hundreds of vertices,
-//! light and heavy), a reader-writer scenario and a signature cap that
-//! truncates every task, under both DPCP-p variants, all three
+//! The seeded sweep covers Fig. 2 panels A–D (heavy-only), a
+//! light-fraction scenario (the Sec. VI shared light pool), the fuzz
+//! manifests' hostile shapes (64-layer and fork-join DAGs of hundreds of
+//! vertices, light and heavy), a reader-writer scenario and a signature
+//! cap that truncates every task, under both DPCP-p variants, all three
 //! heuristics and fixed-point budgets {2, 3, 5, 512}.
 
 use dpcp_p::core::analysis::{EvalScratch, SchedulabilityReport, SignatureCache};
 use dpcp_p::core::partition::{PartitionOutcome, ResourceHeuristic};
-use dpcp_p::core::{AnalysisConfig, AnalysisSession, AnalysisVerdict, SchedAnalyzer};
+use dpcp_p::core::{AnalysisConfig, AnalysisSession, AnalysisVerdict, Placement, SchedAnalyzer};
 use dpcp_p::gen::scenario::{Fig2Panel, Scenario};
 use dpcp_p::gen::GraphShape;
 use dpcp_p::model::{Partition, Platform, TaskSet};
@@ -48,6 +49,14 @@ struct Reference<'a> {
 }
 
 impl SchedAnalyzer for Reference<'_> {
+    fn placement(&self) -> Placement {
+        if self.mixed {
+            Placement::SharedLightPool
+        } else {
+            Placement::DesignatedHomes
+        }
+    }
+
     fn analyze(
         &self,
         tasks: &TaskSet,
@@ -115,11 +124,7 @@ fn compare(tasks: &TaskSet, platform: &Platform, base: &AnalysisConfig, label: &
                 } else {
                     decided.partition_and_analyze(tasks, platform, heuristic)
                 };
-                let want = if mixed {
-                    driver.partition_mixed_with(tasks, platform, heuristic, &reference)
-                } else {
-                    driver.partition_with(tasks, platform, heuristic, &reference)
-                };
+                let want = driver.partition_with(tasks, platform, heuristic, &reference);
                 let context = format!("{label}, {:?}, budget {budget}, {heuristic:?}", cfg.variant);
                 assert_eq!(got, want, "{context}");
                 assert_eq!(verdict_bytes(&got), verdict_bytes(&want), "{context}");

@@ -1,13 +1,12 @@
 //! Direct-session suite for the `AnalysisSession` / protocol-registry
-//! API (successor of the PR-5 shim-equivalence suite, now that the
-//! deprecated free functions are gone): registry dispatch through one
-//! shared session must reproduce a hand-wired per-method pipeline on
-//! fresh sessions bit-identically — `PartitionOutcome`s (partitions,
-//! reports, rounds) and acceptance counts alike — for all five methods
-//! and both partition shapes (classic Algorithm 1 on purely heavy sets,
-//! mixed Algorithm 1 with shared light pools on heavy/light sets).
-//! The suite also pins the wire layer: `ProtocolRegistry::respond`
-//! agrees with direct dispatch for every method.
+//! API: registry dispatch through one shared session must reproduce a
+//! hand-wired per-method pipeline on fresh sessions bit-identically —
+//! `PartitionOutcome`s (partitions, reports, rounds) and acceptance
+//! counts alike — for all five methods, on purely heavy sets and on
+//! heavy/light sets (where DPCP-p pools the light tasks and the
+//! baselines give them exclusive clusters). The suite also pins the wire
+//! layer: `ProtocolRegistry::respond` agrees with direct dispatch for
+//! every method.
 
 use dpcp_p::baselines::{standard_registry, FedFp, Lpp, SpinSon};
 use dpcp_p::core::analysis::AnalysisConfig;
@@ -38,9 +37,9 @@ fn scenario(light_fraction: f64) -> Scenario {
 }
 
 /// The reference dispatch: a fresh session per call, hand-wired per
-/// method. For task sets with light tasks the DPCP methods go through
-/// the mixed Algorithm 1 (the path the registry routes to); baselines
-/// always run the classic loop via `partition_with`.
+/// method. For task sets with light tasks the DPCP methods pool them
+/// (`partition_and_analyze_mixed`); baselines run `partition_with`, whose
+/// loop their local-execution placement lays out.
 fn reference_outcome(
     method: &str,
     tasks: &TaskSet,
