@@ -12,6 +12,11 @@ use std::net::TcpStream;
 /// is rejected before allocation, not trusted.
 pub const MAX_BODY_BYTES: u64 = 16 * 1024 * 1024;
 
+/// Maximum size of a request head (64 KiB): the request line and every
+/// header together. Reading stops at the limit, so a client cannot grow
+/// the process by streaming one endless header line.
+pub const MAX_HEAD_BYTES: u64 = 64 * 1024;
+
 /// One parsed request: method, path and body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -49,12 +54,14 @@ impl std::error::Error for HttpError {}
 ///
 /// # Errors
 ///
-/// Returns [`HttpError`] for malformed request lines, unparseable or
-/// oversized `Content-Length`s, or a body shorter than promised.
+/// Returns [`HttpError`] for malformed request lines, a head longer than
+/// [`MAX_HEAD_BYTES`], unparseable or oversized `Content-Length`s, or a
+/// body shorter than promised.
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, HttpError> {
+    let mut budget = MAX_HEAD_BYTES;
     let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(_) => {}
+    match read_head_line(reader, &mut line, &mut budget) {
+        Ok(()) => {}
         // An idle timeout while waiting for the *next* request of a
         // kept-alive connection is a clean end, not a protocol error.
         Err(e)
@@ -80,8 +87,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>
     let mut keep_alive = false;
     loop {
         let mut header = String::new();
-        reader
-            .read_line(&mut header)
+        read_head_line(reader, &mut header, &mut budget)
             .map_err(|e| HttpError(format!("read header: {e}")))?;
         let header = header.trim_end();
         if header.is_empty() {
@@ -114,6 +120,25 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>
         body,
         keep_alive,
     }))
+}
+
+/// Reads one line of a request head into `line`, charging its bytes to
+/// `budget`. A line that reaches the end of the budget without its
+/// newline is an error naming [`MAX_HEAD_BYTES`].
+fn read_head_line(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+    budget: &mut u64,
+) -> std::io::Result<()> {
+    let read = reader.by_ref().take(*budget).read_line(line)? as u64;
+    if read == *budget && !line.ends_with('\n') {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("request head exceeds the {MAX_HEAD_BYTES}-byte limit"),
+        ));
+    }
+    *budget -= read;
+    Ok(())
 }
 
 /// Writes one response and flushes. `extra_headers` are `(name, value)`
@@ -331,5 +356,47 @@ impl KeepAliveClient {
             self.reader = None;
         }
         Ok(response)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// `read_request` over a loopback connection that carries `raw`.
+    fn read_raw(raw: String) -> Result<Option<Request>, HttpError> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+        let addr = listener.local_addr().expect("bound address");
+        let writer = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            // The reader may stop at its limit and close: a failed write
+            // is expected then.
+            let _ = stream.write_all(raw.as_bytes());
+        });
+        let (stream, _) = listener.accept().expect("accept");
+        let result = read_request(&mut BufReader::new(stream));
+        writer.join().expect("writer thread");
+        result
+    }
+
+    /// A `GET` whose head, blank line included, is `len` bytes long.
+    fn head_of(len: usize) -> String {
+        let frame = "GET /healthz HTTP/1.1\r\nx-pad: \r\n\r\n".len();
+        format!(
+            "GET /healthz HTTP/1.1\r\nx-pad: {}\r\n\r\n",
+            "x".repeat(len - frame)
+        )
+    }
+
+    #[test]
+    fn a_head_past_the_limit_is_an_error_naming_it() {
+        let err = read_raw(head_of(1 << 20)).expect_err("a 1 MiB header line is refused");
+        assert!(err.0.contains("65536-byte limit"), "{err}");
+        let limit = MAX_HEAD_BYTES as usize;
+        let at_limit = read_raw(head_of(limit)).expect("a head at the limit parses");
+        assert_eq!(at_limit.map(|r| r.path), Some("/healthz".to_string()));
+        let err = read_raw(head_of(limit + 1)).expect_err("one byte past the limit");
+        assert!(err.0.contains("65536-byte limit"), "{err}");
     }
 }

@@ -558,6 +558,33 @@ fn keep_alive_connection_cap_closes_and_client_reconnects() {
 }
 
 #[test]
+fn an_oversized_request_head_is_refused_and_the_worker_survives() {
+    // One 1 MiB header line used to be buffered whole and answered 200;
+    // endless ones grew the process until an allocation aborted it.
+    use std::io::{Read, Write};
+    let server = one_worker_server();
+    let addr = server.local_addr().to_string();
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let head = format!(
+        "GET /healthz HTTP/1.1\r\nx-pad: {}\r\n\r\n",
+        "x".repeat(1 << 20)
+    );
+    // The server stops reading at its limit and closes with input unread,
+    // so the write or the read may end in a reset instead of the 400.
+    let _ = stream.write_all(head.as_bytes());
+    let mut reply = Vec::new();
+    let _ = stream.read_to_end(&mut reply);
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(
+        reply.is_empty() || (reply.starts_with("HTTP/1.1 400") && reply.contains("65536-byte")),
+        "{reply:.200}"
+    );
+    let (status, _, _) = roundtrip(&addr, "GET", "/healthz", b"").expect("the worker survives");
+    assert_eq!(status, 200);
+    server.shutdown();
+}
+
+#[test]
 fn metrics_and_healthz_respond() {
     let server = spawn_server();
     let addr = server.local_addr().to_string();
