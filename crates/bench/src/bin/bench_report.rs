@@ -17,19 +17,14 @@
 //!   `evaluate_point`, sequential (`threads = 1`) vs the ambient rayon
 //!   pool, including the per-method acceptance ratios of both runs so the
 //!   determinism claim (bit-identical results for any worker count) is
-//!   recorded alongside the speedup;
-//! - `serve` — the admission-control service under the seeded
-//!   duplicate-heavy `serve-loadgen` workload (self-hosted, in-process):
-//!   p50/p99 end-to-end latency, verdicts/sec, the hit/miss split and the
-//!   cache short-circuit speedup, plus the byte-identity check between
-//!   cached and cold verdicts.
+//!   recorded alongside the speedup.
 //!
 //! The process exits non-zero when the parallel run fails to reproduce
-//! the sequential acceptance ratios, when the serve workload errors or
-//! breaks byte-identity, or — with `--check-against` — when any component
-//! median regresses beyond the tolerance factor against a committed
-//! baseline report. Serve latencies are recorded but not regression-gated
-//! (single-core CI runners make them too noisy for a hard gate).
+//! the sequential acceptance ratios, or — with `--check-against` — when
+//! any component median regresses beyond the tolerance factor against a
+//! committed baseline report. The admission-control service is measured
+//! end to end by `serve-loadgen` (CI's `serve-smoke` job) and the
+//! repository benchmark, not here.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -79,22 +74,12 @@ struct Report {
     host_cores: usize,
     components: Vec<ComponentBench>,
     harness: HarnessComparison,
-    /// `Option` so reports predating the serve section still parse as
-    /// `--check-against` baselines.
-    serve: Option<ServeSection>,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct ServeSection {
-    workload: dpcp_serve::LoadgenConfig,
-    report: dpcp_serve::LoadReport,
 }
 
 struct Args {
     samples: usize,
     repeats: usize,
     sample_size: usize,
-    quick: bool,
     out: PathBuf,
     check_against: Option<PathBuf>,
     tolerance: f64,
@@ -105,7 +90,6 @@ fn parse_args() -> Args {
         samples: 16,
         repeats: 5,
         sample_size: 15,
-        quick: false,
         out: PathBuf::from("BENCH_analysis.json"),
         check_against: None,
         tolerance: 2.0,
@@ -120,7 +104,6 @@ fn parse_args() -> Args {
                 args.samples = 8;
                 args.repeats = 3;
                 args.sample_size = 10;
-                args.quick = true;
             }
             "--samples" => {
                 args.samples = it
@@ -186,33 +169,6 @@ fn median_point_ms(repeats: usize, mut f: impl FnMut() -> PointResult) -> (f64, 
     }
     times.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
     (times[times.len() / 2], last)
-}
-
-/// Boots the admission-control server in-process on an ephemeral port
-/// and drives the seeded duplicate-heavy workload against it.
-fn serve_section(quick: bool) -> ServeSection {
-    let mut workload = if quick {
-        dpcp_serve::LoadgenConfig::quick()
-    } else {
-        dpcp_serve::LoadgenConfig::full()
-    };
-    // Keep-alive on: the quoted latencies exclude per-request TCP dial
-    // cost, and the report carries the connection-reuse counters. A
-    // persistent connection pins its worker for the whole client
-    // session, so the pool must hold one worker per client — otherwise
-    // queued clients wait behind entire sessions and the percentiles
-    // measure head-of-line blocking, not the service.
-    workload.keep_alive = true;
-    let server = dpcp_serve::Server::spawn(dpcp_serve::ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: workload.clients,
-        ..dpcp_serve::ServeConfig::default()
-    })
-    .expect("ephemeral bind");
-    let report = dpcp_serve::loadgen::run(&server.local_addr().to_string(), &workload)
-        .expect("loadgen setup");
-    server.shutdown();
-    ServeSection { workload, report }
 }
 
 fn harness_comparison(samples: usize, repeats: usize) -> HarnessComparison {
@@ -330,25 +286,6 @@ fn main() -> ExitCode {
     );
     let deterministic = harness.ratios_identical;
 
-    println!("\n== serve: duplicate-heavy load ==");
-    let serve = serve_section(args.quick);
-    println!(
-        "{} requests ({} errors) | {} hits / {} misses | p50 {} us, p99 {} us | \
-         hit p50 {} us vs miss p50 {} us ({:.1}x) | {:.1} verdicts/sec | byte-identical: {}",
-        serve.report.requests,
-        serve.report.errors,
-        serve.report.hits,
-        serve.report.misses,
-        serve.report.p50_us,
-        serve.report.p99_us,
-        serve.report.hit_p50_us,
-        serve.report.miss_p50_us,
-        serve.report.hit_speedup,
-        serve.report.verdicts_per_sec,
-        serve.report.byte_identical
-    );
-    let serve_ok = serve.report.errors == 0 && serve.report.hits > 0 && serve.report.byte_identical;
-
     let report = Report {
         schema_version: 1,
         host_cores: std::thread::available_parallelism()
@@ -356,22 +293,12 @@ fn main() -> ExitCode {
             .unwrap_or(1),
         components,
         harness,
-        serve: Some(serve),
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&args.out, json + "\n").expect("cannot write report");
     println!("wrote {}", args.out.display());
 
     let mut ok = true;
-    if !serve_ok {
-        let serve = &report.serve.as_ref().expect("just measured").report;
-        eprintln!(
-            "FAIL: serve workload broke its contract \
-             (errors {}, hits {}, byte-identical {})",
-            serve.errors, serve.hits, serve.byte_identical
-        );
-        ok = false;
-    }
     if !deterministic {
         eprintln!(
             "FAIL: parallel run did not reproduce the sequential acceptance ratios \
