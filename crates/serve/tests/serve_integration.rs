@@ -559,8 +559,9 @@ fn keep_alive_connection_cap_closes_and_client_reconnects() {
 
 #[test]
 fn an_oversized_request_head_is_refused_and_the_worker_survives() {
-    // One 1 MiB header line used to be buffered whole and answered 200;
-    // endless ones grew the process until an allocation aborted it.
+    // Without the head limit a 1 MiB header line is buffered whole and
+    // answered 200, and an endless one grows the process until an
+    // allocation aborts it.
     use std::io::{Read, Write};
     let server = one_worker_server();
     let addr = server.local_addr().to_string();
