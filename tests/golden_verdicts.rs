@@ -54,6 +54,18 @@ const BFD: ResourceHeuristic = ResourceHeuristic::BestFitDecreasing;
 const PANELS: [Fig2Panel; 2] = [Fig2Panel::A, Fig2Panel::B];
 const FIG2_LOADS: [f64; 3] = [0.2, 0.4, 0.6];
 const FIG2_SAMPLES: u64 = 4;
+const HEADER: [&str; 10] = [
+    "pool",
+    "u_per_m",
+    "sample",
+    "heuristic",
+    "protocol",
+    "schedulable",
+    "rounds",
+    "reason",
+    "digest",
+    "partition",
+];
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("ci/golden_verdicts.csv")
@@ -298,9 +310,7 @@ fn verdict_rows(sets: &[PoolSet]) -> (String, Coverage) {
     let registry = standard_registry();
     let mut session = AnalysisSession::new(AnalysisConfig::ep());
     let mut coverage = Coverage::default();
-    let mut csv = String::from(
-        "pool,u_per_m,sample,heuristic,protocol,schedulable,rounds,reason,digest,partition\n",
-    );
+    let mut csv = HEADER.join(",") + "\n";
     for set in sets {
         let (tasks, platform) = (&set.tasks, &set.platform);
         let has_lights = tasks.iter().any(|t| !t.is_heavy());
@@ -373,18 +383,6 @@ fn verdict_rows(sets: &[PoolSet]) -> (String, Coverage) {
 
 /// The cells of one row, by header name.
 fn cell<'a>(row: &'a str, column: &str) -> &'a str {
-    const HEADER: [&str; 10] = [
-        "pool",
-        "u_per_m",
-        "sample",
-        "heuristic",
-        "protocol",
-        "schedulable",
-        "rounds",
-        "reason",
-        "digest",
-        "partition",
-    ];
     let index = HEADER
         .iter()
         .position(|&h| h == column)
