@@ -105,7 +105,7 @@ fn compare(tasks: &TaskSet, platform: &Platform, base: &AnalysisConfig, label: &
     let mut tally = Tally::default();
     for variant in [AnalysisConfig::ep(), AnalysisConfig::en()] {
         let mut decided = AnalysisSession::new(base.clone());
-        let mut driver = AnalysisSession::new(base.clone());
+        let mut full = AnalysisSession::new(base.clone());
         for budget in BUDGETS {
             let cfg = AnalysisConfig {
                 variant: variant.variant,
@@ -124,7 +124,7 @@ fn compare(tasks: &TaskSet, platform: &Platform, base: &AnalysisConfig, label: &
                 } else {
                     decided.partition_and_analyze(tasks, platform, heuristic)
                 };
-                let want = driver.partition_with(tasks, platform, heuristic, &reference);
+                let want = full.partition_with(tasks, platform, heuristic, &reference);
                 let context = format!("{label}, {:?}, budget {budget}, {heuristic:?}", cfg.variant);
                 assert_eq!(got, want, "{context}");
                 assert_eq!(verdict_bytes(&got), verdict_bytes(&want), "{context}");
