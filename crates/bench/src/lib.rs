@@ -199,8 +199,8 @@ fn bench_search() -> PlacementSearch {
 /// search-engine quartet, the two wire layers a cold `/analyze` crosses
 /// before any analysis (`json/parse_request`, with `json/parse_request_pretty`
 /// on a whitespace-heavy body, and `dto/structural_key`) and
-/// the `enumerate/*` triple (DFS reference, signature-domain DP,
-/// dominance-pruned DP).
+/// the `enumerate/*` pair (the depth-first reference and the
+/// dominance-pruned signature-domain DP the analysis runs).
 ///
 /// The one definition of every component: `bench_report` reads the
 /// medians back from [`Criterion::results`], and the `analysis`
@@ -407,10 +407,9 @@ pub fn components(c: &mut Criterion) {
     c.bench_function("dto/structural_key", |b| {
         b.iter(|| black_box(black_box(&request).structural_key()))
     });
-    // The enumerator pair behind the cache: the depth-first reference vs
-    // the signature-domain DP (same caps, same sorted output), plus the
-    // opt-in dominance-pruned DP — the ablation-validated fast mode that
-    // also avoids truncation on the dense bench tasks.
+    // The enumerator pair behind the cache, under the same caps: the
+    // depth-first reference (every distinct signature, no pruning) and
+    // the dominance-pruned DP the analysis runs.
     c.bench_function("enumerate/dfs", |b| {
         b.iter(|| {
             for t in tasks.iter() {
@@ -422,18 +421,6 @@ pub fn components(c: &mut Criterion) {
             }
         })
     });
-    c.bench_function("enumerate/dp", |b| {
-        b.iter(|| {
-            for t in tasks.iter() {
-                black_box(enumerate_signatures_dp_capped(
-                    t,
-                    cfg.path_signature_cap,
-                    cfg.path_visit_cap,
-                    false,
-                ));
-            }
-        })
-    });
     c.bench_function("enumerate/dp_pruned", |b| {
         b.iter(|| {
             for t in tasks.iter() {
@@ -441,7 +428,6 @@ pub fn components(c: &mut Criterion) {
                     t,
                     cfg.path_signature_cap,
                     cfg.path_visit_cap,
-                    true,
                 ));
             }
         })

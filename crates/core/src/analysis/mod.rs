@@ -111,20 +111,6 @@ pub struct AnalysisConfig {
     /// Iteration budget for every fixed-point recurrence; exhaustion is
     /// treated as divergence (sound).
     pub max_fixpoint_iterations: usize,
-    /// Drop dominated path signatures during enumeration (see
-    /// [`prune_dominated_signatures`](dpcp_model::prune_dominated_signatures)
-    /// and the monotonicity note in `dpcp_model::path`): signatures that
-    /// cannot be the binding EP path are removed before Theorem 1 ever
-    /// evaluates them. On by default — the binding `PathBound` is proven
-    /// (and asserted, `tests/signature_dp.rs`) unchanged, enumeration is
-    /// ~5× faster, and at the default caps pruning can only *improve*
-    /// precision (complete enumeration where the unpruned set would
-    /// truncate to the EN fallback). Set to `false` for the unpruned
-    /// reference set the equivalence tests compare against. A wire body
-    /// without this member deserializes to `false`, the behaviour before
-    /// pruning existed.
-    #[serde(default)]
-    pub prune_dominated: bool,
     /// Step budget for the search-wrapper protocols
     /// ([`SearchVariant`](crate::registry::SearchVariant)): how many local
     /// moves the placement search may propose per task set (at most one
@@ -143,7 +129,6 @@ impl Default for AnalysisConfig {
             path_signature_cap: 1024,
             path_visit_cap: 50_000,
             max_fixpoint_iterations: 512,
-            prune_dominated: true,
             search_probe_budget: None,
         }
     }
@@ -240,8 +225,8 @@ pub struct SignatureCache {
 
 impl SignatureCache {
     /// Enumerates signatures for every task under the config's caps, via
-    /// the signature-domain dynamic program (dedup at every merge point;
-    /// dominance pruning when `cfg.prune_dominated` is set).
+    /// the signature-domain dynamic program (dedup and dominance pruning
+    /// at every merge point).
     pub fn new(tasks: &TaskSet, cfg: &AnalysisConfig) -> Self {
         let per_task = tasks
             .iter()
@@ -286,10 +271,11 @@ impl SignatureCache {
         })
     }
 
-    /// [`new`](Self::new) through the depth-first reference enumerator
-    /// (never prunes). Kept for the DFS-vs-DP equivalence tests and the
-    /// enumeration benches; analysis results are bit-identical whenever
-    /// neither enumerator truncates.
+    /// [`new`](Self::new) through the depth-first reference enumerator:
+    /// every distinct signature, no pruning, no memo. Kept for the
+    /// DFS-vs-DP equivalence tests; whenever neither enumerator truncates,
+    /// every WCRT, breakdown and verdict equals the pruned cache's, and
+    /// only `signatures_evaluated` may be larger.
     pub fn new_dfs(tasks: &TaskSet, cfg: &AnalysisConfig) -> Self {
         let per_task = tasks
             .iter()
@@ -331,14 +317,9 @@ impl SignatureCache {
     }
 }
 
-/// One task's signatures under the config's caps and pruning.
+/// One task's signatures under the config's caps.
 fn enumerate(task: &DagTask, cfg: &AnalysisConfig) -> PathSignatures {
-    enumerate_signatures_dp_capped(
-        task,
-        cfg.path_signature_cap,
-        cfg.path_visit_cap,
-        cfg.prune_dominated,
-    )
+    enumerate_signatures_dp_capped(task, cfg.path_signature_cap, cfg.path_visit_cap)
 }
 
 /// The most bounds one task set's memo holds; later misses are computed
@@ -522,7 +503,7 @@ fn analyze_tasks(
 /// proves the EP bound unschedulable without enumerating a path.
 ///
 /// The EP bound dominates the bound of the single path `λ*`: without
-/// truncation the (pruned) signature set holds `λ*`'s signature or a
+/// truncation the signature set (pruned or not) holds `λ*`'s signature or a
 /// dominator of it (equal request vector, no shorter, no less critical
 /// content), and a truncated task reports the EN bound, which dominates
 /// every signature (`en_dominates_every_single_signature`). By the orbit
@@ -740,13 +721,9 @@ mod tests {
     #[test]
     fn signature_cache_is_partition_independent() {
         let tasks = fig1::task_set().unwrap();
-        // Unpruned: the distinct-signature counts below are the complete
-        // enumeration's (the default config prunes dominated signatures).
-        let cfg = AnalysisConfig {
-            prune_dominated: false,
-            ..AnalysisConfig::ep()
-        };
-        let cache = SignatureCache::new(&tasks, &cfg);
+        let cfg = AnalysisConfig::ep();
+        // The depth-first reference holds every distinct signature.
+        let cache = SignatureCache::new_dfs(&tasks, &cfg);
         assert_eq!(cache.signatures(TaskId::new(0)).signatures.len(), 3);
         // τ_j: paths through v4 and v5 share a signature → 3 distinct.
         assert_eq!(cache.signatures(TaskId::new(1)).signatures.len(), 3);

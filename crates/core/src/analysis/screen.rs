@@ -36,9 +36,9 @@
 //!
 //! **Claim.** If the function names `τ_i` for `m` processors, then under
 //! every placement `P` of the move space `AnalysisSession::analyze`
-//! reports `τ_i` unschedulable — under `DPCP-p-EP` (pruned or not, at any
-//! caps) and under `DPCP-p-EN`, at any iteration budget — provided every
-//! task has `L*_j ≤ D_j`. Every set the search screens does (it returns
+//! reports `τ_i` unschedulable — under `DPCP-p-EP` (at any caps) and
+//! under `DPCP-p-EN`, at any iteration budget — provided every task has
+//! `L*_j ≤ D_j`. Every set the search screens does (it returns
 //! the seed outcome first when `initial_processors` finds a task with
 //! `L*_j ≥ D_j`), and a set that breaks it fails under every placement
 //! anyway: that task's recurrence starts above its deadline.

@@ -467,7 +467,8 @@ pub fn structural_key(
     h.write_usize(config.path_signature_cap);
     h.write_u64(config.path_visit_cap);
     h.write_usize(config.max_fixpoint_iterations);
-    h.write_u64(u64::from(config.prune_dominated));
+    // The retired pruning switch's word, fixed at its default (on) so keys keep their values.
+    h.write_u64(1);
     if let Some(budget) = config.search_probe_budget {
         h.write_u64(TAG_SEARCH);
         h.write_usize(budget);
@@ -759,31 +760,31 @@ mod tests {
     fn absent_defaulted_members_parse_and_unknown_members_are_ignored() {
         let req = request(set(vec![diamond(0, 10, [0, 1, 2, 3]).unwrap()]));
         let json = serde_json::to_string(&req).expect("serialize");
-        // Serialization always emits the member…
-        let member = "\"prune_dominated\":true,";
+        // Serialization always emits the defaulted member…
+        let member = "\"search_probe_budget\":null";
         assert!(json.contains(member), "{json}");
         // …but a body without it parses: `#[serde(default)]` fills in
-        // `bool::default()`, i.e. the unpruned enumeration.
-        let absent: AnalysisRequest =
-            serde_json::from_str(&json.replacen(member, "", 1)).expect("absent member parses");
-        let unpruned = AnalysisConfig {
-            prune_dominated: false,
-            ..AnalysisConfig::ep()
-        };
-        assert_eq!(absent.config, unpruned);
-        // An explicit but ill-typed member is still an error.
-        let null = json.replacen(member, "\"prune_dominated\":null,", 1);
-        assert!(serde_json::from_str::<AnalysisRequest>(&null).is_err());
-        // A member this build does not know (the retired solver switch)
-        // is accepted and ignored: same request, same key.
-        let legacy = json.replacen(
-            member,
-            "\"prune_dominated\":true,\"batched_fixpoint\":false,",
-            1,
-        );
-        let legacy: AnalysisRequest = serde_json::from_str(&legacy).expect("legacy body parses");
-        assert_eq!(legacy, req);
-        assert_eq!(legacy.structural_key(), req.structural_key());
+        // `None`.
+        let absent = json.replacen(&format!(",{member}"), "", 1);
+        assert_ne!(absent, json, "the member must be present to strip");
+        let absent: AnalysisRequest = serde_json::from_str(&absent).expect("absent member parses");
+        assert_eq!(absent, req);
+        // Members this build no longer knows (the retired solver and
+        // pruning switches, whatever their value) are accepted and
+        // ignored: same request, same key.
+        for retired in [
+            "\"batched_fixpoint\":false,",
+            "\"prune_dominated\":true,",
+            "\"prune_dominated\":false,",
+            "\"prune_dominated\":null,",
+        ] {
+            let legacy = json.replacen(member, &format!("{retired}{member}"), 1);
+            assert_ne!(legacy, json, "the body must carry {retired}");
+            let legacy: AnalysisRequest =
+                serde_json::from_str(&legacy).expect("legacy body parses");
+            assert_eq!(legacy, req, "{retired}");
+            assert_eq!(legacy.structural_key(), req.structural_key(), "{retired}");
+        }
     }
 
     #[test]

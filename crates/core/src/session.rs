@@ -6,7 +6,7 @@
 //!
 //! A session is cheap to build and reusable: the signature cache is keyed
 //! by the task set's structure plus the enumeration-relevant parts of the
-//! configuration (path caps and dominance pruning — nothing else), so
+//! configuration (the two path caps — nothing else), so
 //! consecutive calls on the same task set (partition studies, top-up
 //! loops, repeated analyses under different partitions) never
 //! re-enumerate paths; the EN variant never reads signatures and leaves
@@ -63,7 +63,6 @@ use crate::registry::ProtocolAnalysis;
 struct EnumerationParams {
     path_signature_cap: usize,
     path_visit_cap: u64,
-    prune_dominated: bool,
 }
 
 impl EnumerationParams {
@@ -71,7 +70,6 @@ impl EnumerationParams {
         EnumerationParams {
             path_signature_cap: cfg.path_signature_cap,
             path_visit_cap: cfg.path_visit_cap,
-            prune_dominated: cfg.prune_dominated,
         }
     }
 }

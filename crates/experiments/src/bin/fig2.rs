@@ -4,22 +4,15 @@
 //! ```text
 //! cargo run -p dpcp_experiments --release --bin fig2 -- \
 //!     [--samples N] [--seed S] [--panels abcd] [--out DIR] \
-//!     [--no-prune-dominated] [--assert-golden DIR]
+//!     [--assert-golden DIR]
 //! ```
 //!
 //! A thin wrapper over the campaign engine: each panel is one bundled
 //! single-scenario manifest (`fig2_panel_manifest`) whose cell the
 //! engine evaluates with the exact seed discipline the pre-campaign
 //! binary used — flag-for-flag, the emitted `fig2_<panel>.csv` bytes
-//! are unchanged (note the *default* changed alongside: pruning is now
-//! on, so a no-flag run corresponds to the old `--prune-dominated`, and
-//! the old no-flag behaviour is `--no-prune-dominated`).
-//! `--assert-golden DIR` diffs every emitted CSV against
+//! are unchanged. `--assert-golden DIR` diffs every emitted CSV against
 //! `DIR/fig2_<panel>.csv` and exits non-zero on any difference.
-//!
-//! Dominance pruning is on by default (the binding bound is proven
-//! unchanged; see `tests/signature_dp.rs`); `--no-prune-dominated` is
-//! the ablation knob for the unpruned reference enumeration.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -34,7 +27,6 @@ struct Args {
     seed: u64,
     panels: Vec<Fig2Panel>,
     out: PathBuf,
-    prune_dominated: bool,
     assert_golden: Option<PathBuf>,
 }
 
@@ -44,7 +36,6 @@ fn parse_args() -> Args {
         seed: 2020,
         panels: Fig2Panel::all().to_vec(),
         out: PathBuf::from("results"),
-        prune_dominated: true,
         assert_golden: None,
     };
     let mut it = std::env::args().skip(1);
@@ -78,9 +69,6 @@ fn parse_args() -> Args {
             "--out" => {
                 args.out = PathBuf::from(it.next().expect("--out needs a directory"));
             }
-            "--no-prune-dominated" => {
-                args.prune_dominated = false;
-            }
             "--assert-golden" => {
                 args.assert_golden = Some(PathBuf::from(
                     it.next().expect("--assert-golden needs a directory"),
@@ -88,7 +76,7 @@ fn parse_args() -> Args {
             }
             other => panic!(
                 "unknown flag '{other}' \
-                 (try --samples/--seed/--panels/--out/--no-prune-dominated/--assert-golden)"
+                 (try --samples/--seed/--panels/--out/--assert-golden)"
             ),
         }
     }
@@ -99,18 +87,12 @@ fn main() -> ExitCode {
     let args = parse_args();
     std::fs::create_dir_all(&args.out).expect("cannot create output directory");
     println!(
-        "Fig. 2 reproduction — {} samples/point, seed {}{}",
-        args.samples,
-        args.seed,
-        if args.prune_dominated {
-            ""
-        } else {
-            ", dominance pruning off"
-        }
+        "Fig. 2 reproduction — {} samples/point, seed {}",
+        args.samples, args.seed
     );
     let mut golden_ok = true;
     for panel in &args.panels {
-        let manifest = fig2_panel_manifest(*panel, args.samples, args.seed, args.prune_dominated);
+        let manifest = fig2_panel_manifest(*panel, args.samples, args.seed);
         let cells = manifest.cells(false);
         let started = std::time::Instant::now();
         let results = run_cells(&cells);

@@ -243,8 +243,6 @@ pub struct AblationSpec {
     pub methods: Option<Vec<Method>>,
     /// Resource-placement heuristic; omitted → Worst-Fit Decreasing.
     pub heuristic: Option<ResourceHeuristic>,
-    /// Override for [`AnalysisConfig::prune_dominated`].
-    pub prune_dominated: Option<bool>,
     /// Override for [`AnalysisConfig::path_signature_cap`].
     pub path_signature_cap: Option<usize>,
     /// Override for [`AnalysisConfig::path_visit_cap`].
@@ -264,7 +262,6 @@ impl AblationSpec {
             label: "default".to_string(),
             methods: None,
             heuristic: None,
-            prune_dominated: None,
             path_signature_cap: None,
             path_visit_cap: None,
             search_budget: None,
@@ -274,9 +271,6 @@ impl AblationSpec {
     /// The EP analysis configuration this ablation induces.
     pub fn ep_config(&self) -> AnalysisConfig {
         let mut cfg = AnalysisConfig::ep();
-        if let Some(p) = self.prune_dominated {
-            cfg.prune_dominated = p;
-        }
         if let Some(cap) = self.path_signature_cap {
             cfg.path_signature_cap = cap;
         }
@@ -652,7 +646,6 @@ pub fn fig2_panel_manifest(
     panel: dpcp_gen::Fig2Panel,
     samples: usize,
     seed: u64,
-    prune_dominated: bool,
 ) -> CampaignManifest {
     let scenario = Scenario::fig2(panel);
     let tag = match panel {
@@ -669,10 +662,7 @@ pub fn fig2_panel_manifest(
         methods: Method::PAPER.to_vec(),
         axes: AxisSpec::single(&scenario),
         normalized_utilization: None,
-        ablations: Some(vec![AblationSpec {
-            prune_dominated: Some(prune_dominated),
-            ..AblationSpec::default_cell()
-        }]),
+        ablations: None,
         quick: None,
         extra: None,
     }
@@ -788,8 +778,8 @@ mod tests {
             },
             "normalized_utilization": [0.25, 0.5],
             "ablations": [
-                {"label": "pruned", "prune_dominated": true},
-                {"label": "unpruned", "prune_dominated": false}
+                {"label": "default"},
+                {"label": "capped", "path_signature_cap": 16}
             ],
             "quick": {"samples_per_point": 1, "limit_scenarios": 2}
         }"#
@@ -810,10 +800,10 @@ mod tests {
         }
         // Scenario-major order: consecutive cells share the scenario.
         assert_eq!(cells[0].scenario, cells[1].scenario);
-        assert_eq!(cells[0].ablation, "pruned");
-        assert_eq!(cells[1].ablation, "unpruned");
-        assert!(cells[0].eval.ep_config.prune_dominated);
-        assert!(!cells[1].eval.ep_config.prune_dominated);
+        assert_eq!(cells[0].ablation, "default");
+        assert_eq!(cells[1].ablation, "capped");
+        assert_eq!(cells[0].eval.ep_config, AnalysisConfig::ep());
+        assert_eq!(cells[1].eval.ep_config.path_signature_cap, 16);
         // Round-trip through JSON is lossless.
         let text = serde_json::to_string(&manifest).unwrap();
         let back = CampaignManifest::from_json(&text).unwrap();
@@ -842,7 +832,7 @@ mod tests {
         bad.axes.m = vec![1];
         assert!(bad.validate().is_err());
         let mut bad = good.clone();
-        bad.ablations.as_mut().unwrap()[1].label = "pruned".to_string();
+        bad.ablations.as_mut().unwrap()[1].label = "default".to_string();
         assert!(bad.validate().is_err());
         let mut bad = good.clone();
         bad.normalized_utilization = Some(vec![1.5]);
@@ -960,7 +950,7 @@ mod tests {
 
     #[test]
     fn bundled_fig2_manifest_matches_legacy_sweep() {
-        let manifest = fig2_panel_manifest(Fig2Panel::C, 50, 2020, true);
+        let manifest = fig2_panel_manifest(Fig2Panel::C, 50, 2020);
         let cells = manifest.cells(false);
         assert_eq!(cells.len(), 1);
         let cell = &cells[0];
@@ -970,7 +960,7 @@ mod tests {
         // absolute sweep: 1 to m in steps of 0.05·m.
         assert_eq!(cell.utilizations, scenario.utilization_points());
         assert_eq!(cell.methods, Method::PAPER.to_vec());
-        assert!(cell.eval.ep_config.prune_dominated);
+        assert_eq!(cell.eval.ep_config, AnalysisConfig::ep());
     }
 
     #[test]

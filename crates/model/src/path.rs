@@ -7,25 +7,28 @@
 //! deduplicated — which is what makes enumerating the (combinatorially
 //! many) complete paths of dense DAGs tractable.
 //!
-//! # Two enumerators
+//! # The enumerator and its reference
 //!
-//! - [`enumerate_signatures_capped`] walks every complete path depth-first
-//!   and dedups at the sink — the retained reference implementation, but
-//!   exponential in path count on dense DAGs (hence its visit cap).
-//! - [`enumerate_signatures_dp_capped`] computes the same set directly in
-//!   the *signature domain*: vertices are processed in topological order,
-//!   each vertex holds the set of distinct partial signatures of the
-//!   head-to-here prefixes, and identical partials are collapsed **at every
-//!   merge point** before they fan out again. Work is bounded by
-//!   `Σ_v |frontier(v)| · out-degree(v)` — the number of *distinct* partial
-//!   signatures, not the number of paths — which turns the `2^k` paths of a
-//!   `k`-diamond chain into `O(k)` extensions when the branches agree.
+//! - [`enumerate_signatures_dp_capped`] is the one the analysis runs. It
+//!   works in the *signature domain*: vertices are processed in
+//!   topological order, each vertex holds the longest partial signature
+//!   of its head-to-here prefixes per request profile, and identical or
+//!   dominated partials are collapsed **at every merge point** before they
+//!   fan out again. Work is bounded by `Σ_v |frontier(v)| · out-degree(v)`
+//!   — the number of *distinct* partial request profiles, not the number
+//!   of paths — which turns the `2^k` paths of a `k`-diamond chain into
+//!   `O(k)` extensions when the branches agree.
+//! - [`enumerate_signatures_capped`] walks every complete path
+//!   depth-first and dedups at the sink, without pruning. It is the test
+//!   reference, but exponential in path count on dense DAGs (hence its
+//!   visit cap).
 //!
-//! Both produce bit-identical [`PathSignatures`] (same sorted set, same
-//! `truncated` flag) whenever neither hits a cap; the seeded equivalence
-//! sweep in `tests/signature_dp.rs` asserts this.
+//! Whenever neither hits a cap, the DP's list is exactly the reference's
+//! after [`prune_dominated_signatures`], in the shared output order; the
+//! seeded sweep in `tests/signature_dp.rs` asserts this and that both
+//! lists give the same analysis.
 //!
-//! # Dominance pruning (opt-in) — monotonicity note
+//! # Dominance pruning (always on) — monotonicity note
 //!
 //! [`prune_dominated_signatures`] drops a signature `A` when another
 //! signature `B` with the **identical request vector** has `L(A) ≤ L(B)`
@@ -263,36 +266,53 @@ pub fn enumerate_signatures_capped(task: &DagTask, cap: usize, visit_cap: u64) -
     }
 }
 
-/// Enumerates the distinct path signatures of `task` with the
+/// Enumerates the dominance-pruned path signatures of `task` with the
 /// signature-domain dynamic program (see the module docs), stopping after
-/// `cap` distinct signatures. Equivalent to [`enumerate_signatures`] but
-/// polynomial in the number of *distinct* partial signatures instead of
-/// exponential in the number of paths.
+/// `cap` distinct signatures. Without truncation its set is
+/// [`prune_dominated_signatures`] of [`enumerate_signatures`]'s, but the
+/// work is polynomial in the number of *distinct* partial signatures
+/// instead of exponential in the number of paths.
 ///
 /// # Examples
 ///
 /// ```
 /// use dpcp_model::fig1;
-/// use dpcp_model::path::{enumerate_signatures, enumerate_signatures_dp};
+/// use dpcp_model::path::{enumerate_signatures, enumerate_signatures_dp, prune_dominated_signatures};
 ///
 /// let (ti, _) = fig1::tasks()?;
-/// let dfs = enumerate_signatures(&ti, 100);
+/// let mut reference = enumerate_signatures(&ti, 100).signatures;
+/// prune_dominated_signatures(&mut reference);
 /// let dp = enumerate_signatures_dp(&ti, 100);
-/// assert_eq!(dfs.signatures, dp.signatures);
 /// assert!(!dp.truncated);
+/// // The same set; the pruned reference's order is unspecified.
+/// assert_eq!(dp.signatures.len(), reference.len());
+/// assert!(dp.signatures.iter().all(|s| reference.contains(s)));
 /// # Ok::<(), dpcp_model::ModelError>(())
 /// ```
 pub fn enumerate_signatures_dp(task: &DagTask, cap: usize) -> PathSignatures {
-    enumerate_signatures_dp_capped(task, cap, u64::MAX, false)
+    enumerate_signatures_dp_capped(task, cap, u64::MAX)
 }
 
 /// The signature-domain dynamic program behind the EP analysis.
 ///
-/// Vertices are processed in topological order; `reach[v]` holds the set of
-/// distinct partial signatures of all head-to-`v` prefixes (with `v`
-/// included), deduplicated at every merge point. Tail frontiers are the
-/// complete-path signatures. Frontiers are freed as soon as every successor
-/// has consumed them, so memory follows the live topological cut.
+/// Vertices are processed in topological order; `reach[v]` holds, per
+/// request profile, the longest partial signature of all head-to-`v`
+/// prefixes (with `v` included). This is dominance pruning at every merge
+/// point, and it is exact: a suffix adds the same length and requests to
+/// every prefix it extends, so a shorter same-profile prefix only ever
+/// completes to a dominated path. Tail frontiers are the complete-path
+/// signatures. Frontiers are freed as soon as every successor has
+/// consumed them, so memory follows the live topological cut.
+///
+/// A frontier is a `Vec<(profile, absolute length)>`, and per-vertex
+/// work is linear in the incoming pairs via two stamped dense arrays
+/// indexed by interned profile id:
+///
+/// - `trans_*` memoizes the `profile · vertex → profile` transition for
+///   the vertex being processed (each `(profile, vertex)` pair occurs at
+///   exactly one vertex visit, so a global memo buys nothing more),
+/// - `seen_*` dedups the outgoing profiles, folding same-profile arrivals
+///   with a running max — the dominance rule applied on the fly.
 ///
 /// Cap semantics mirror [`enumerate_signatures_capped`] in *meaning* —
 /// `cap` bounds distinct signatures, `visit_cap` bounds enumeration work
@@ -306,208 +326,24 @@ pub fn enumerate_signatures_dp(task: &DagTask, cap: usize) -> PathSignatures {
 /// ensured longest), not `cap` of them. This is outcome-preserving: a
 /// truncated enumeration makes the analysis report the EN fallback, whose
 /// bound dominates *every* per-path bound term-wise, so the capped subset
-/// the DFS returns costs Theorem 1
-/// evaluations without ever changing the task verdict (asserted by the
-/// default-cap sweep in `tests/signature_dp.rs`). The DP may also truncate
-/// where the DFS would not (a transient frontier blowup that later merges
-/// back below the cap) and vice versa (the DFS drowning in path count
-/// where frontiers stay small — the common case the DP exists for); both
-/// remain sound.
+/// the DFS returns costs Theorem 1 evaluations without ever changing the
+/// task verdict. `cap` counts the pruned set, so the DP truncates on it
+/// only where the DFS, which counts every distinct signature, does too;
+/// the visit caps count different work, so either side may exhaust its
+/// own first (a deep chain costs the DP one extension per vertex, a dense
+/// DAG costs the DFS one visit per path). Both remain sound.
 ///
-/// The longest path's signature is always included, even under truncation
-/// or dominance pruning, so downstream analyses never miss the critical
-/// path. With `prune_dominated` set, dominated signatures (see
-/// [`prune_dominated_signatures`]) are dropped at every merge point as well
-/// as from the final set; the surviving set yields the identical binding
-/// path bound — only the enumeration and evaluation get cheaper.
+/// The longest path's signature is always included, even under
+/// truncation, so downstream analyses never miss the critical path.
+/// Pruning never drops it: a same-profile signature at least as long is
+/// the longest path's own.
 pub fn enumerate_signatures_dp_capped(
     task: &DagTask,
     cap: usize,
     visit_cap: u64,
-    prune_dominated: bool,
 ) -> PathSignatures {
     let cap = cap.max(1);
     let visit_cap = visit_cap.max(1);
-    if prune_dominated {
-        // Pruned frontiers hold exactly one length per profile, which
-        // admits a much leaner representation — see the specialized loop.
-        return enumerate_signatures_dp_pruned(task, cap, visit_cap);
-    }
-    let dag = task.dag();
-    let n = dag.vertex_count();
-
-    // Representation: a frontier is a set of per-profile *groups*, each a
-    // sorted distinct-length list plus a lazy offset (absolute length =
-    // offset + element); the lists of all groups live concatenated in one
-    // flat buffer. Request profiles are interned and the non-critical
-    // length is the coupled `len − crit(profile)` (per-vertex `C'_{i,x} =
-    // C_{i,x} − Σ_q N_{i,x,q} · L_{i,q}` summed along the prefix), so a
-    // partial signature is just a `u64` until materialization. A vertex
-    // reads its predecessors' frontiers by reference — no clones — and
-    // writes its own via bulk copies (single-source groups) or linear
-    // `u64` merges (the merge-point dedup) into pooled buffers.
-    let mut interner = ProfileInterner::new(task);
-    let weights: Vec<u64> = (0..n)
-        .map(|x| task.vertex(VertexId::new(x)).wcet().as_ns())
-        .collect();
-
-    let mut reach: Vec<Frontier> = vec![Frontier::default(); n];
-    // How many successors still need each frontier; 0 ⇒ recycled.
-    let mut pending: Vec<usize> = (0..n).map(|x| dag.out_degree(VertexId::new(x))).collect();
-    let mut pool: Vec<Frontier> = Vec::new();
-    // Complete-path `(profile, absolute length)` pairs collected at tails.
-    let mut complete: Vec<(u32, u64)> = Vec::new();
-    let mut extensions = 0u64;
-    let mut truncated = false;
-    let mut exhausted = false;
-    let mut incoming: Vec<(u32, u64, u32, u32, u32)> = Vec::new();
-    let mut order: Vec<u64> = Vec::new();
-
-    for &v in dag.topological_order() {
-        let x = v.index();
-        let w_v = weights[x];
-        let issues_requests = !task.vertex(v).requests().is_empty();
-
-        // Incoming groups, shifted by this vertex's WCET and relabeled by
-        // its requests; source lists are addressed as `(pred, start, end)`
-        // index triples (`HEAD_SOURCE` marks the virtual `[0]` list) so the
-        // buffer carries no borrows and is reused across vertices.
-        incoming.clear();
-        if dag.is_head(v) {
-            extensions = extensions.saturating_add(1);
-            let p = if issues_requests {
-                interner.transition(0, v)
-            } else {
-                0
-            };
-            incoming.push((p, w_v, HEAD_SOURCE, 0, 1));
-        } else {
-            for &pr in dag.predecessors(v) {
-                for &(p, off, s, e) in &reach[pr.index()].groups {
-                    extensions = extensions.saturating_add(u64::from(e - s));
-                    let p2 = if issues_requests {
-                        interner.transition(p, v)
-                    } else {
-                        p
-                    };
-                    incoming.push((p2, off.saturating_add(w_v), pr.index() as u32, s, e));
-                }
-            }
-        }
-        // Group by profile via packed `(profile << 32) | index` keys —
-        // sorting u64s is far cheaper than sorting the 24-byte entries.
-        order.clear();
-        order.extend(
-            incoming
-                .iter()
-                .enumerate()
-                .map(|(idx, &(p, _, _, _, _))| (u64::from(p) << 32) | idx as u64),
-        );
-        order.sort_unstable();
-        let mut next = pool.pop().unwrap_or_default();
-        next.rebuild_from(&reach, &incoming, &order);
-
-        for &pr in dag.predecessors(v) {
-            pending[pr.index()] -= 1;
-            if pending[pr.index()] == 0 {
-                pool.push(core::mem::take(&mut reach[pr.index()]));
-            }
-        }
-
-        // Either cap trips the thin-mode bail-out: the result is truncated,
-        // so the analysis will lean on the EN fallback anyway — carrying a
-        // wide frontier (or a `cap`-sized subset, as the DFS does) to the
-        // sinks would be pure waste. A frontier beyond `cap` makes
-        // truncation *inevitable* (any fixed suffix to a tail maps it
-        // injectively onto more than `cap` distinct complete signatures),
-        // so the bail-out is exact, never premature.
-        if next.lens.len() > cap || extensions >= visit_cap {
-            truncated = true;
-            exhausted = true;
-        }
-        if exhausted && next.lens.len() > 1 {
-            let best = next
-                .pairs()
-                .min_by(|&a, &b| interner.output_cmp(a, b))
-                .expect("non-empty frontier");
-            next.lens.clear();
-            next.lens.push(best.1);
-            next.groups.clear();
-            next.groups.push((best.0, 0, 0, 1));
-        }
-
-        if dag.is_tail(v) {
-            complete.extend(next.pairs());
-            pool.push(next);
-        } else {
-            reach[x] = next;
-        }
-    }
-
-    finish_dp(task, &interner, complete, false, truncated, extensions, cap)
-}
-
-/// The shared tail of both DP loops: cross-tail dedup (and, when pruning,
-/// cross-tail dominance), cap truncation, materialization, the guaranteed
-/// longest path and the output sort. Numbering-invariant: the result
-/// depends only on the set of `(request vector, length)` pairs behind the
-/// interned ids, never on the order ids were assigned.
-fn finish_dp(
-    task: &DagTask,
-    interner: &ProfileInterner<'_>,
-    mut complete: Vec<(u32, u64)>,
-    prune_dominated: bool,
-    mut truncated: bool,
-    extensions: u64,
-    cap: usize,
-) -> PathSignatures {
-    complete.sort_unstable();
-    complete.dedup();
-    if prune_dominated {
-        // Ascending `(profile, len)`: reversing keeps each profile's
-        // longest under `dedup_by_key`.
-        complete.reverse();
-        complete.dedup_by_key(|&mut (p, _)| p);
-    }
-    if complete.len() > cap {
-        truncated = true;
-        complete.sort_by(|&a, &b| interner.output_cmp(a, b));
-        complete.truncate(cap);
-    }
-    let mut signatures: Vec<PathSignature> = complete
-        .into_iter()
-        .map(|(p, len)| interner.materialize(p, len))
-        .collect();
-    let longest = PathSignature::from_path(task, task.longest_path());
-    if !signatures.contains(&longest) {
-        signatures.push(longest);
-    }
-    sort_signatures(&mut signatures);
-    PathSignatures {
-        signatures,
-        truncated,
-        paths_visited: extensions,
-    }
-}
-
-/// The dominance-pruned specialization of the signature DP: with pruning
-/// on, every frontier keeps exactly one (the longest) partial per request
-/// profile, so a frontier is just a `Vec<(profile, absolute length)>` —
-/// no per-profile length lists, no lazy offsets, no per-vertex sort.
-/// Per-vertex work is linear in the incoming pairs via two stamped dense
-/// arrays indexed by interned profile id:
-///
-/// - `trans_*` memoizes the `profile · vertex → profile` transition for
-///   the vertex being processed (each `(profile, vertex)` pair occurs at
-///   exactly one vertex visit, so a global memo buys nothing more),
-/// - `seen_*` dedups the outgoing profiles, folding same-profile arrivals
-///   with a running max — the dominance rule applied on the fly.
-///
-/// Cap semantics, thin-mode bail-out and the assembled output are
-/// identical to the generic loop (shared [`finish_dp`] tail; equality is
-/// pinned by the `dp_pruned_*` tests and the seeded sweeps in
-/// `tests/signature_dp.rs`).
-fn enumerate_signatures_dp_pruned(task: &DagTask, cap: usize, visit_cap: u64) -> PathSignatures {
     let dag = task.dag();
     let n = dag.vertex_count();
     let mut interner = ProfileInterner::new(task);
@@ -516,8 +352,10 @@ fn enumerate_signatures_dp_pruned(task: &DagTask, cap: usize, visit_cap: u64) ->
         .collect();
 
     let mut reach: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+    // How many successors still need each frontier; 0 ⇒ recycled.
     let mut pending: Vec<usize> = (0..n).map(|x| dag.out_degree(VertexId::new(x))).collect();
     let mut pool: Vec<Vec<(u32, u64)>> = Vec::new();
+    // Complete-path `(profile, absolute length)` pairs collected at tails.
     let mut complete: Vec<(u32, u64)> = Vec::new();
     let mut extensions = 0u64;
     let mut truncated = false;
@@ -597,8 +435,13 @@ fn enumerate_signatures_dp_pruned(task: &DagTask, cap: usize, visit_cap: u64) ->
             }
         }
 
-        // Same bail-out as the generic loop: either cap makes truncation
-        // inevitable, so carry only the thin spine to the sinks.
+        // Either cap trips the thin-mode bail-out: the result is truncated,
+        // so the analysis will lean on the EN fallback anyway — carrying a
+        // wide frontier (or a `cap`-sized subset, as the DFS does) to the
+        // sinks would be pure waste. A frontier beyond `cap` makes
+        // truncation *inevitable* (any fixed suffix to a tail maps its
+        // distinct profiles injectively onto more than `cap` distinct
+        // complete profiles), so the bail-out is exact, never premature.
         if next.len() > cap || extensions >= visit_cap {
             truncated = true;
             exhausted = true;
@@ -621,10 +464,34 @@ fn enumerate_signatures_dp_pruned(task: &DagTask, cap: usize, visit_cap: u64) ->
         }
     }
 
-    finish_dp(task, &interner, complete, true, truncated, extensions, cap)
+    // Cross-tail dominance: descending `(profile, length)` puts each
+    // profile's longest first, and `dedup_by_key` keeps it. The result
+    // depends only on the set of `(request vector, length)` pairs behind
+    // the interned ids, never on the order ids were assigned.
+    complete.sort_unstable_by(|a, b| b.cmp(a));
+    complete.dedup_by_key(|&mut (p, _)| p);
+    if complete.len() > cap {
+        truncated = true;
+        complete.sort_by(|&a, &b| interner.output_cmp(a, b));
+        complete.truncate(cap);
+    }
+    let mut signatures: Vec<PathSignature> = complete
+        .into_iter()
+        .map(|(p, len)| interner.materialize(p, len))
+        .collect();
+    let longest = PathSignature::from_path(task, task.longest_path());
+    if !signatures.contains(&longest) {
+        signatures.push(longest);
+    }
+    sort_signatures(&mut signatures);
+    PathSignatures {
+        signatures,
+        truncated,
+        paths_visited: extensions,
+    }
 }
 
-/// The pruned loop's per-vertex transition memo: `trans_val[p]` holds
+/// The DP's per-vertex transition memo: `trans_val[p]` holds
 /// `transition(p, vertex)` for the vertex whose epoch matches
 /// `trans_stamp[p]`. Grows every stamped array in lockstep when the
 /// transition interns a new profile.
@@ -643,7 +510,7 @@ fn transition_stamped(
     if trans_stamp[p as usize] == epoch {
         return trans_val[p as usize];
     }
-    let p2 = interner.transition_uncached(p, v);
+    let p2 = interner.transition(p, v);
     let profiles = interner.profiles.len();
     if trans_stamp.len() < profiles {
         trans_stamp.resize(profiles, 0);
@@ -656,14 +523,10 @@ fn transition_stamped(
     p2
 }
 
-/// Marks the virtual single-element `[0]` source list of a head vertex in
-/// the DP's incoming-group index triples.
-const HEAD_SOURCE: u32 = u32::MAX;
-
 /// A small multiply-rotate hasher (the FxHash construction) for maps
 /// keyed by a few machine words, where the default SipHash costs more
-/// than the lookup it guards: the DP's interner maps here (the profile
-/// transition is on the per-group hot path) and the analysis crate's
+/// than the lookup it guards: the DP's profile interner (probed on every
+/// transition the per-vertex memo misses) and the analysis crate's
 /// request-bound memo.
 #[derive(Debug, Default)]
 pub struct FxHasher {
@@ -709,85 +572,6 @@ impl core::hash::Hasher for FxHasher {
 
 type FxHashMap<K, V> = HashMap<K, V, core::hash::BuildHasherDefault<FxHasher>>;
 
-/// One DP frontier: per-profile sorted distinct-length lists, concatenated
-/// in `lens`, addressed by `groups` entries `(profile, lazy offset, start,
-/// end)` — the absolute length of an element is `offset + lens[i]`.
-#[derive(Debug, Default, Clone)]
-struct Frontier {
-    lens: Vec<u64>,
-    groups: Vec<(u32, u64, u32, u32)>,
-}
-
-impl Frontier {
-    /// Iterates `(profile, absolute length)` pairs.
-    fn pairs(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.groups.iter().flat_map(move |&(p, off, s, e)| {
-            self.lens[s as usize..e as usize]
-                .iter()
-                .map(move |&l| (p, off.saturating_add(l)))
-        })
-    }
-
-    /// Rebuilds this frontier from incoming groups sorted by profile, each
-    /// `(profile, offset, source pred, start, end)` with `HEAD_SOURCE`
-    /// naming the virtual `[0]` list: single-source profiles are
-    /// bulk-copied (offset kept lazy), multi-source profiles get a linear
-    /// merge with dedup — identical partial signatures collapse here.
-    fn rebuild_from(
-        &mut self,
-        reach: &[Frontier],
-        incoming: &[(u32, u64, u32, u32, u32)],
-        order: &[u64],
-    ) {
-        self.lens.clear();
-        self.groups.clear();
-        let source = |pred: u32, s: u32, e: u32| -> &[u64] {
-            if pred == HEAD_SOURCE {
-                &[0]
-            } else {
-                &reach[pred as usize].lens[s as usize..e as usize]
-            }
-        };
-        let entry = |k: u64| incoming[(k & 0xffff_ffff) as usize];
-        let mut i = 0;
-        while i < order.len() {
-            let p = (order[i] >> 32) as u32;
-            let mut j = i + 1;
-            while j < order.len() && (order[j] >> 32) as u32 == p {
-                j += 1;
-            }
-            let start = u32::try_from(self.lens.len()).expect("frontier fits u32");
-            if j == i + 1 {
-                let (_, off, pred, s, e) = entry(order[i]);
-                self.lens.extend_from_slice(source(pred, s, e));
-                let end = u32::try_from(self.lens.len()).expect("frontier fits u32");
-                self.groups.push((p, off, start, end));
-            } else {
-                // Multi-source merge: materialize absolute lengths, sort,
-                // dedup in place (u64 sorts of short runs beat a k-way
-                // heads scan by a wide margin).
-                for &k in &order[i..j] {
-                    let (_, o, pr2, s2, e2) = entry(k);
-                    self.lens
-                        .extend(source(pr2, s2, e2).iter().map(|&x| x.saturating_add(o)));
-                }
-                self.lens[start as usize..].sort_unstable();
-                let mut w = start as usize;
-                for r in start as usize..self.lens.len() {
-                    if r == start as usize || self.lens[r] != self.lens[w - 1] {
-                        self.lens[w] = self.lens[r];
-                        w += 1;
-                    }
-                }
-                self.lens.truncate(w);
-                let end = u32::try_from(self.lens.len()).expect("frontier fits u32");
-                self.groups.push((p, 0, start, end));
-            }
-            i = j;
-        }
-    }
-}
-
 /// The DP's request-profile interner: every distinct per-resource request
 /// vector reachable along some prefix gets a dense id, together with its
 /// critical content `Σ_q N^λ_q · L_{i,q}`. Partial signatures then travel
@@ -802,10 +586,6 @@ struct ProfileInterner<'a> {
     /// The critical content of each profile.
     crit: Vec<Time>,
     lookup: FxHashMap<Vec<(ResourceId, u32)>, u32>,
-    /// Memoized `profile · vertex → profile` transitions, keyed by the
-    /// packed word `(profile << 32) | vertex` (the generic loop; the
-    /// pruned loop stamps a dense per-vertex memo instead).
-    transitions: FxHashMap<u64, u32>,
     /// Candidate-profile build buffer, reused across transitions.
     scratch: Vec<(ResourceId, u32)>,
 }
@@ -819,26 +599,14 @@ impl<'a> ProfileInterner<'a> {
             profiles: vec![Vec::new()],
             crit: vec![Time::ZERO],
             lookup,
-            transitions: FxHashMap::default(),
             scratch: Vec::new(),
         }
     }
 
-    /// The profile reached by extending `p` with vertex `v`'s requests.
+    /// The profile reached by extending `p` with vertex `v`'s requests:
+    /// builds the candidate request vector in the reusable scratch buffer
+    /// (no allocation on the intern-hit path) and interns it.
     fn transition(&mut self, p: u32, v: VertexId) -> u32 {
-        let key = (u64::from(p) << 32) | v.index() as u64;
-        if let Some(&t) = self.transitions.get(&key) {
-            return t;
-        }
-        let id = self.transition_uncached(p, v);
-        self.transitions.insert(key, id);
-        id
-    }
-
-    /// [`transition`](Self::transition) without the `(profile, vertex)`
-    /// memo: builds the candidate request vector in the reusable scratch
-    /// buffer (no allocation on the intern-hit path) and interns it.
-    fn transition_uncached(&mut self, p: u32, v: VertexId) -> u32 {
         self.scratch.clear();
         self.scratch.extend_from_slice(&self.profiles[p as usize]);
         for r in self.task.vertex(v).requests() {
@@ -1013,22 +781,39 @@ mod tests {
         assert_eq!(sigs.paths_visited, 2);
     }
 
-    #[test]
-    fn truncation_keeps_longest_path() {
-        // Wide fan: head → {8 distinct middles} → tail; cap at 2.
+    /// Wide fan: head → {8 middles} → tail, middle `i` taking `10·i` µs
+    /// and issuing `i` requests, so every path has its own profile and
+    /// pruning keeps all eight.
+    fn wide_fan() -> DagTask {
         let edges: Vec<(usize, usize)> = (1..=8).flat_map(|x| [(0, x), (x, 9)]).collect();
         let dag = Dag::new(10, edges).unwrap();
         let mut b = DagTask::builder(TaskId::new(0), Time::from_ms(10))
             .dag(dag)
             .vertex(VertexSpec::new(Time::from_us(10)));
-        for i in 1..=8u64 {
-            b = b.vertex(VertexSpec::new(Time::from_us(10 * i)));
+        for i in 1..=8u32 {
+            b = b.vertex(VertexSpec::with_requests(
+                Time::from_us(10 * u64::from(i)),
+                [RequestSpec::new(rid(0), i)],
+            ));
         }
-        let t = b
-            .vertex(VertexSpec::new(Time::from_us(10)))
+        b.vertex(VertexSpec::new(Time::from_us(10)))
+            .critical_section(rid(0), Time::from_us(1))
             .build()
-            .unwrap();
-        let sigs = enumerate_signatures(&t, 2);
+            .unwrap()
+    }
+
+    /// The depth-first reference after dominance pruning, in output order.
+    fn pruned_dfs(t: &DagTask, cap: usize) -> Vec<PathSignature> {
+        let mut sigs = enumerate_signatures(t, cap).signatures;
+        prune_dominated_signatures(&mut sigs);
+        sort_signatures(&mut sigs);
+        sigs
+    }
+
+    #[test]
+    fn truncation_keeps_longest_path() {
+        // Cap at 2 on the eight-path fan.
+        let sigs = enumerate_signatures(&wide_fan(), 2);
         assert!(sigs.truncated);
         // The longest path (10 + 80 + 10) must survive truncation.
         let max_len = sigs
@@ -1060,10 +845,10 @@ mod tests {
 
     // ---- signature-domain DP ----
 
-    /// A chain of `k` diamonds whose branches differ in WCET, with one
-    /// request on every upper branch: 2^k complete paths, but partial
-    /// signatures collapse only where branches agree.
-    fn diamond_chain(k: usize, identical_branches: bool) -> DagTask {
+    /// A chain of `k` diamonds whose upper branch takes 20 µs and issues
+    /// one request, and whose lower branch is `lower`: 2^k complete paths,
+    /// but partial signatures collapse where branches agree.
+    fn diamond_chain(k: usize, lower: &VertexSpec) -> DagTask {
         let n = 1 + 3 * k; // head + k * (two branches + join)
         let mut edges = Vec::new();
         let mut prev_join = 0usize;
@@ -1084,11 +869,7 @@ mod tests {
                     Time::from_us(20),
                     [RequestSpec::new(rid(0), 1)],
                 ))
-                .vertex(VertexSpec::new(if identical_branches {
-                    Time::from_us(20)
-                } else {
-                    Time::from_us(30)
-                }))
+                .vertex(lower.clone())
                 .vertex(VertexSpec::new(Time::from_us(10)));
         }
         builder
@@ -1097,19 +878,36 @@ mod tests {
             .unwrap()
     }
 
+    /// A request-free lower branch longer than the upper one: one length
+    /// per request count, so pruning keeps every signature.
+    fn longer_plain() -> VertexSpec {
+        VertexSpec::new(Time::from_us(30))
+    }
+
+    /// A request-free lower branch as long as the upper one.
+    fn equal_plain() -> VertexSpec {
+        VertexSpec::new(Time::from_us(20))
+    }
+
+    /// A lower branch issuing the upper one's request at a longer WCET:
+    /// every path has the same profile, so pruning keeps only the longest.
+    fn longer_requesting() -> VertexSpec {
+        VertexSpec::with_requests(Time::from_us(30), [RequestSpec::new(rid(0), 1)])
+    }
+
     #[test]
     fn dp_matches_dfs_on_fixtures() {
         let fixtures = [
             task_with_branches(),
-            diamond_chain(4, false),
-            diamond_chain(4, true),
+            diamond_chain(4, &longer_plain()),
+            diamond_chain(4, &equal_plain()),
+            diamond_chain(4, &longer_requesting()),
         ];
         for t in &fixtures {
-            let dfs = enumerate_signatures(t, 4096);
+            assert!(!enumerate_signatures(t, 4096).truncated);
             let dp = enumerate_signatures_dp(t, 4096);
-            assert!(!dfs.truncated);
             assert!(!dp.truncated);
-            assert_eq!(dfs.signatures, dp.signatures);
+            assert_eq!(pruned_dfs(t, 4096), dp.signatures);
         }
     }
 
@@ -1117,15 +915,16 @@ mod tests {
     fn dp_completes_where_dfs_visit_cap_truncates() {
         // 12 diamonds: 4096 complete paths, but only 13 distinct
         // signatures (0..=12 requests along otherwise-equal-length paths).
-        let t = diamond_chain(12, true);
+        let t = diamond_chain(12, &equal_plain());
         let dfs_capped = enumerate_signatures_capped(&t, 4096, 100);
         assert!(dfs_capped.truncated, "DFS must drown in path count");
-        let dp = enumerate_signatures_dp_capped(&t, 4096, 100_000, false);
+        let dp = enumerate_signatures_dp_capped(&t, 4096, 100_000);
         assert!(!dp.truncated, "DP collapses the diamonds at each join");
         assert_eq!(dp.signatures.len(), 13);
         // The DP's work stays linear-ish: far below the path count.
         assert!(dp.paths_visited < 4096, "got {}", dp.paths_visited);
-        // And the full (uncapped) DFS agrees on the set.
+        // And the full (uncapped) DFS agrees on the set: every profile
+        // has one length, so pruning drops nothing.
         let dfs_full = enumerate_signatures(&t, 1 << 14);
         assert_eq!(dfs_full.signatures, dp.signatures);
     }
@@ -1160,29 +959,16 @@ mod tests {
             .vertex(VertexSpec::new(Time::ZERO))
             .build()
             .unwrap();
-        let dfs = enumerate_signatures(&t, 8);
         let dp = enumerate_signatures_dp(&t, 8);
-        assert_eq!(dfs.signatures, dp.signatures);
+        assert_eq!(pruned_dfs(&t, 8), dp.signatures);
         assert_eq!(dp.signatures.len(), 1);
         assert!(dp.signatures[0].is_empty());
     }
 
     #[test]
     fn dp_cap_truncation_keeps_longest_path() {
-        // Wide fan of 8 distinct middles, cap 2 (mirrors the DFS test).
-        let edges: Vec<(usize, usize)> = (1..=8).flat_map(|x| [(0, x), (x, 9)]).collect();
-        let dag = Dag::new(10, edges).unwrap();
-        let mut b = DagTask::builder(TaskId::new(0), Time::from_ms(10))
-            .dag(dag)
-            .vertex(VertexSpec::new(Time::from_us(10)));
-        for i in 1..=8u64 {
-            b = b.vertex(VertexSpec::new(Time::from_us(10 * i)));
-        }
-        let t = b
-            .vertex(VertexSpec::new(Time::from_us(10)))
-            .build()
-            .unwrap();
-        let sigs = enumerate_signatures_dp_capped(&t, 2, u64::MAX, false);
+        // Cap 2 on the eight-profile fan (mirrors the DFS test).
+        let sigs = enumerate_signatures_dp_capped(&wide_fan(), 2, u64::MAX);
         assert!(sigs.truncated);
         assert!(sigs.signatures.len() <= 3); // cap + the ensured longest
         let max_len = sigs
@@ -1196,8 +982,8 @@ mod tests {
 
     #[test]
     fn dp_visit_cap_exhaustion_is_truncated_and_keeps_longest() {
-        let t = diamond_chain(6, false);
-        let sigs = enumerate_signatures_dp_capped(&t, 4096, 3, false);
+        let t = diamond_chain(6, &longer_plain());
+        let sigs = enumerate_signatures_dp_capped(&t, 4096, 3);
         assert!(sigs.truncated);
         let longest = PathSignature::from_path(&t, t.longest_path());
         assert!(sigs.signatures.contains(&longest));
@@ -1236,11 +1022,14 @@ mod tests {
 
     #[test]
     fn dp_pruned_is_subset_with_longest_retained() {
-        let t = diamond_chain(5, false);
-        let full = enumerate_signatures_dp(&t, 4096);
-        let pruned = enumerate_signatures_dp_capped(&t, 4096, u64::MAX, true);
+        let t = diamond_chain(5, &longer_requesting());
+        let full = enumerate_signatures(&t, 4096);
+        let pruned = enumerate_signatures_dp(&t, 4096);
         assert!(!pruned.truncated);
-        assert!(pruned.signatures.len() <= full.signatures.len());
+        assert!(
+            pruned.signatures.len() < full.signatures.len(),
+            "the fixture must prune"
+        );
         for sig in &pruned.signatures {
             assert!(
                 full.signatures.contains(sig),

@@ -59,13 +59,9 @@ fn tiny_manifest() -> CampaignManifest {
         ablations: Some(vec![
             AblationSpec::default_cell(),
             AblationSpec {
-                label: "unpruned".to_string(),
-                methods: None,
-                heuristic: None,
-                prune_dominated: Some(false),
-                path_signature_cap: None,
-                path_visit_cap: None,
-                search_budget: None,
+                label: "capped".to_string(),
+                path_signature_cap: Some(16),
+                ..AblationSpec::default_cell()
             },
         ]),
         quick: None,
@@ -284,7 +280,7 @@ fn campaign_cells_reproduce_the_legacy_per_scenario_loop() {
 #[test]
 fn bundled_manifests_expand_to_the_legacy_grids() {
     // fig2: each panel manifest is exactly the legacy panel sweep.
-    let manifest = fig2_panel_manifest(dpcp_p::gen::Fig2Panel::B, 50, 2020, true);
+    let manifest = fig2_panel_manifest(dpcp_p::gen::Fig2Panel::B, 50, 2020);
     let cells = manifest.cells(false);
     let scenario = Scenario::fig2(dpcp_p::gen::Fig2Panel::B);
     assert_eq!(cells.len(), 1);

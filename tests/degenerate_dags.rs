@@ -99,6 +99,6 @@ fn degenerate_shapes_round_trip_the_signature_dp_caps() {
     // resource-free it collapses too, but with a tiny cap the enumerator
     // must stay within the cap rather than exploding.
     let wide = shaped_task(fork_join_dag(1000), 5, 20);
-    let sigs = enumerate_signatures_dp_capped(&wide, 4, u64::MAX, false);
+    let sigs = enumerate_signatures_dp_capped(&wide, 4, u64::MAX);
     assert!(sigs.signatures.len() <= 4, "cap must be honored");
 }

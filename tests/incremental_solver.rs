@@ -165,12 +165,12 @@ fn truncated_tasks_report_the_en_bound_with_sweep_equal_verdicts() {
     use dpcp_p::core::AnalysisSession;
     let scenario = sweep_scenario();
     let platform = Platform::new(scenario.m).unwrap();
-    // Tight caps force truncation on generated workloads; pruning off so
-    // the capped subsets are the densest (the hardest case for the skip).
+    // Tight caps force truncation on generated workloads; the unpruned
+    // depth-first reference keeps its first `cap` signatures, so the
+    // capped subsets are the densest (the hardest case for the skip).
     let cfg = AnalysisConfig {
         path_signature_cap: 8,
         path_visit_cap: 200,
-        prune_dominated: false,
         ..AnalysisConfig::ep()
     };
     let mut truncated_checked = 0usize;
@@ -180,7 +180,7 @@ fn truncated_tasks_report_the_en_bound_with_sweep_equal_verdicts() {
             let Ok(tasks) = scenario.sample_task_set(utilization, &mut rng) else {
                 continue;
             };
-            let cache = SignatureCache::new(&tasks, &cfg);
+            let cache = SignatureCache::new_dfs(&tasks, &cfg);
             for (idx, partition) in method_partitions(&tasks, &platform).iter().enumerate() {
                 let label = format!("u={utilization} seed={seed} partition#{idx}");
                 // Thread response bounds exactly like the session so the

@@ -52,7 +52,6 @@ fn search_manifest() -> CampaignManifest {
         label: label.to_string(),
         methods: None,
         heuristic: None,
-        prune_dominated: None,
         path_signature_cap: None,
         path_visit_cap: None,
         search_budget: Some(budget),

@@ -1,35 +1,29 @@
-//! DFS-vs-DP enumeration equivalence and the dominance-pruning ablation.
+//! The signature DP against its depth-first reference.
 //!
-//! Four claims, each over seeded generated workloads:
+//! Two claims, each over seeded generated workloads:
 //!
-//! 1. **Set equivalence** (caps lifted so nothing truncates) — the
-//!    signature-domain DP produces the bit-identical sorted signature set
-//!    as the depth-first reference, and feeding either set through the
-//!    full analysis yields bit-identical `SchedulabilityReport`s (WCRTs,
-//!    breakdowns, divergent `None`s included) under both partition shapes
-//!    Algorithm 1 produces.
-//! 2. **Truncated-regime outcome equivalence** (default caps) — on dense
-//!    tasks both enumerators truncate; their capped signature *lists*
-//!    legitimately differ (the DP bails to a thin spine where the DFS
-//!    carries its first-`cap` subset), but the analysis outcome is pinned
-//!    by the dominating EN fallback either way, so per-task WCRTs and
-//!    verdicts must still agree.
-//! 3. **Pruning soundness** — with `prune_dominated` on, each task's
-//!    signature set is exactly `prune_dominated_signatures` of the full
-//!    set, and every task's binding bound (WCRT + breakdown) and
-//!    schedulability verdict are unchanged; only `signatures_evaluated`
-//!    may shrink.
-//! 4. **Ablation smoke** — a Fig. 2-style harness point with pruning
-//!    off/on produces identical acceptance ratios for all five methods.
+//! 1. **Set and bound equivalence** (caps lifted so nothing truncates) —
+//!    per task, the DP's signature list is the depth-first reference's
+//!    after `prune_dominated_signatures`, in the enumerators' output
+//!    order; and analysing over the unpruned reference
+//!    (`SignatureCache::new_dfs`) and over the DP (`SignatureCache::new`)
+//!    gives the same WCRTs, breakdowns, verdicts and truncation flags
+//!    under both partition shapes Algorithm 1 produces. Only
+//!    `signatures_evaluated` may shrink under the DP.
+//! 2. **Truncated regime** (default caps and one tight cap) — the DP
+//!    counts the pruned set against its cap, so it truncates less than
+//!    the reference; the two cannot be compared through the analysis
+//!    (a higher-priority task truncated on one side only changes the
+//!    `R_j` every lower task sees). What holds instead is that a task the
+//!    DP leaves untruncated holds exactly the pruned full set.
 
-use dpcp_experiments::{evaluate_point, EvalConfig};
 use dpcp_p::core::analysis::{AnalysisConfig, SignatureCache};
 use dpcp_p::core::partition::{assign_resources, layout_clusters, ResourceHeuristic};
 use dpcp_p::core::AnalysisSession;
-use dpcp_p::gen::scenario::{Fig2Panel, Scenario};
+use dpcp_p::gen::scenario::Scenario;
 use dpcp_p::model::{
-    enumerate_signatures_capped, enumerate_signatures_dp_capped, initial_processors,
-    prune_dominated_signatures, Partition, Platform, TaskSet,
+    enumerate_signatures_capped, initial_processors, prune_dominated_signatures, Partition,
+    PathSignature, Platform, TaskSet,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,28 +45,27 @@ fn sweep_scenario() -> Scenario {
 }
 
 /// Caps high enough that no sweep workload truncates (the densest observed
-/// task has ~39k complete paths): the strict-equivalence regime. Pruning
-/// is explicitly off — the unpruned enumeration is the reference set the
-/// DFS comparison and the pruning-soundness test lean on (the *default*
-/// config prunes).
+/// task has ~39k complete paths): the strict-equivalence regime.
 fn lifted_cfg() -> AnalysisConfig {
     AnalysisConfig {
         path_signature_cap: 1 << 17,
         path_visit_cap: u64::MAX,
-        prune_dominated: false,
         ..AnalysisConfig::ep()
     }
 }
 
-/// Default caps with pruning off: the truncated-regime reference (the
-/// pruned default often enumerates completely where the unpruned set
-/// truncates, which is exactly the precision win — but this test needs
-/// truncation to happen on both sides).
-fn unpruned_default_cfg() -> AnalysisConfig {
-    AnalysisConfig {
-        prune_dominated: false,
-        ..AnalysisConfig::ep()
-    }
+/// `full` after dominance pruning, in the enumerators' output order:
+/// length descending, then request vector, then non-critical length.
+fn pruned(full: &[PathSignature]) -> Vec<PathSignature> {
+    let mut kept = full.to_vec();
+    prune_dominated_signatures(&mut kept);
+    kept.sort_by(|a, b| {
+        b.len()
+            .cmp(&a.len())
+            .then_with(|| a.requests().cmp(b.requests()))
+            .then_with(|| a.noncritical_len().cmp(&b.noncritical_len()))
+    });
+    kept
 }
 
 /// The WFD-resource-home and local-execution placements for one task set.
@@ -119,32 +112,47 @@ fn seeded_sweep_dfs_and_dp_sets_and_bounds_are_identical() {
     let cfg = lifted_cfg();
     let task_sets = sweep_task_sets();
     let mut partitions_compared = 0usize;
+    let mut pruned_away = 0usize;
     for (label, tasks) in &task_sets {
-        // Per-task signature sets: sorted, complete, bit-identical.
+        let dfs_cache = SignatureCache::new_dfs(tasks, &cfg);
+        let dp_cache = SignatureCache::new(tasks, &cfg);
         for t in tasks.iter() {
-            let dfs = enumerate_signatures_capped(t, cfg.path_signature_cap, cfg.path_visit_cap);
-            let dp = enumerate_signatures_dp_capped(
-                t,
-                cfg.path_signature_cap,
-                cfg.path_visit_cap,
-                false,
-            );
+            let full = dfs_cache.signatures(t.id());
+            let dp = dp_cache.signatures(t.id());
             assert!(
-                !dfs.truncated && !dp.truncated,
+                !full.truncated && !dp.truncated,
                 "{label}: lifted caps must not truncate (task {})",
                 t.id()
             );
-            assert_eq!(dfs.signatures, dp.signatures, "{label}: task {}", t.id());
+            assert_eq!(
+                dp.signatures,
+                pruned(&full.signatures),
+                "{label}: task {}",
+                t.id()
+            );
+            pruned_away += full.signatures.len() - dp.signatures.len();
         }
         // Whole-analysis equivalence (PathBounds, breakdowns, Nones) under
         // both partition shapes.
-        let dfs_cache = SignatureCache::new_dfs(tasks, &cfg);
-        let dp_cache = SignatureCache::new(tasks, &cfg);
         for (idx, partition) in method_partitions(tasks, &platform).iter().enumerate() {
             let mut session = AnalysisSession::new(cfg.clone());
             let via_dfs = session.analyze_with_signatures(tasks, partition, &dfs_cache);
             let via_dp = session.analyze_with_signatures(tasks, partition, &dp_cache);
-            assert_eq!(via_dfs, via_dp, "{label} partition#{idx}");
+            assert_eq!(via_dfs.schedulable, via_dp.schedulable, "{label}#{idx}");
+            assert_eq!(via_dfs.truncated, via_dp.truncated, "{label}#{idx}");
+            for (a, b) in via_dfs.task_bounds.iter().zip(&via_dp.task_bounds) {
+                let task = a.task;
+                // The binding PathBound — WCRT and full breakdown — is
+                // untouched by pruning; only the evaluation count shrinks.
+                assert_eq!(a.wcrt, b.wcrt, "{label}#{idx} task {task}");
+                assert_eq!(a.breakdown, b.breakdown, "{label}#{idx} task {task}");
+                assert_eq!(a.schedulable, b.schedulable, "{label}#{idx} task {task}");
+                assert_eq!(a.truncated, b.truncated, "{label}#{idx} task {task}");
+                assert!(
+                    a.signatures_evaluated >= b.signatures_evaluated,
+                    "{label}#{idx} task {task}"
+                );
+            }
             partitions_compared += 1;
         }
     }
@@ -153,111 +161,6 @@ fn seeded_sweep_dfs_and_dp_sets_and_bounds_are_identical() {
         "sweep too small: {} task sets, {partitions_compared} partitions",
         task_sets.len()
     );
-}
-
-#[test]
-fn seeded_sweep_truncated_regime_outcomes_agree() {
-    let platform = Platform::new(sweep_scenario().m).unwrap();
-    let cfg = unpruned_default_cfg();
-    let mut truncated_tasks = 0usize;
-    for (label, tasks) in sweep_task_sets() {
-        let dfs_cache = SignatureCache::new_dfs(&tasks, &cfg);
-        let dp_cache = SignatureCache::new(&tasks, &cfg);
-        // The truncation *decision* must agree per task on these workloads
-        // (the outcome argument below leans on it: a truncated task's
-        // bound is the EN fallback's, independent of the capped subset).
-        for t in tasks.iter() {
-            let i = t.id();
-            assert_eq!(
-                dfs_cache.signatures(i).truncated,
-                dp_cache.signatures(i).truncated,
-                "{label}: truncation flag of task {i}"
-            );
-            truncated_tasks += usize::from(dp_cache.signatures(i).truncated);
-        }
-        for (idx, partition) in method_partitions(&tasks, &platform).iter().enumerate() {
-            let mut session = AnalysisSession::new(cfg.clone());
-            let via_dfs = session.analyze_with_signatures(&tasks, partition, &dfs_cache);
-            let via_dp = session.analyze_with_signatures(&tasks, partition, &dp_cache);
-            assert_eq!(via_dfs.schedulable, via_dp.schedulable, "{label}#{idx}");
-            assert_eq!(via_dfs.truncated, via_dp.truncated, "{label}#{idx}");
-            for (a, b) in via_dfs.task_bounds.iter().zip(&via_dp.task_bounds) {
-                // WCRT and verdict are subset-independent (EN dominance);
-                // the breakdown of a truncated task is not compared — on an
-                // exact tie between the EN fallback and a capped-subset
-                // signature the reported decomposition depends on the
-                // subset, which legitimately differs.
-                assert_eq!(a.wcrt, b.wcrt, "{label}#{idx} task {}", a.task);
-                assert_eq!(
-                    a.schedulable, b.schedulable,
-                    "{label}#{idx} task {}",
-                    a.task
-                );
-                assert_eq!(a.truncated, b.truncated, "{label}#{idx} task {}", a.task);
-            }
-        }
-    }
-    assert!(
-        truncated_tasks > 0,
-        "the sweep never exercised the truncated regime"
-    );
-}
-
-#[test]
-fn seeded_sweep_pruning_preserves_binding_bounds_and_verdicts() {
-    let platform = Platform::new(sweep_scenario().m).unwrap();
-    let plain_cfg = lifted_cfg();
-    let pruned_cfg = AnalysisConfig {
-        prune_dominated: true,
-        ..lifted_cfg()
-    };
-    let mut pruned_away = 0usize;
-    for (label, tasks) in sweep_task_sets() {
-        let plain_cache = SignatureCache::new(&tasks, &plain_cfg);
-        let pruned_cache = SignatureCache::new(&tasks, &pruned_cfg);
-        for t in tasks.iter() {
-            let full = &plain_cache.signatures(t.id()).signatures;
-            let kept = &pruned_cache.signatures(t.id()).signatures;
-            // The pruned enumeration is exactly the dominance filter of the
-            // full set, in the enumerators' output order: length
-            // descending, then request vector, then non-critical length.
-            let mut expected = full.clone();
-            prune_dominated_signatures(&mut expected);
-            expected.sort_by(|a, b| {
-                b.len()
-                    .cmp(&a.len())
-                    .then_with(|| a.requests().cmp(b.requests()))
-                    .then_with(|| a.noncritical_len().cmp(&b.noncritical_len()))
-            });
-            assert_eq!(kept, &expected, "{label}: task {}", t.id());
-            pruned_away += full.len() - kept.len();
-        }
-        for (idx, partition) in method_partitions(&tasks, &platform).iter().enumerate() {
-            let plain = AnalysisSession::new(plain_cfg.clone()).analyze_with_signatures(
-                &tasks,
-                partition,
-                &plain_cache,
-            );
-            let pruned = AnalysisSession::new(pruned_cfg.clone()).analyze_with_signatures(
-                &tasks,
-                partition,
-                &pruned_cache,
-            );
-            assert_eq!(plain.schedulable, pruned.schedulable, "{label}#{idx}");
-            for (a, b) in plain.task_bounds.iter().zip(&pruned.task_bounds) {
-                // The binding PathBound — WCRT and full breakdown — must be
-                // untouched by pruning; only the evaluation count shrinks.
-                assert_eq!(a.wcrt, b.wcrt, "{label}#{idx} task {}", a.task);
-                assert_eq!(a.breakdown, b.breakdown, "{label}#{idx} task {}", a.task);
-                assert_eq!(
-                    a.schedulable, b.schedulable,
-                    "{label}#{idx} task {}",
-                    a.task
-                );
-                assert!(a.signatures_evaluated >= b.signatures_evaluated);
-            }
-        }
-    }
     assert!(
         pruned_away > 0,
         "the sweep never exercised dominance pruning"
@@ -265,23 +168,43 @@ fn seeded_sweep_pruning_preserves_binding_bounds_and_verdicts() {
 }
 
 #[test]
-fn fig2_ablation_prune_dominated_keeps_acceptance_ratios() {
-    // One contested Fig. 2(a) utilization point through the full five
-    // -method harness, pruning off vs on: bit-identical PointResults.
-    // Caps are lifted so every sampled task enumerates completely — under
-    // the default caps pruning may legitimately *improve* precision by
-    // avoiding truncation (smaller frontiers), which would show up here as
-    // a higher acceptance ratio rather than an equal one.
-    let scenario = Scenario::fig2(Fig2Panel::A);
-    let mut cfg = EvalConfig {
-        samples_per_point: 8,
-        seed: 2020,
-        threads: 2,
-        ep_config: lifted_cfg(),
-        ..EvalConfig::default()
+fn seeded_sweep_truncated_regime_outcomes_agree() {
+    let tight_cfg = AnalysisConfig {
+        path_signature_cap: 4,
+        ..AnalysisConfig::ep()
     };
-    let plain = evaluate_point(&scenario, 8.0, 0, &cfg);
-    cfg.ep_config.prune_dominated = true;
-    let pruned = evaluate_point(&scenario, 8.0, 0, &cfg);
-    assert_eq!(plain, pruned, "pruning changed a Fig. 2 acceptance ratio");
+    // Per regime (default caps, tight cap): tasks the reference
+    // truncates, tasks the DP truncates, DP sets checked complete.
+    let mut counts = [[0usize; 3]; 2];
+    for (label, tasks) in sweep_task_sets() {
+        let regimes = [AnalysisConfig::ep(), tight_cfg.clone()]
+            .map(|cfg| (SignatureCache::new(&tasks, &cfg), cfg));
+        for t in tasks.iter() {
+            let full = enumerate_signatures_capped(t, usize::MAX, u64::MAX);
+            assert!(!full.truncated, "{label}: task {}", t.id());
+            let expected = pruned(&full.signatures);
+            for ((cache, cfg), count) in regimes.iter().zip(&mut counts) {
+                let (cap, visits) = (cfg.path_signature_cap, cfg.path_visit_cap);
+                count[0] += usize::from(enumerate_signatures_capped(t, cap, visits).truncated);
+                let dp = cache.signatures(t.id());
+                if dp.truncated {
+                    count[1] += 1;
+                } else {
+                    assert_eq!(
+                        dp.signatures,
+                        expected,
+                        "{label}: cap {cap}, task {}",
+                        t.id()
+                    );
+                    count[2] += 1;
+                }
+            }
+        }
+    }
+    let [default, tight] = counts;
+    assert!(
+        default[0] > 0 && tight[1] > 0 && tight[2] > 0,
+        "the sweep must truncate the reference at the default caps and the DP \
+         at the tight cap, and complete some tasks there: {counts:?}"
+    );
 }
