@@ -7,6 +7,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Maximum accepted body size (16 MiB) — a submission larger than this
 /// is rejected before allocation, not trusted.
@@ -44,9 +45,63 @@ impl core::fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
+/// A connection's socket reader that gives each request `budget` to
+/// arrive, counted from its first byte: once the budget is spent, every
+/// further read fails with [`std::io::ErrorKind::TimedOut`]. It sits under
+/// the connection's `BufReader`, so the deadline costs one clock reading
+/// per socket read, and the socket's own read timeout bounds how long one
+/// read may block past it.
+#[derive(Debug)]
+pub(crate) struct RequestDeadline<R> {
+    inner: R,
+    budget: Duration,
+    deadline: Option<Instant>,
+}
+
+impl<R> RequestDeadline<R> {
+    /// Wraps `inner`; the first request's budget starts at its first byte.
+    pub(crate) fn new(inner: R, budget: Duration) -> Self {
+        RequestDeadline {
+            inner,
+            budget,
+            deadline: None,
+        }
+    }
+
+    /// Starts the next request's budget: now when `pipelined` (its first
+    /// bytes already sit in the buffer above), else at its first byte.
+    pub(crate) fn next_request(&mut self, pipelined: bool) {
+        self.deadline = if pipelined {
+            Instant::now().checked_add(self.budget)
+        } else {
+            None
+        };
+    }
+}
+
+impl<R: Read> Read for RequestDeadline<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+        {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                format!("request did not arrive within {:?}", self.budget),
+            ));
+        }
+        let read = self.inner.read(buf)?;
+        if read > 0 && self.deadline.is_none() {
+            self.deadline = Instant::now().checked_add(self.budget);
+        }
+        Ok(read)
+    }
+}
+
 /// Reads one request from a connection's buffered reader. Returns
 /// `Ok(None)` when the client closed the connection (or an idle
-/// keep-alive connection timed out) before sending a request line.
+/// keep-alive connection timed out, or the request's time to arrive ran
+/// out) before sending a whole request line.
 ///
 /// The reader must be shared across every request of a connection —
 /// a fresh `BufReader` per request would drop bytes a pipelining
@@ -55,9 +110,10 @@ impl std::error::Error for HttpError {}
 /// # Errors
 ///
 /// Returns [`HttpError`] for malformed request lines, a head longer than
-/// [`MAX_HEAD_BYTES`], unparseable or oversized `Content-Length`s, or a
-/// body shorter than promised.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, HttpError> {
+/// [`MAX_HEAD_BYTES`], unparseable or oversized `Content-Length`s, a body
+/// shorter than promised, or a head or body cut off by a read error (the
+/// request's time to arrive running out among them).
+pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Option<Request>, HttpError> {
     let mut budget = MAX_HEAD_BYTES;
     let mut line = String::new();
     match read_head_line(reader, &mut line, &mut budget) {
@@ -125,8 +181,8 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>
 /// Reads one line of a request head into `line`, charging its bytes to
 /// `budget`. A line that reaches the end of the budget without its
 /// newline is an error naming [`MAX_HEAD_BYTES`].
-fn read_head_line(
-    reader: &mut BufReader<TcpStream>,
+fn read_head_line<R: Read>(
+    reader: &mut BufReader<R>,
     line: &mut String,
     budget: &mut u64,
 ) -> std::io::Result<()> {
@@ -387,6 +443,42 @@ mod tests {
             "GET /healthz HTTP/1.1\r\nx-pad: {}\r\n\r\n",
             "x".repeat(len - frame)
         )
+    }
+
+    /// Yields one chunk per read, each 20 ms after the previous read.
+    struct Trickle<'a>(std::slice::Iter<'a, &'a [u8]>);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            std::thread::sleep(Duration::from_millis(20));
+            let Some(chunk) = self.0.next() else {
+                return Ok(0);
+            };
+            buf[..chunk.len()].copy_from_slice(chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    #[test]
+    fn a_request_slower_than_its_deadline_is_cut_off() {
+        let read = |chunks: &[&[u8]]| {
+            let budget = Duration::from_millis(50);
+            read_request(&mut BufReader::new(RequestDeadline::new(
+                Trickle(chunks.iter()),
+                budget,
+            )))
+        };
+        let line = b"GET /healthz HTTP/1.1\r\n";
+        let whole = read(&[b"GET /healthz HTTP/1.1\r\n\r\n"]).expect("a prompt request parses");
+        assert_eq!(whole.map(|r| r.path), Some("/healthz".to_string()));
+        // A request line cut off ends the connection like an idle timeout.
+        let bytes: Vec<&[u8]> = line.chunks(1).collect();
+        assert_eq!(read(&bytes), Ok(None));
+        // A cut-off head is an error naming the bound.
+        let mut head: Vec<&[u8]> = vec![line];
+        head.extend(b"x-pad: xxxxxxxxxxxxxxxxxxxxxxxx\r\n\r\n".chunks(1));
+        let err = read(&head).expect_err("the head arrives too slowly");
+        assert!(err.0.contains("within 50ms"), "{err}");
     }
 
     #[test]

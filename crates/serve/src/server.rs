@@ -27,7 +27,9 @@
 //! for further requests, bounded by
 //! [`ServeConfig::keep_alive_max_requests`] per connection and the
 //! [`ServeConfig::keep_alive_idle`] silence window; everyone else keeps
-//! the one-request-per-connection behavior.
+//! the one-request-per-connection behavior. The same window bounds how
+//! long any one request may take to arrive, so a slow client cannot
+//! hold a worker.
 
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -43,7 +45,7 @@ use dpcp_experiments::campaign::panic_message;
 use parking_lot::Mutex;
 
 use crate::cache::VerdictCache;
-use crate::http::{read_request, write_response};
+use crate::http::{read_request, write_response, RequestDeadline};
 use crate::metrics::Metrics;
 
 /// Server tuning.
@@ -61,7 +63,12 @@ pub struct ServeConfig {
     /// unaffected — their connections close after one response.
     pub keep_alive_max_requests: usize,
     /// How long a kept-alive connection may sit idle between requests
-    /// before the server closes it.
+    /// before the server closes it, and how long one request may take to
+    /// arrive, counted from its first byte. A request line cut off at that
+    /// bound closes the connection like an idle timeout; a cut-off head
+    /// or body is a `400` naming the bound. The bound is checked on every
+    /// socket read and each read blocks at most this long, so a request is
+    /// cut off at most one idle period past it.
     pub keep_alive_idle: std::time::Duration,
 }
 
@@ -220,15 +227,18 @@ fn serve_connection(
     // exactly the Nagle + delayed-ACK pathology; disable Nagle
     // (best-effort — responses are single writes regardless).
     let _ = stream.set_nodelay(true);
-    // The idle timeout doubles as a slow-read bound mid-request; a
-    // connection that cannot be configured is served once and closed.
+    // The idle timeout bounds each blocking read, and the request
+    // deadline the whole request; a connection that cannot be configured
+    // is served once and closed.
     let timed = stream.set_read_timeout(Some(limits.idle)).is_ok();
     let Ok(cloned) = stream.try_clone() else {
         return;
     };
-    let mut reader = std::io::BufReader::new(cloned);
+    let mut reader = std::io::BufReader::new(RequestDeadline::new(cloned, limits.idle));
     let max_requests = if timed { limits.max_requests } else { 1 };
     for served in 0..max_requests {
+        let pipelined = !reader.buffer().is_empty();
+        reader.get_mut().next_request(pipelined);
         let read_started = Instant::now();
         let request = match read_request(&mut reader) {
             Ok(Some(request)) => request,

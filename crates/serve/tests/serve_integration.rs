@@ -101,14 +101,16 @@ fn retired_solver_switch_is_accepted_ignored_and_never_emitted() {
     let addr = server.local_addr().to_string();
     let config = serde_json::to_string(&AnalysisConfig::ep()).expect("serialize");
     assert!(!config.contains("batched_fixpoint"), "{config}");
+    assert!(!config.contains("prune_dominated"), "{config}");
 
-    // A client built against an older schema still sends the switch; the
-    // server parses past it. Its bytes differ from the current encoding,
-    // so the second request can only hit through the structural tier.
+    // A client built against an older schema still sends the switches
+    // (pruning off, which older builds analysed unpruned); the server
+    // parses past them. Its bytes differ from the current encoding, so
+    // the second request can only hit through the structural tier.
     let current = serde_json::to_string(&fig1_request("DPCP-p-EP")).expect("serialize");
     let legacy = current.replacen(
         "\"search_probe_budget\"",
-        "\"batched_fixpoint\":false,\"search_probe_budget\"",
+        "\"batched_fixpoint\":false,\"prune_dominated\":false,\"search_probe_budget\"",
         1,
     );
     assert_ne!(legacy, current, "the legacy body carries the member");
@@ -122,7 +124,7 @@ fn retired_solver_switch_is_accepted_ignored_and_never_emitted() {
     assert_eq!(
         cache_header(&headers),
         Some("HIT"),
-        "the switch is not part of the structural key"
+        "the switches are not part of the structural key"
     );
     assert_eq!(warm, cold, "structural hits serve the resident bytes");
 
@@ -582,6 +584,75 @@ fn an_oversized_request_head_is_refused_and_the_worker_survives() {
     );
     let (status, _, _) = roundtrip(&addr, "GET", "/healthz", b"").expect("the worker survives");
     assert_eq!(status, 200);
+    server.shutdown();
+}
+
+#[test]
+fn a_trickled_request_is_cut_off_and_the_worker_serves_others() {
+    // One client sends a request line and then trickles an endless
+    // header, one byte every 50 ms, so no single read outlasts the 300 ms
+    // idle bound; without a per-request deadline it holds the only worker
+    // for as long as it keeps sending.
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
+    let server = Server::spawn(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        cache_capacity: 16,
+        keep_alive_idle: Duration::from_millis(300),
+        ..ServeConfig::default()
+    })
+    .expect("ephemeral bind");
+    let addr = server.local_addr().to_string();
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .expect("read timeout");
+    let trickler = std::thread::spawn(move || {
+        let started = Instant::now();
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\n")
+            .expect("request line");
+        let mut reply = Vec::new();
+        for &byte in b"x-pad: ".iter().chain(std::iter::repeat(&b'x')) {
+            if started.elapsed() > Duration::from_secs(6) || stream.write_all(&[byte]).is_err() {
+                break;
+            }
+            // The read's timeout is the pause between bytes.
+            let mut buf = [0u8; 512];
+            match stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => reply.extend_from_slice(&buf[..n]),
+                Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock) => {}
+                Err(e) if matches!(e.kind(), std::io::ErrorKind::TimedOut) => {}
+                Err(_) => break,
+            }
+        }
+        (
+            started.elapsed(),
+            String::from_utf8_lossy(&reply).into_owned(),
+        )
+    });
+    // Connections are served in accept order, so the worker holds the
+    // trickler's before this one arrives.
+    let asked = Instant::now();
+    let (status, _, _) = roundtrip(&addr, "GET", "/healthz", b"").expect("roundtrip");
+    let waited = asked.elapsed();
+    let (closed_after, reply) = trickler.join().expect("trickler");
+    assert_eq!(status, 200);
+    assert!(
+        waited < Duration::from_secs(2),
+        "/healthz waited {waited:?}"
+    );
+    assert!(
+        closed_after < Duration::from_secs(2),
+        "the trickled connection stayed open for {closed_after:?}"
+    );
+    // The close may reset the connection before the 400 is read.
+    assert!(
+        reply.is_empty() || (reply.starts_with("HTTP/1.1 400") && reply.contains("300ms")),
+        "{reply}"
+    );
     server.shutdown();
 }
 
