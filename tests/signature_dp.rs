@@ -1,23 +1,27 @@
 //! The signature DP against its depth-first reference.
 //!
-//! Two claims, each over seeded generated workloads:
+//! Three claims, each over seeded generated workloads:
 //!
-//! 1. **Set and bound equivalence** (caps lifted so nothing truncates) —
-//!    per task, the DP's signature list is the depth-first reference's
-//!    after `prune_dominated_signatures`, in the enumerators' output
-//!    order; and analysing over the unpruned reference
-//!    (`SignatureCache::new_dfs`) and over the DP (`SignatureCache::new`)
-//!    gives the same WCRTs, breakdowns, verdicts and truncation flags
-//!    under both partition shapes Algorithm 1 produces. Only
-//!    `signatures_evaluated` may shrink under the DP.
-//! 2. **Truncated regime** (default caps and one tight cap) — the DP
+//! 1. **Set and bound identity** (caps lifted so nothing truncates) — per
+//!    task, the DP's signature list is the depth-first reference's after
+//!    `prune_dominated_signatures`, in the enumerators' output order; and
+//!    analysing over the unpruned reference (`SignatureCache::new_dfs`)
+//!    and over the DP (`SignatureCache::new`) gives reports equal in every
+//!    field but `signatures_evaluated`, under both partition shapes
+//!    Algorithm 1 produces.
+//! 2. **Pruning soundness** (same regime) — every signature the DP drops
+//!    from the full set is dominated by one it keeps (same request vector,
+//!    no shorter, no less critical content), the sweep drops some, and
+//!    each task's binding bound (WCRT and breakdown) and verdict are
+//!    unchanged while the evaluation count only shrinks.
+//! 3. **Truncated regime** (default caps and one tight cap) — the DP
 //!    counts the pruned set against its cap, so it truncates less than
 //!    the reference; the two cannot be compared through the analysis
 //!    (a higher-priority task truncated on one side only changes the
 //!    `R_j` every lower task sees). What holds instead is that a task the
 //!    DP leaves untruncated holds exactly the pruned full set.
 
-use dpcp_p::core::analysis::{AnalysisConfig, SignatureCache};
+use dpcp_p::core::analysis::{AnalysisConfig, SchedulabilityReport, SignatureCache};
 use dpcp_p::core::partition::{assign_resources, layout_clusters, ResourceHeuristic};
 use dpcp_p::core::AnalysisSession;
 use dpcp_p::gen::scenario::Scenario;
@@ -27,6 +31,7 @@ use dpcp_p::model::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::{HashMap, HashSet};
 
 fn sweep_scenario() -> Scenario {
     Scenario {
@@ -106,13 +111,28 @@ fn sweep_task_sets() -> Vec<(String, TaskSet)> {
     out
 }
 
+/// `report` with every task's `signatures_evaluated` zeroed: the one
+/// field dominance pruning may change.
+fn without_evaluation_counts(mut report: SchedulabilityReport) -> SchedulabilityReport {
+    for bound in &mut report.task_bounds {
+        bound.signatures_evaluated = 0;
+    }
+    report
+}
+
+/// Whether `a` dominates `b` in the sense `prune_dominated_signatures`
+/// removes: same request vector, no shorter, no less critical content.
+fn dominates(a: &PathSignature, b: &PathSignature) -> bool {
+    let critical = |s: &PathSignature| s.len().saturating_sub(s.noncritical_len());
+    a.requests() == b.requests() && a.len() >= b.len() && critical(a) >= critical(b)
+}
+
 #[test]
 fn seeded_sweep_dfs_and_dp_sets_and_bounds_are_identical() {
     let platform = Platform::new(sweep_scenario().m).unwrap();
     let cfg = lifted_cfg();
     let task_sets = sweep_task_sets();
     let mut partitions_compared = 0usize;
-    let mut pruned_away = 0usize;
     for (label, tasks) in &task_sets {
         let dfs_cache = SignatureCache::new_dfs(tasks, &cfg);
         let dp_cache = SignatureCache::new(tasks, &cfg);
@@ -130,29 +150,18 @@ fn seeded_sweep_dfs_and_dp_sets_and_bounds_are_identical() {
                 "{label}: task {}",
                 t.id()
             );
-            pruned_away += full.signatures.len() - dp.signatures.len();
         }
-        // Whole-analysis equivalence (PathBounds, breakdowns, Nones) under
-        // both partition shapes.
+        // Whole-analysis identity (PathBounds, breakdowns, Nones, the
+        // aggregate flags) under both partition shapes.
         for (idx, partition) in method_partitions(tasks, &platform).iter().enumerate() {
             let mut session = AnalysisSession::new(cfg.clone());
             let via_dfs = session.analyze_with_signatures(tasks, partition, &dfs_cache);
             let via_dp = session.analyze_with_signatures(tasks, partition, &dp_cache);
-            assert_eq!(via_dfs.schedulable, via_dp.schedulable, "{label}#{idx}");
-            assert_eq!(via_dfs.truncated, via_dp.truncated, "{label}#{idx}");
-            for (a, b) in via_dfs.task_bounds.iter().zip(&via_dp.task_bounds) {
-                let task = a.task;
-                // The binding PathBound — WCRT and full breakdown — is
-                // untouched by pruning; only the evaluation count shrinks.
-                assert_eq!(a.wcrt, b.wcrt, "{label}#{idx} task {task}");
-                assert_eq!(a.breakdown, b.breakdown, "{label}#{idx} task {task}");
-                assert_eq!(a.schedulable, b.schedulable, "{label}#{idx} task {task}");
-                assert_eq!(a.truncated, b.truncated, "{label}#{idx} task {task}");
-                assert!(
-                    a.signatures_evaluated >= b.signatures_evaluated,
-                    "{label}#{idx} task {task}"
-                );
-            }
+            assert_eq!(
+                without_evaluation_counts(via_dfs),
+                without_evaluation_counts(via_dp),
+                "{label} partition#{idx}"
+            );
             partitions_compared += 1;
         }
     }
@@ -161,6 +170,60 @@ fn seeded_sweep_dfs_and_dp_sets_and_bounds_are_identical() {
         "sweep too small: {} task sets, {partitions_compared} partitions",
         task_sets.len()
     );
+}
+
+#[test]
+fn seeded_sweep_pruning_preserves_binding_bounds_and_verdicts() {
+    let platform = Platform::new(sweep_scenario().m).unwrap();
+    let cfg = lifted_cfg();
+    let mut pruned_away = 0usize;
+    for (label, tasks) in sweep_task_sets() {
+        let full_cache = SignatureCache::new_dfs(&tasks, &cfg);
+        let pruned_cache = SignatureCache::new(&tasks, &cfg);
+        for t in tasks.iter() {
+            let full = &full_cache.signatures(t.id()).signatures;
+            let kept = &pruned_cache.signatures(t.id()).signatures;
+            // The kept set is drawn from the full set, and everything it
+            // leaves out has a dominator among the kept signatures.
+            let in_full: HashSet<&PathSignature> = full.iter().collect();
+            let mut kept_by_profile: HashMap<_, Vec<&PathSignature>> = HashMap::new();
+            for sig in kept {
+                assert!(
+                    in_full.contains(sig),
+                    "{label}: task {} kept {sig:?}",
+                    t.id()
+                );
+                kept_by_profile.entry(sig.requests()).or_default().push(sig);
+            }
+            for sig in full {
+                let dominators = kept_by_profile.get(sig.requests());
+                assert!(
+                    dominators.is_some_and(|ks| ks.iter().any(|k| dominates(k, sig))),
+                    "{label}: task {} dropped undominated {sig:?}",
+                    t.id()
+                );
+            }
+            pruned_away += full.len() - kept.len();
+        }
+        for (idx, partition) in method_partitions(&tasks, &platform).iter().enumerate() {
+            let mut session = AnalysisSession::new(cfg.clone());
+            let plain = session.analyze_with_signatures(&tasks, partition, &full_cache);
+            let pruned = session.analyze_with_signatures(&tasks, partition, &pruned_cache);
+            assert_eq!(plain.schedulable, pruned.schedulable, "{label}#{idx}");
+            for (a, b) in plain.task_bounds.iter().zip(&pruned.task_bounds) {
+                let task = a.task;
+                // The binding PathBound — WCRT and full breakdown — is
+                // untouched by pruning; only the evaluation count shrinks.
+                assert_eq!(a.wcrt, b.wcrt, "{label}#{idx} task {task}");
+                assert_eq!(a.breakdown, b.breakdown, "{label}#{idx} task {task}");
+                assert_eq!(a.schedulable, b.schedulable, "{label}#{idx} task {task}");
+                assert!(
+                    a.signatures_evaluated >= b.signatures_evaluated,
+                    "{label}#{idx} task {task}"
+                );
+            }
+        }
+    }
     assert!(
         pruned_away > 0,
         "the sweep never exercised dominance pruning"
