@@ -17,19 +17,14 @@ use criterion::{black_box, Criterion};
 use dpcp_core::analysis::wcrt::{
     wcrt_for_signature_direct, wcrt_over_signatures_batched, wcrt_over_signatures_direct,
 };
-use dpcp_core::analysis::{
-    infeasible_under_every_placement, AnalysisContext, EvalScratch, SignatureCache,
-};
+use dpcp_core::analysis::{cluster_width_floors, AnalysisContext, EvalScratch, SignatureCache};
 use dpcp_core::partition::{assign_resources, layout_clusters, ResourceHeuristic};
 use dpcp_core::{
     AnalysisConfig, AnalysisRequest, AnalysisSession, DpcpProtocol, PartitionOutcome,
     PlacementSearch, SearchConfig, UnschedulableReason,
 };
 use dpcp_gen::scenario::{Fig2Panel, Scenario};
-use dpcp_model::{
-    enumerate_signatures_capped, enumerate_signatures_dp_capped, initial_processors, Partition,
-    Platform, TaskSet,
-};
+use dpcp_model::{enumerate_signatures_capped, initial_processors, Partition, Platform, TaskSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -59,11 +54,12 @@ pub fn panel_task_set(panel: Fig2Panel, utilization: f64, seed: u64) -> TaskSet 
 struct SearchFixtures {
     /// The 8-core platform both sets are searched on.
     platform: Platform,
-    /// The first such set the placement-free bound does not screen: the
-    /// [`bench_search`] engine spends its whole budget on it.
+    /// The first such set the placement-free screen passes (it names no
+    /// task and the width floors fit on 8 cores): the [`bench_search`]
+    /// engine spends its whole budget on it.
     probing: TaskSet,
-    /// The first such set the bound screens: the search returns the seed
-    /// outcome with zero probes.
+    /// The first such set in which the screen names a task: the search
+    /// returns the seed outcome with zero probes.
     screened: TaskSet,
 }
 
@@ -119,9 +115,10 @@ fn search_fixtures() -> SearchFixtures {
             if !all_fail {
                 continue;
             }
-            let slot = match infeasible_under_every_placement(&tasks, 8, max_iters) {
-                Some(_) => &mut screened,
-                None => &mut probing,
+            let slot = match cluster_width_floors(&tasks, 8, max_iters) {
+                Err(_) => &mut screened,
+                Ok(floors) if floors.iter().sum::<usize>() <= 8 => &mut probing,
+                Ok(_) => continue,
             };
             slot.get_or_insert(tasks);
             if probing.is_some() && screened.is_some() {
@@ -131,8 +128,8 @@ fn search_fixtures() -> SearchFixtures {
     }
     let fixtures = SearchFixtures {
         platform,
-        probing: probing.expect("an all-fail sample the bound does not screen"),
-        screened: screened.expect("an all-fail sample the bound screens"),
+        probing: probing.expect("an all-fail sample the screen passes"),
+        screened: screened.expect("an all-fail sample in which the screen names a task"),
     };
     let engine = bench_search();
     for (tasks, probes) in [
@@ -199,8 +196,9 @@ fn bench_search() -> PlacementSearch {
 /// search-engine quartet, the two wire layers a cold `/analyze` crosses
 /// before any analysis (`json/parse_request`, with `json/parse_request_pretty`
 /// on a whitespace-heavy body, and `dto/structural_key`) and
-/// the `enumerate/*` pair (the depth-first reference and the
-/// dominance-pruned signature-domain DP the analysis runs).
+/// `enumerate/dfs`, the depth-first reference to set beside the
+/// dominance-pruned signature-domain DP the analysis runs, which
+/// `signature_cache/enumerate` times.
 ///
 /// The one definition of every component: `bench_report` reads the
 /// medians back from [`Criterion::results`], and the `analysis`
@@ -284,10 +282,11 @@ pub fn components(c: &mut Criterion) {
     // (the common campaign-cell path: one inner evaluation, zero probes).
     // `search_probing` is the budgeted annealing loop on a contended
     // sample where every bin-packing seed fails and the placement-free
-    // bound proves nothing, and `search_screened` the same wrapper run on
-    // a sample the bound screens (seeds, then zero probes). Each search
-    // iteration gets a fresh session, as each campaign sample does: a
-    // reused one would replay a deterministic trajectory from its memo.
+    // screen proves nothing, and `search_screened` the same wrapper run on
+    // a sample in which the screen names a task (seeds, then zero probes).
+    // Each search iteration gets a fresh session, as each campaign sample
+    // does: a reused one would replay a deterministic trajectory from its
+    // memo.
     let probe_layout = layout_clusters(&sizes, 16).expect("initial sizes fit");
     let homes_wfd = assign_resources(&tasks, &probe_layout, ResourceHeuristic::WorstFitDecreasing)
         .expect("fits");
@@ -407,24 +406,12 @@ pub fn components(c: &mut Criterion) {
     c.bench_function("dto/structural_key", |b| {
         b.iter(|| black_box(black_box(&request).structural_key()))
     });
-    // The enumerator pair behind the cache, under the same caps: the
-    // depth-first reference (every distinct signature, no pruning) and
-    // the dominance-pruned DP the analysis runs.
+    // The depth-first reference enumerator (every distinct signature, no
+    // pruning) under the cache's caps, beside `signature_cache/enumerate`.
     c.bench_function("enumerate/dfs", |b| {
         b.iter(|| {
             for t in tasks.iter() {
                 black_box(enumerate_signatures_capped(
-                    t,
-                    cfg.path_signature_cap,
-                    cfg.path_visit_cap,
-                ));
-            }
-        })
-    });
-    c.bench_function("enumerate/dp_pruned", |b| {
-        b.iter(|| {
-            for t in tasks.iter() {
-                black_box(enumerate_signatures_dp_capped(
                     t,
                     cfg.path_signature_cap,
                     cfg.path_visit_cap,

@@ -81,7 +81,7 @@ pub mod wcrt;
 pub use context::AnalysisContext;
 pub use demand::{DemandStepTable, DemandTables};
 pub use request::RequestBoundCache;
-pub use screen::infeasible_under_every_placement;
+pub use screen::cluster_width_floors;
 pub use wcrt::EvalScratch;
 
 use request::Unsolved;

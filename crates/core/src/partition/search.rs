@@ -30,11 +30,14 @@
 //!   replaces the seed outcome on strict improvement (a schedulable
 //!   candidate).
 //! - **No probes when the bound proves every placement fails.** Before
-//!   the probe loop, [`infeasible_under_every_placement`] evaluates a
-//!   placement-free lower bound of Theorem 1 on every task's longest
-//!   path. If it names a task, no candidate of the move space (clusters
-//!   of size ≥ 1 summing to ≤ m, homes anywhere) can be schedulable, so
-//!   the seed outcome is returned with zero probes — the same verdict the
+//!   the probe loop, [`cluster_width_floors`] evaluates a placement-free
+//!   lower bound of Theorem 1 on every task's longest path and returns
+//!   each task's width floor `w_i`: the narrowest cluster on which the
+//!   task can pass. If it names a task that fails even on the widest
+//!   cluster (`m − n + 1`), or the floors cannot fit on the platform
+//!   together (`Σ w_i > m`), no candidate of the move space (clusters of
+//!   size ≥ 1 summing to ≤ m, homes anywhere) can be schedulable, so the
+//!   seed outcome is returned with zero probes — the same verdict the
 //!   loop would have reached. The proof is in
 //!   [`analysis::screen`](crate::analysis::screen).
 
@@ -42,7 +45,7 @@ use std::collections::BTreeMap;
 
 use dpcp_model::{Partition, Platform, ProcessorId, ResourceId, TaskSet};
 
-use crate::analysis::{infeasible_under_every_placement, SchedulabilityReport};
+use crate::analysis::{cluster_width_floors, SchedulabilityReport};
 use crate::partition::{
     assign_resources, initial_sizes, layout_clusters, PartitionOutcome, ResourceHeuristic,
 };
@@ -112,8 +115,9 @@ pub struct SearchOutcome {
     /// The final verdict: either a heuristic seed's outcome verbatim or
     /// a strictly improving placement found by search.
     pub outcome: PartitionOutcome,
-    /// Analysis probes spent by the search loop (0 when a heuristic seed
-    /// was already schedulable).
+    /// Analysis probes spent by the search loop: 0 when a heuristic seed
+    /// was already schedulable, and 0 when the placement-free screen
+    /// proves that no placement of the move space can be.
     pub probes: usize,
     /// `true` when the returned outcome strictly improves on every
     /// heuristic seed (i.e. search found a schedulable placement where
@@ -339,7 +343,9 @@ impl PlacementSearch {
             return seeded;
         }
         let max_iters = session.config().max_fixpoint_iterations;
-        if infeasible_under_every_placement(tasks, m, max_iters).is_some() {
+        let floors_fit = cluster_width_floors(tasks, m, max_iters)
+            .is_ok_and(|floors| floors.iter().sum::<usize>() <= m);
+        if !floors_fit {
             // Some task fails under every placement of the move space, so
             // no probe can improve on the seeds.
             return seeded;

@@ -37,7 +37,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use dpcp_p::baselines::standard_registry;
-use dpcp_p::core::analysis::{infeasible_under_every_placement, SignatureCache};
+use dpcp_p::core::analysis::{cluster_width_floors, SignatureCache};
 use dpcp_p::core::partition::{PlacementSearch, ResourceHeuristic, SearchConfig};
 use dpcp_p::core::{
     AnalysisConfig, AnalysisRequest, AnalysisSession, AnalysisVerdict, DpcpProtocol,
@@ -429,13 +429,10 @@ fn assert_coverage(sets: &[PoolSet], csv: &str, coverage: &Coverage) {
         let rejected = !AnalysisSession::new(cfg.clone())
             .partition_and_analyze(tasks, platform, WFD)
             .is_schedulable();
+        let m = platform.processor_count();
         rejected
-            && infeasible_under_every_placement(
-                tasks,
-                platform.processor_count(),
-                cfg.max_fixpoint_iterations,
-            )
-            .is_none()
+            && cluster_width_floors(tasks, m, cfg.max_fixpoint_iterations)
+                .is_ok_and(|floors| floors.iter().sum::<usize>() <= m)
             && engine
                 .run(
                     &mut AnalysisSession::new(cfg.clone()),

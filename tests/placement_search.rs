@@ -5,15 +5,16 @@
 //! artifacts at any rayon pool width, across shard splits and across
 //! resume. On every sample the search outcome must be at least as good as
 //! the best of the three bin-packing heuristic seeds (WFD/FFD/BFD). And
-//! the placement-free bound that lets the search skip its probe loop must
-//! never name a task some placement of the move space could save.
+//! the placement-free screen that lets the search skip its probe loop must
+//! never name a task, or give a task a width floor, that some placement
+//! of the move space could undercut and still pass.
 
 use std::path::PathBuf;
 
 use dpcp_experiments::campaign::{merge_dir, merged_csv, run_shard, ShardSpec};
 use dpcp_experiments::manifest::{AblationSpec, AxisSpec, CampaignManifest};
 use dpcp_experiments::Method;
-use dpcp_p::core::analysis::infeasible_under_every_placement;
+use dpcp_p::core::analysis::cluster_width_floors;
 use dpcp_p::core::partition::{layout_clusters, PartitionOutcome, ResourceHeuristic};
 use dpcp_p::core::{AnalysisConfig, AnalysisSession};
 use dpcp_p::gen::scenario::{Fig2Panel, Scenario};
@@ -289,64 +290,102 @@ fn random_placement(
 }
 
 #[test]
-fn screened_tasks_fail_under_every_sampled_placement() {
-    // Whenever the bound names a task, 40 random placements of the move
-    // space must all leave that task unschedulable, under both the EP and
-    // the EN analysis.
+fn tasks_below_their_width_floors_fail_under_sampled_placements() {
+    // Every sampled placement of the move space must leave each task whose
+    // cluster is narrower than its width floor unschedulable, and a task
+    // the screen names unschedulable on any cluster, under both the EP and
+    // the EN analysis. Sets the screen rejects (a named task, or floors
+    // summing past m) get 40 placements each; the floor lemma holds for
+    // every set, so the others get 10.
     let max_iters = AnalysisConfig::ep().max_fixpoint_iterations;
-    // The fig2 panels from U/m = 0.10, where the bound starts to fire;
+    // The fig2 panels from U/m = 0.10, where the screen starts to fire;
     // the search-smoke scenario over its own grid, from 0.35.
     let mut scenarios: Vec<(Scenario, f64)> = Fig2Panel::all()
         .into_iter()
         .map(|panel| (Scenario::fig2(panel), 0.10))
         .collect();
     scenarios.push((search_smoke_scenario(), 0.35));
-    let mut sets = 0usize;
-    let mut screened = Vec::new();
+    let mut sets = Vec::new();
     for (stream, (scenario, lowest)) in scenarios.iter().enumerate() {
         for (point, seed, tasks) in screen_sweep(scenario, stream as u64, *lowest) {
-            sets += 1;
-            if let Some(named) = infeasible_under_every_placement(&tasks, scenario.m, max_iters) {
-                screened.push((stream, point, seed, scenario.m, tasks, named));
-            }
+            let floors = cluster_width_floors(&tasks, scenario.m, max_iters);
+            sets.push((stream, point, seed, scenario.m, tasks, floors));
         }
     }
+    let named = sets.iter().filter(|set| set.5.is_err()).count();
+    let joint = sets
+        .iter()
+        .filter(|(.., m, _, floors)| floors.as_ref().is_ok_and(|f| f.iter().sum::<usize>() > *m))
+        .count();
     // Placements are drawn per set from a seed of its coordinates, so the
     // parallel check is deterministic.
-    let placements: usize = screened
+    let tallies: Vec<(usize, usize, Vec<String>)> = sets
         .par_iter()
-        .map(|(stream, point, seed, m, tasks, named)| {
+        .map(|(stream, point, seed, m, tasks, floors)| {
             let platform = Platform::new(*m).unwrap();
             let mut rng = StdRng::seed_from_u64(
                 0x91AC_0000_0000 + ((*stream as u64) << 24) + ((*point as u64) << 8) + seed,
             );
+            let n = tasks.len();
+            let (named, floors) = match floors {
+                Err(named) => (Some(*named), vec![1; n]),
+                Ok(floors) => (None, floors.clone()),
+            };
+            let rejected = named.is_some() || floors.iter().sum::<usize>() > *m;
+            let draws = if rejected { 40 } else { 10 };
             let mut ep = AnalysisSession::new(AnalysisConfig::ep());
             let mut en = AnalysisSession::new(AnalysisConfig::en());
-            for _ in 0..40 {
-                let partition = random_placement(tasks, &platform, *named, &mut rng);
+            let (mut checks, mut violations) = (0, Vec::new());
+            for draw in 0..draws {
+                let favoured = named.unwrap_or(TaskId::new(draw % n));
+                let partition = random_placement(tasks, &platform, favoured, &mut rng);
+                let doomed: Vec<TaskId> = tasks
+                    .iter()
+                    .map(|t| t.id())
+                    .filter(|&i| Some(i) == named || partition.cluster_size(i) < floors[i.index()])
+                    .collect();
                 for session in [&mut ep, &mut en] {
                     let report = session.analyze(tasks, &partition);
-                    assert!(
-                        !report.bound(*named).schedulable,
-                        "scenario {stream} point {point} seed {seed}: screened task {named:?} \
-                         schedulable under {:?}",
-                        session.config().variant
-                    );
+                    for &i in &doomed {
+                        checks += 1;
+                        if report.bound(i).schedulable {
+                            violations.push(format!(
+                                "scenario {stream} point {point} seed {seed} draw {draw}: \
+                                 {i:?} on {} processors (floor {}, named {named:?}) \
+                                 schedulable under {:?}",
+                                partition.cluster_size(i),
+                                floors[i.index()],
+                                session.config().variant
+                            ));
+                        }
+                    }
                 }
             }
-            40
+            (draws, checks, violations)
         })
-        .sum();
+        .collect();
+    let placements: usize = tallies.iter().map(|t| t.0).sum();
+    let checks: usize = tallies.iter().map(|t| t.1).sum();
+    let violations: Vec<&String> = tallies.iter().flat_map(|t| &t.2).collect();
     eprintln!(
-        "screen sweep: {sets} sets, {} screened, {placements} placements",
-        screened.len()
+        "width-floor sweep: {} sets, {named} named, {joint} jointly screened, \
+         {placements} placements, {checks} checks, {} violations",
+        sets.len(),
+        violations.len()
     );
-    assert!(sets >= 500, "too few heavy-only sets ({sets})");
     assert!(
-        screened.len() >= 100,
-        "too few screened sets ({})",
-        screened.len()
+        violations.is_empty(),
+        "{} tasks below their width floor are schedulable; first: {:?}",
+        violations.len(),
+        &violations[..violations.len().min(5)]
     );
+    assert!(
+        sets.len() >= 500,
+        "too few heavy-only sets ({})",
+        sets.len()
+    );
+    assert!(named >= 100, "too few named sets ({named})");
+    assert!(joint >= 30, "too few jointly screened sets ({joint})");
 }
 
 /// The `(point, seed)` draws of the search-smoke sweep (stream 4, from
@@ -380,11 +419,14 @@ fn the_bound_screens_no_set_the_search_lifts() {
         if !outcome.is_schedulable() {
             continue;
         }
-        // A schedulable placement exists, so the bound must name no task.
-        assert_eq!(
-            infeasible_under_every_placement(&tasks, scenario.m, max_iters),
-            None,
-            "point {point} seed {seed}: the bound screens a schedulable set"
+        // A schedulable placement exists, so the screen must name no task,
+        // and the width floors must fit on the platform together.
+        let floors = cluster_width_floors(&tasks, scenario.m, max_iters);
+        assert!(
+            floors
+                .as_ref()
+                .is_ok_and(|f| f.iter().sum::<usize>() <= scenario.m),
+            "point {point} seed {seed}: the screen rejects a schedulable set ({floors:?})"
         );
         let seeds_fail = heuristics.iter().all(|&h| {
             !AnalysisSession::new(AnalysisConfig::ep())
