@@ -14,7 +14,7 @@
 //!   the ambient rayon pool.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dpcp_baselines::{Lpp, SpinSon};
+use dpcp_baselines::Baseline;
 use dpcp_bench::panel_task_set;
 use dpcp_core::analysis::EvalScratch;
 use dpcp_core::partition::{assign_resources, ResourceHeuristic};
@@ -100,12 +100,12 @@ fn bench_components(c: &mut Criterion) {
         })
     });
     group.bench_function("spin_analysis", |b| {
-        let spin = SpinSon::new();
+        let spin = Baseline::SpinSon;
         let mut scratch = EvalScratch::new();
         b.iter(|| black_box(spin.analyze(&tasks, &partition, &mut scratch)))
     });
     group.bench_function("lpp_analysis", |b| {
-        let lpp = Lpp::new();
+        let lpp = Baseline::Lpp;
         let mut scratch = EvalScratch::new();
         b.iter(|| black_box(lpp.analyze(&tasks, &partition, &mut scratch)))
     });

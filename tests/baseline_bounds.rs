@@ -29,9 +29,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use dpcp_p::baselines::{Dga, FedFp, Lpp, Mpcp, SpinSon};
+use dpcp_p::baselines::Baseline;
 use dpcp_p::core::analysis::{EvalScratch, TaskBound};
-use dpcp_p::core::SchedAnalyzer;
+use dpcp_p::core::{ProtocolAnalysis, SchedAnalyzer};
 use dpcp_p::gen::scenario::{Fig2Panel, Scenario};
 use dpcp_p::gen::GraphShape;
 use dpcp_p::model::{fig1, initial_processors, Partition, Platform, ProcessorId, TaskSet};
@@ -43,17 +43,6 @@ path_len,inter_task_blocking,intra_task_blocking,intra_task_interference,agent_i
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("ci/golden_baseline_bounds.csv")
-}
-
-fn baselines() -> [(&'static str, Box<dyn SchedAnalyzer>); 6] {
-    [
-        ("SPIN-SON", Box::new(SpinSon::new())),
-        ("LPP", Box::new(Lpp::new())),
-        ("FED-FP", Box::new(FedFp::new())),
-        ("MPCP-SA", Box::new(Mpcp::suspension_aware())),
-        ("MPCP-SO", Box::new(Mpcp::suspension_oblivious())),
-        ("DGA", Box::new(Dga::new())),
-    ]
 }
 
 /// One drawn set.
@@ -184,7 +173,6 @@ fn write_bound(csv: &mut String, bound: &TaskBound) {
 }
 
 fn bound_rows(sets: &[PoolSet]) -> String {
-    let baselines = baselines();
     let mut csv = format!("{HEADER}\n");
     for set in sets {
         let tasks = &set.tasks;
@@ -199,8 +187,9 @@ fn bound_rows(sets: &[PoolSet]) -> String {
         narrow[k] = (narrow[k] - 1).max(1);
         for (name, widths) in [("line3", line3), ("wide", wide), ("narrow", narrow)] {
             let partition = layout(tasks, &widths);
-            for (protocol, analyzer) in &baselines {
-                let report = analyzer.analyze(tasks, &partition, &mut EvalScratch::new());
+            for baseline in Baseline::ALL {
+                let protocol = baseline.name();
+                let report = baseline.analyze(tasks, &partition, &mut EvalScratch::new());
                 assert_eq!(report.task_bounds.len(), tasks.len(), "{protocol}");
                 assert_eq!(
                     report.schedulable,
@@ -242,7 +231,8 @@ fn cell<'a>(row: &'a str, column: &str) -> &'a str {
 /// without one for the recurrences), and a reader-writer set.
 fn assert_coverage(csv: &str) {
     let rows: Vec<&str> = csv.lines().skip(1).collect();
-    for (protocol, _) in baselines() {
+    for baseline in Baseline::ALL {
+        let protocol = baseline.name();
         let ours: Vec<&str> = rows
             .iter()
             .copied()

@@ -9,9 +9,9 @@
 //! - the EP bound is never worse than the EN bound on the same partition;
 //! - FED-FP (no blocking charged) accepts a superset of every method.
 
-use dpcp_p::baselines::{FedFp, Lpp, SpinSon};
+use dpcp_p::baselines::Baseline;
 use dpcp_p::core::partition::{PartitionOutcome, ResourceHeuristic};
-use dpcp_p::core::{AnalysisConfig, AnalysisSession, SchedAnalyzer};
+use dpcp_p::core::{AnalysisConfig, AnalysisSession};
 use dpcp_p::gen::scenario::Scenario;
 use dpcp_p::model::{Platform, TaskSet, Time};
 use dpcp_p::sim::{simulate, SimConfig};
@@ -146,7 +146,7 @@ fn acceptance_ordering_fed_ep_en() {
             })
             .is_schedulable();
         let fed_ok = session
-            .partition_with(&tasks, &platform, WFD, &FedFp::new())
+            .partition_with(&tasks, &platform, WFD, &Baseline::FedFp)
             .is_schedulable();
         if en_ok {
             assert!(ep_ok, "seed {seed}: EN accepted but EP rejected");
@@ -171,14 +171,11 @@ fn fed_fp_upper_bounds_local_execution_baselines_too() {
         };
         let mut session = AnalysisSession::new(AnalysisConfig::ep());
         let fed_ok = session
-            .partition_with(&tasks, &platform, WFD, &FedFp::new())
+            .partition_with(&tasks, &platform, WFD, &Baseline::FedFp)
             .is_schedulable();
-        for (name, analyzer) in [
-            ("SPIN-SON", &SpinSon::new() as &dyn SchedAnalyzer),
-            ("LPP", &Lpp::new()),
-        ] {
+        for (name, analyzer) in [("SPIN-SON", Baseline::SpinSon), ("LPP", Baseline::Lpp)] {
             if session
-                .partition_with(&tasks, &platform, WFD, analyzer)
+                .partition_with(&tasks, &platform, WFD, &analyzer)
                 .is_schedulable()
             {
                 assert!(fed_ok, "seed {seed}: {name} accepted but FED-FP rejected");

@@ -8,7 +8,7 @@
 //! layer: `ProtocolRegistry::respond` agrees with direct dispatch for
 //! every method.
 
-use dpcp_p::baselines::{standard_registry, FedFp, Lpp, SpinSon};
+use dpcp_p::baselines::{standard_registry, Baseline};
 use dpcp_p::core::analysis::AnalysisConfig;
 use dpcp_p::core::partition::{PartitionOutcome, ResourceHeuristic};
 use dpcp_p::core::{AnalysisRequest, AnalysisSession, SchedAnalyzer};
@@ -65,19 +65,19 @@ fn reference_outcome(
             tasks,
             platform,
             heuristic,
-            &SpinSon::new(),
+            &Baseline::SpinSon,
         ),
         "LPP" => AnalysisSession::new(AnalysisConfig::ep()).partition_with(
             tasks,
             platform,
             heuristic,
-            &Lpp::new(),
+            &Baseline::Lpp,
         ),
         "FED-FP" => AnalysisSession::new(AnalysisConfig::ep()).partition_with(
             tasks,
             platform,
             heuristic,
-            &FedFp::new(),
+            &Baseline::FedFp,
         ),
         other => panic!("unknown method {other}"),
     }
@@ -275,9 +275,9 @@ fn partition_with_matches_fresh_session_loop() {
         .expect("seed 5 generates");
     let wfd = ResourceHeuristic::WorstFitDecreasing;
     let analyzers: [(&str, &dyn SchedAnalyzer); 3] = [
-        ("SPIN-SON", &SpinSon::new()),
-        ("LPP", &Lpp::new()),
-        ("FED-FP", &FedFp::new()),
+        ("SPIN-SON", &Baseline::SpinSon),
+        ("LPP", &Baseline::Lpp),
+        ("FED-FP", &Baseline::FedFp),
     ];
     let mut session = AnalysisSession::new(AnalysisConfig::ep());
     for (name, analyzer) in analyzers {
