@@ -214,8 +214,9 @@ pub(crate) fn intra_task_blocking_counts(
     total
 }
 
-/// The term-wise worst-case intra-task blocking for the EN variant
-/// (DESIGN.md note 4): the local term is maximised at `N^λ_q = 1`
+/// The term-wise worst-case intra-task blocking for the EN variant: each
+/// term at its own worst request count, so the sum bounds the intra-task
+/// blocking of every path. The local term is maximised at `N^λ_q = 1`
 /// (`(N_{i,q} − 1) · L_{i,q}`), the global term at `σ = 1, N^λ_q = 0`
 /// (`N_{i,q} · L_{i,q}` on every processor hosting a global the task uses).
 pub fn intra_task_blocking_en(ctx: &AnalysisContext<'_>, i: TaskId) -> Time {

@@ -15,8 +15,9 @@ use dpcp_model::{
 /// `η_j(L) = ⌈(L + R_j)/T_j⌉`.
 ///
 /// Tasks are analysed in decreasing priority order (Algorithm 1 line 9);
-/// `R_j` starts at the sound fallback `D_j` and is replaced by the computed
-/// bound once a task has been analysed (DESIGN.md note 3).
+/// `R_j` starts at the fallback `D_j` and is replaced by the computed bound
+/// once a task has been analysed. The fallback is sound: a set is accepted
+/// only when every computed bound is at most its deadline.
 #[derive(Debug)]
 pub struct AnalysisContext<'a> {
     /// The task set under analysis.

@@ -4,8 +4,11 @@
 //! given a task set and a partition it bounds every task's WCRT via the
 //! per-path analysis of Theorem 1 and reports schedulability. Tasks are
 //! processed in decreasing priority order; each computed bound feeds the
-//! job-count function `η_j` of the remaining tasks (lower-priority tasks
-//! use the sound fallback `R_j ≤ D_j`, DESIGN.md note 3).
+//! job-count function `η_j` of the remaining tasks. A task not yet
+//! analysed (every lower-priority one) enters with `R_j = D_j`. That is
+//! sound because a set is accepted only when every computed bound is at
+//! most its deadline, so `R_j ≤ D_j` holds for every task of an accepted
+//! set.
 //!
 //! Two variants mirror the paper's evaluation:
 //! [`AnalysisVariant::EnumeratePaths`] (`DPCP-p-EP`) and
@@ -104,12 +107,16 @@ pub struct AnalysisConfig {
     /// Which variant to run.
     pub variant: AnalysisVariant,
     /// Maximum number of distinct path signatures enumerated per task
-    /// before falling back to the EN bound (DESIGN.md note 5).
+    /// before its bound falls back to the EN bound, which is never below
+    /// any path's bound ([`TaskBound::truncated`] marks such a task).
     pub path_signature_cap: usize,
     /// Maximum number of complete paths walked per task (dense-DAG guard).
     pub path_visit_cap: u64,
-    /// Iteration budget for every fixed-point recurrence; exhaustion is
-    /// treated as divergence (sound).
+    /// Iteration budget for every fixed-point recurrence of the DPCP-p
+    /// analysis (and its placement screen); exhaustion is treated as
+    /// divergence (sound). The local-execution baselines
+    /// (`dpcp_baselines::Baseline`) do not read it: their recurrences
+    /// always run with a budget of 512, whatever the request sets.
     pub max_fixpoint_iterations: usize,
     /// Step budget for the search-wrapper protocols
     /// ([`SearchVariant`](crate::registry::SearchVariant)): how many local

@@ -6,8 +6,9 @@
 //!   `DPCP-p-EP`);
 //! - **EN** (enumerate request counts): evaluates a single virtual path of
 //!   length `L*_i` whose per-term request counts take their worst value in
-//!   `[0, N_{i,q}]` (the paper's `DPCP-p-EN`; see DESIGN.md note 4 for the
-//!   term-wise maximisation argument).
+//!   `[0, N_{i,q}]` (the paper's `DPCP-p-EN`). Each term takes its own
+//!   worst count, and no path's count exceeds it in any term, so the EN
+//!   bound is never below the EP bound.
 //!
 //! EP has one fast path and one reference:
 //!
@@ -536,11 +537,11 @@ pub fn wcrt_over_signatures_sweep_direct(
 /// When the enumeration was truncated the (dominating) EN bound is
 /// reported directly — it provably binds the max, so the capped signature
 /// subset is never swept (see [`wcrt_over_signatures_sweep_direct`] for
-/// the retained sweeping reference). Under dominance pruning the list is
-/// a subset that provably still contains the binding signature, and the
-/// shared sort order places every dominator before the signatures it
-/// dominates, so the earliest-maximum tie-break reports the identical
-/// binding [`PathBound`] with pruning on or off.
+/// the retained sweeping reference). The enumerated list is
+/// dominance-pruned: a subset that provably still contains the binding
+/// signature, with every dominator sorted before the signatures it
+/// dominates, so the earliest-maximum tie-break reports the same binding
+/// [`PathBound`] as a sweep over the unpruned list.
 ///
 /// Returns `None` when any contributing bound diverges beyond `D_i`.
 /// Resets `scratch` for this task on entry.

@@ -70,7 +70,8 @@ pub struct AnalysisRequest {
     pub tasks: TaskSet,
     /// The platform to partition onto.
     pub platform: Platform,
-    /// Analysis tuning knobs (variant, caps, pruning).
+    /// Analysis tuning knobs (variant, path caps, fixed-point budget,
+    /// search probe budget).
     pub config: AnalysisConfig,
     /// Resource-partitioning heuristic.
     pub heuristic: ResourceHeuristic,

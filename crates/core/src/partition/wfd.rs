@@ -64,8 +64,8 @@ impl CapacityBin {
 /// (Algorithm 2).
 ///
 /// `clusters[i]` are the processors of task `τ_i`; cluster capacity is its
-/// processor count, its starting utilization is the task's `U_i`
-/// (DESIGN.md note 1 on the Algorithm 2 line 3 typo).
+/// processor count, its starting utilization is the task's `U_i` (the
+/// reading of Algorithm 2's line 3 this implementation uses).
 ///
 /// Returns `None` when the allocation is infeasible (Algorithm 2 line 7).
 pub fn assign_resources(

@@ -247,8 +247,8 @@ pub struct DpcpProtocol {
 
 impl DpcpProtocol {
     /// The path-enumerating variant (`DPCP-p-EP`). Its analysis
-    /// configuration is the session's (ablation caps and pruning knobs
-    /// apply), with the variant forced to EP.
+    /// configuration is the session's (the path caps and the fixed-point
+    /// budget apply), with the variant forced to EP.
     pub fn ep() -> Self {
         DpcpProtocol {
             variant: AnalysisVariant::EnumeratePaths,

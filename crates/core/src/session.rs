@@ -126,8 +126,8 @@ impl AnalysisSession {
     }
 
     /// Replaces the configuration, returning the previous one. The
-    /// signature cache is keyed by the enumeration-relevant fields (path
-    /// caps, pruning), so a change that affects enumeration invalidates
+    /// signature cache is keyed by the enumeration-relevant fields (the
+    /// two path caps), so a change that affects enumeration invalidates
     /// it automatically on the next call — and one that cannot (variant,
     /// fixed-point budget) keeps it.
     pub fn set_config(&mut self, cfg: AnalysisConfig) -> AnalysisConfig {

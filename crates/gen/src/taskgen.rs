@@ -1,7 +1,8 @@
 //! The synthetic task-set pipeline of Sec. VII-A.
 //!
-//! One task set is generated as follows (all distributions exactly as the
-//! paper states, interpretation notes in DESIGN.md):
+//! One task set is generated as follows (this generator's reading of
+//! Sec. VII-A; the plausibility guards are step 6 and
+//! [`TaskGenParams::cs_budget_fraction`]):
 //!
 //! 1. the number of tasks follows from the chosen `U^avg` and the target
 //!    total utilization; per-task utilizations come from
@@ -97,7 +98,7 @@ pub struct TaskGenParams {
     /// Critical-section length range for `L_{i,q}`.
     pub cs_range: (Time, Time),
     /// Fraction of `C_i` that critical sections may occupy; request counts
-    /// are clamped down to fit (plausibility guard, DESIGN.md).
+    /// are clamped down to fit (a plausibility guard of this generator).
     pub cs_budget_fraction: f64,
     /// Probability that an individual request is a *read* instead of a
     /// write (reader-writer extension; the paper's model is write-only).

@@ -341,7 +341,8 @@ impl Partition {
     }
 
     /// The global resources co-located with `ℓ_q` — the paper's
-    /// `Φ^℘(ℓ_q)`, *including* `ℓ_q` itself (see DESIGN.md note 2).
+    /// `Φ^℘(ℓ_q)`, *including* `ℓ_q` itself: a critical section on `ℓ_q`
+    /// delays a request to `ℓ_q` as one on any co-located resource does.
     pub fn co_located<'a>(
         &'a self,
         tasks: &'a TaskSet,

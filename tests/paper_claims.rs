@@ -215,9 +215,9 @@ fn dpcp_ep_is_at_least_as_good_under_heavy_contention() {
     }
     assert!(valid >= 20, "generator failed too often ({valid} valid)");
     // Spinning wastes cycles under heavy contention: EP must clearly beat
-    // SPIN-SON (the paper's headline trend). Our LPP re-derivation is a
-    // sound analysis that is tighter than the original in some regimes
-    // (DESIGN.md, Substitutions), so EP is only required to stay within a
+    // SPIN-SON (the paper's headline trend). LPP here is a re-derivation
+    // in Theorem 1's response-time framework (`dpcp_baselines::Baseline`),
+    // not the original analysis, so EP is only required to stay within a
     // 10% band of it rather than strictly above.
     assert!(
         counts[0] > counts[1],
