@@ -10,15 +10,14 @@
 //! processor time (spinning does, suspension does not) and (c) whether
 //! the blocking is charged once or also as processor demand.
 //!
-//! None of these analyses appears in the DPCP-p paper, which only names
-//! the compared protocols. They are re-derivations in the response-time
-//! framework of the paper's Theorem 1, kept to the properties the
-//! comparison rests on and that the tests check: FED-FP, which charges
-//! no blocking, upper-bounds every other method; SPIN-SON's queue depth
-//! is bounded by cluster widths while the suspension-based variants'
-//! is not; only SPIN-SON wastes processor time waiting; and the
-//! suspension-oblivious and serialized bounds dominate the
-//! suspension-aware one.
+//! These analyses are re-derivations in the response-time framework of
+//! Theorem 1, not the cited protocols' original analyses. They keep the
+//! properties the comparison rests on, and the tests check each: FED-FP,
+//! which charges no blocking, upper-bounds every other method;
+//! SPIN-SON's queue depth is bounded by cluster widths while the
+//! suspension-based variants' is not; only SPIN-SON wastes processor
+//! time waiting; and the suspension-oblivious and serialized bounds
+//! dominate the suspension-aware one.
 
 use dpcp_core::analysis::request::fixed_point;
 use dpcp_model::{eta_jobs, DagTask, Partition, ResourceId, TaskId, TaskSet, Time};

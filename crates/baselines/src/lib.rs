@@ -95,7 +95,7 @@ mod common;
 /// }
 /// # Ok::<(), dpcp_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Baseline {
     /// `SPIN-SON`: FIFO non-preemptive spin locks for federated DAG
     /// tasks, in the spirit of Dinh et al. (IEEE TPDS 2018) — the paper's
