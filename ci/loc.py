@@ -11,7 +11,9 @@ totals:
 - non-test lines: the lines left after removing files under a `tests/` or
   `benches/` directory, `#[cfg(test)] mod` blocks, and files reached only
   through a `#[cfg(test)] mod x;` declaration or a `mod x;` inside a
-  `#[cfg(test)] mod` block;
+  `#[cfg(test)] mod` block (`#[cfg(doctest)]` and
+  `#[cfg(any(test, doctest))]` count as `#[cfg(test)]`: neither reaches
+  the library);
 - non-test code lines: the non-test lines that are neither blank nor
   `//` comments (`///` and `//!` docs included).
 
@@ -26,7 +28,7 @@ import sys
 TREES = ("crates", "src", "examples", "tests")
 TEST_DIRS = {"tests", "benches"}
 
-CFG_TEST = re.compile(r"^\s*#\[cfg\(test\)\]\s*$")
+CFG_TEST = re.compile(r"^\s*#\[cfg\((test|doctest|any\(test,\s*doctest\))\)\]\s*$")
 ATTRIBUTE = re.compile(r"^\s*#\[")
 PATH_ATTR = re.compile(r'^\s*#\[path\s*=\s*"([^"]+)"\]\s*$')
 MOD_BLOCK = re.compile(r"^(\s*)(pub(\([^)]*\))?\s+)?mod\s+\w+\s*\{\s*$")

@@ -384,25 +384,16 @@ mod tests {
     }
 }
 
-// Each protocol's unit tests, in `src/<module>/tests.rs`: `spin`, `lpp`,
-// `fed`, `mpcp` (both accountings) and `dga`.
-#[cfg(test)]
-mod spin {
-    mod tests;
-}
-#[cfg(test)]
-mod lpp {
-    mod tests;
-}
-#[cfg(test)]
-mod fed {
-    mod tests;
-}
-#[cfg(test)]
-mod mpcp {
-    mod tests;
-}
-#[cfg(test)]
-mod dga {
-    mod tests;
-}
+// Each protocol's unit tests, in `src/<module>/tests.rs`, and its Fig. 1
+// doc example, in `src/<module>.rs`: `dga`, `fed`, `lpp`, `mpcp` (both
+// accountings) and `spin`. None of these modules is part of the library.
+#[cfg(any(test, doctest))]
+mod dga;
+#[cfg(any(test, doctest))]
+mod fed;
+#[cfg(any(test, doctest))]
+mod lpp;
+#[cfg(any(test, doctest))]
+mod mpcp;
+#[cfg(any(test, doctest))]
+mod spin;
