@@ -190,7 +190,7 @@ fn bench_search() -> PlacementSearch {
 /// The analysis-stage components of `BENCH_analysis.json`, measured on
 /// `c`: the `fixed_point/*` trio contrasting the per-iterate scan
 /// reference (one signature and a whole task frontier) with the batched
-/// lockstep kernel, full task-set analysis under EP/EN
+/// kernel, full task-set analysis under EP/EN
 /// (`analyze/task_set_*`), the signature cache, Algorithm 1 on a set it
 /// rejects (`partition/algorithm1_rejected`), the `placement/*`
 /// search-engine quartet, the two wire layers a cold `/analyze` crosses
@@ -250,7 +250,7 @@ pub fn components(c: &mut Criterion) {
     c.bench_function("fixed_point/task_direct_scan", |b| {
         b.iter(|| black_box(wcrt_over_signatures_direct(&ctx, busiest, sigs, &cfg)))
     });
-    // The batched lockstep kernel over the same frontier, against the
+    // The batched kernel over the same frontier, against the
     // per-iterate scan reference `fixed_point/task_direct_scan`.
     c.bench_function("fixed_point/task_batched", |b| {
         let mut scratch = EvalScratch::new();

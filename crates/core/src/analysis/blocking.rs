@@ -64,12 +64,6 @@ impl EpsilonTable {
         self.entries.iter().copied()
     }
 
-    /// The raw `(℘_k, ε^k)` row — the batched solver stores these rows in
-    /// a flat arena and hands slices back to the blocking terms.
-    pub(crate) fn entries(&self) -> &[(ProcessorId, Time)] {
-        &self.entries
-    }
-
     /// `true` when the path requests no global resources at all.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -106,20 +100,19 @@ pub fn inter_task_blocking(
     eps.iter().map(|(k, e)| e.min(zeta(ctx, i, k, r))).sum()
 }
 
-/// [`inter_task_blocking`] over a raw ε row with `ζ^k` read from the
-/// per-task demand tables instead of rescanning the task set —
-/// bit-identical, since the tables memoize [`zeta`] at every η breakpoint.
-/// This is the form the batched lockstep solver reads straight out of its
-/// ε arena.
-pub(crate) fn inter_task_blocking_row(
+/// [`inter_task_blocking`] with `ζ^k` read from the per-task demand
+/// tables instead of rescanning the task set — bit-identical, since the
+/// tables memoize [`zeta`] at every η breakpoint. This is the form the
+/// batched kernel iterates.
+pub(crate) fn inter_task_blocking_tabled(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
-    eps: &[(ProcessorId, Time)],
+    eps: &EpsilonTable,
     tables: &super::demand::DemandTables,
     r: Time,
 ) -> Time {
     eps.iter()
-        .map(|&(k, e)| e.min(tables.zeta_at(ctx, i, k, r)))
+        .map(|(k, e)| e.min(tables.zeta_at(ctx, i, k, r)))
         .sum()
 }
 

@@ -104,13 +104,6 @@ impl DemandStepTable {
         self.steps[idx - 1].1
     }
 
-    /// The largest breakpoint: the demand is constant on
-    /// `[terminal_start, horizon]` (the slope of every `η_j` has run out).
-    #[inline]
-    pub fn terminal_start(&self) -> Time {
-        self.steps.last().map_or(Time::ZERO, |&(r, _)| r)
-    }
-
     /// The sorted `(breakpoint, value)` pairs (plateau starts).
     #[inline]
     pub fn steps(&self) -> &[(Time, Time)] {
@@ -290,21 +283,6 @@ impl DemandTables {
         }
     }
 
-    /// The ζ table of one processor, when dense.
-    #[inline]
-    pub fn zeta_table(&self, k: ProcessorId) -> Option<&DemandStepTable> {
-        self.zeta
-            .iter()
-            .find(|&&(p, _)| p == k)
-            .and_then(|(_, t)| t.as_ref())
-    }
-
-    /// The agent table, when dense.
-    #[inline]
-    pub fn agent_table(&self) -> Option<&DemandStepTable> {
-        self.agent.as_ref()
-    }
-
     /// The pre-gathered `(ℓ_q, N_{i,q}, L_{i,q})` list of Eq. 9.
     #[inline]
     pub fn own_cluster(&self) -> &[(ResourceId, u32, Time)] {
@@ -358,7 +336,7 @@ mod tests {
             assert_eq!(table.value_at(t), zeta(&ctx, i, k, t), "window {t}");
             r += step;
         }
-        assert!(table.terminal_start() <= horizon);
+        assert!(table.steps().last().is_some_and(|&(r, _)| r <= horizon));
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //!   behind `ζ^k` (Eq. 5) and `γ` (Eq. 2), which `home_of` selects by
 //!   `ℓ_q`'s home. The ε rows of Eq. 4 and the demand-table rows are
 //!   keyed by processor id, but consistently within one analysis, so a
-//!   relabelling of processors maps every lookup and every row equality
-//!   of the lane interning onto itself. `resource_processors` only fixes
-//!   the order of saturating sums of non-negative terms, which commute;
+//!   relabelling of processors maps every lookup onto itself.
+//!   `resource_processors` only fixes the order of saturating sums of
+//!   non-negative terms, which commute;
 //! - for each class, whether its home lies in `τ_i`'s cluster: this
 //!   selects `Φ^℘(τ_i)` (`resources_on_cluster`, Eq. 9) and
 //!   `cluster_cs_demand` (Eq. 8);

@@ -12,8 +12,8 @@
 //!
 //! EP has one fast path and one reference:
 //!
-//! - [`wcrt_over_signatures_batched`], the lockstep kernel every analysis
-//!   runs (below);
+//! - [`wcrt_over_signatures_batched`], the kernel every analysis runs
+//!   (below);
 //! - the per-iterate scans [`wcrt_for_signature_direct`],
 //!   [`wcrt_over_signatures_direct`] and
 //!   [`wcrt_over_signatures_sweep_direct`], which rescan the task set on
@@ -25,43 +25,32 @@
 //! EN solves one recurrence per task, which demand tables cannot amortize,
 //! so it has a single implementation: the per-iterate scan [`wcrt_en`].
 //!
-//! # The batched lockstep kernel
+//! # The batched kernel
 //!
-//! [`wcrt_over_signatures_batched`] solves a task's whole signature
-//! frontier as a structure-of-arrays kernel over *lanes* and *groups*:
+//! Theorem 1 gives every path signature its own least fixed point, and
+//! Eq. 1 takes the maximum, so [`wcrt_over_signatures_batched`] solves a
+//! task's signatures one at a time in three steps:
 //!
-//! 1. **Lane materialization.** Every signature of the task becomes a
-//!    lane — the window-independent terms `len`, `b_i`, `intra_i`,
-//!    `agent_own` plus an ε row in a shared flat arena. Per-request bounds
-//!    come from the memoized [`RequestBoundCache`], window-dependent
-//!    demand from the per-task [`DemandTables`], and a dense scattered
-//!    per-resource count row replaces the per-entry binary searches into
-//!    the signature's request vector.
-//! 2. **Group collapse.** Each lane is interned on the spot into a group
-//!    by *recurrence identity* (equal window-independent terms and equal
-//!    ε rows define the same Theorem 1 recurrence), so one orbit serves
-//!    every identical lane, bit-identical by definition. Groups keep
-//!    first-occurrence order, so the kernel is deterministic. A freshly
-//!    founded group takes its *birth step* — the start-iterate check plus
-//!    the first iteration — immediately: most orbits converge (or diverge,
-//!    failing the task) right there.
-//! 3. **Lockstep advance.** The orbits still iterating after their birth
-//!    step advance together, round by round, against the shared demand
-//!    tables; converged orbits retire in place (a compacted active list
-//!    swap-removes them). Each orbit keeps [`fixed_point`]'s convergence,
-//!    divergence and budget semantics exactly, plus a demand-slope early
-//!    exit: once the window has passed the last η breakpoint of every
-//!    table it reads, the right-hand side is constant up to the deadline,
-//!    so the next iterate is the fixed point.
-//! 4. **Winner materialization.** Only the binding lane's [`PathBound`]
-//!    breakdown is built, with the earliest maximum winning ties — the
-//!    reference sweep's tie-break.
+//! 1. **Materialize.** A signature's window-independent terms — `L(λ)`,
+//!    `b_i`, `I^intra_i` and the own-agent interference — and its ε row
+//!    are built from the memoized [`RequestBoundCache`] and the per-task
+//!    [`DemandTables`], with a dense per-resource count row replacing
+//!    the per-entry binary searches into the signature's request vector.
+//! 2. **Solve.** The signature's orbit runs on the spot through
+//!    `request::orbit`, the loop every other recurrence uses, with each
+//!    window-dependent term read from the demand tables. A diverging
+//!    request bound or orbit fails the whole task at once, as the
+//!    reference sweep's `?` does.
+//! 3. **Keep the earliest maximum.** The first signature with the
+//!    largest bound binds (the reference sweep's tie-break); only its ε
+//!    row is kept, and its [`PathBound`] breakdown is built once at the
+//!    end.
 
-use dpcp_model::{PathSignature, ProcessorId, ResourceId, TaskId, Time};
+use dpcp_model::{PathSignature, ResourceId, TaskId, Time};
 
 use super::blocking::{
-    inter_task_blocking, inter_task_blocking_row, intra_task_blocking, intra_task_blocking_counts,
-    intra_task_blocking_en, EpsilonTable,
+    inter_task_blocking, inter_task_blocking_tabled, intra_task_blocking,
+    intra_task_blocking_counts, intra_task_blocking_en, EpsilonTable,
 };
 use super::context::AnalysisContext;
 use super::demand::DemandTables;
@@ -104,12 +93,17 @@ pub struct EvalScratch {
     per_request: Vec<(ResourceId, Time)>,
     /// The ε accumulator of Eq. 4, rebuilt in place per signature.
     eps: EpsilonTable,
+    /// The ε row of the binding signature so far (swapped with `eps`
+    /// whenever a signature takes the lead).
+    best_eps: EpsilonTable,
     /// Per-processor demand prefix tables keyed by η, built once per task
     /// (shared with the light-task analysis, hence crate-visible).
     pub(crate) tables: DemandTables,
-    /// Arena-backed lane/group state of the batched lockstep solver
-    /// (allocations survive across tasks; contents are rebuilt per call).
-    batch: LaneBatch,
+    /// Dense per-resource request counts (`counts[q] = N^λ_{i,q}`) of the
+    /// signature being materialized — scattered from and un-scattered by
+    /// its sparse request vector, so the blocking and interference sums
+    /// index instead of binary-searching.
+    counts: Vec<u32>,
 }
 
 impl EvalScratch {
@@ -126,14 +120,11 @@ impl EvalScratch {
     }
 }
 
-/// One distinct Theorem 1 recurrence
-/// `r = L(λ) + B_i(r) + b_i + ⌈(I^intra_i + I^A_i(r)) / m_i⌉` of the
-/// batched solver — the window-independent terms, the ε-row span into the
-/// shared arena — plus its fixed-point orbit state. Lanes with equal terms
-/// and equal ε rows share one `GroupOrbit`; a retired orbit keeps its
-/// outcome in `result`.
+/// The window-independent terms of one signature's Theorem 1 recurrence
+/// `r = L(λ) + B_i(r) + b_i + ⌈(I^intra_i + I^A_i(r)) / m_i⌉`; with the
+/// signature's ε row they define the recurrence completely.
 #[derive(Debug, Clone, Copy)]
-struct GroupOrbit {
+struct PathTerms {
     /// `L(λ)` (also the orbit's start iterate).
     len: Time,
     /// Intra-task blocking `b_i` (Lemma 4).
@@ -142,148 +133,6 @@ struct GroupOrbit {
     intra_i: Time,
     /// Own-agent interference (the path-dependent Lemma 6 term).
     agent_own: Time,
-    /// `(start, end)` span of the ε row inside the shared arena.
-    eps_start: u32,
-    eps_end: u32,
-    /// Demand-slope terminal (`None`: a table fell back to the scan).
-    terminal: Option<Time>,
-    /// Current iterate.
-    x: Time,
-    /// Iterations spent against the shared budget.
-    iter: u32,
-    /// Outcome once retired (`None` = diverged/exhausted).
-    result: Option<Time>,
-}
-
-/// Arena-backed lane/group state of the batched lockstep solver. Each
-/// signature becomes a *lane*; lanes are interned into recurrence-identity
-/// *groups* as they are materialized (first-occurrence order, so the
-/// kernel is deterministic), and only the group index survives per lane —
-/// every other fact about a lane is its group's, by recurrence identity.
-/// The whole-group collapse is sound by construction: lanes in one group
-/// define the *same* recurrence, so one orbit's outcome — divergent
-/// `None` included — is every member's outcome. Allocations persist
-/// across calls; contents are rebuilt per task.
-#[derive(Debug, Default)]
-struct LaneBatch {
-    /// Per-lane group index (the only per-lane state).
-    group_of: Vec<u32>,
-    /// Per-group recurrence + orbit state, first-occurrence order.
-    groups: Vec<GroupOrbit>,
-    /// Per-group recurrence-identity hash — the interning pre-filter;
-    /// equal hashes are verified field-by-field before lanes collapse.
-    g_hash: Vec<u64>,
-    /// Flat ε-row arena shared by every group.
-    eps_arena: Vec<(ProcessorId, Time)>,
-    /// Open-addressing hash table over groups (`u32::MAX` = empty) —
-    /// makes interning O(lanes) instead of a quadratic scan.
-    g_table: Vec<u32>,
-    /// Compacted list of group indices still iterating; retiring groups
-    /// swap-remove themselves (orbits are independent, so the round
-    /// order never affects any outcome).
-    active: Vec<u32>,
-    /// Dense per-resource request counts (`counts[q] = N^λ_{i,q}`) of the
-    /// signature being materialized — scattered from and un-scattered by
-    /// the signature's sparse request vector around each lane, so the
-    /// blocking/interference sums index instead of binary-searching.
-    counts: Vec<u32>,
-}
-
-impl LaneBatch {
-    /// Resets lane/group state for a task with `lanes` signatures over a
-    /// `resources`-sized universe (allocations survive).
-    fn begin(&mut self, lanes: usize, resources: usize) {
-        self.group_of.clear();
-        self.groups.clear();
-        self.g_hash.clear();
-        self.eps_arena.clear();
-        let cap = (2 * lanes.max(1)).next_power_of_two();
-        self.g_table.clear();
-        self.g_table.resize(cap, u32::MAX);
-        self.active.clear();
-        self.counts.clear();
-        self.counts.resize(resources, 0);
-    }
-
-    /// The ε row of one group.
-    fn row(&self, g: &GroupOrbit) -> &[(ProcessorId, Time)] {
-        &self.eps_arena[g.eps_start as usize..g.eps_end as usize]
-    }
-
-    /// Interns one lane: finds (or creates) its recurrence-identity group
-    /// and records the membership. Returns `Some(group)` when the lane
-    /// founded a new group (whose `terminal` the caller still owes).
-    fn intern_lane(
-        &mut self,
-        len: Time,
-        b_i: Time,
-        intra_i: Time,
-        agent_own: Time,
-        eps: &[(ProcessorId, Time)],
-    ) -> Option<u32> {
-        let h = recurrence_key_hash(len, b_i, intra_i, agent_own, eps);
-        let mask = self.g_table.len() - 1;
-        let mut slot = (h as usize) & mask;
-        loop {
-            let entry = self.g_table[slot];
-            if entry == u32::MAX {
-                let g = self.groups.len() as u32;
-                let eps_start = self.eps_arena.len() as u32;
-                self.eps_arena.extend_from_slice(eps);
-                let eps_end = self.eps_arena.len() as u32;
-                self.groups.push(GroupOrbit {
-                    len,
-                    b_i,
-                    intra_i,
-                    agent_own,
-                    eps_start,
-                    eps_end,
-                    terminal: None,
-                    x: len,
-                    iter: 0,
-                    result: None,
-                });
-                self.g_hash.push(h);
-                self.g_table[slot] = g;
-                self.group_of.push(g);
-                return Some(g);
-            }
-            let cand = &self.groups[entry as usize];
-            if self.g_hash[entry as usize] == h
-                && cand.len == len
-                && cand.b_i == b_i
-                && cand.intra_i == intra_i
-                && cand.agent_own == agent_own
-                && self.row(cand) == eps
-            {
-                self.group_of.push(entry);
-                return None;
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-}
-
-/// Hash of one lane's recurrence identity (FxHash-style fold, mirroring
-/// the model crate's interner mixer) — a pre-filter only; grouping always
-/// verifies candidates field-by-field.
-fn recurrence_key_hash(
-    len: Time,
-    b_i: Time,
-    intra_i: Time,
-    agent_own: Time,
-    eps: &[(ProcessorId, Time)],
-) -> u64 {
-    const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let mut h = 0u64;
-    for v in [len.as_ns(), b_i.as_ns(), intra_i.as_ns(), agent_own.as_ns()] {
-        h = (h.rotate_left(26) ^ v).wrapping_mul(K);
-    }
-    for &(k, e) in eps {
-        h = (h.rotate_left(26) ^ k.index() as u64).wrapping_mul(K);
-        h = (h.rotate_left(26) ^ e.as_ns()).wrapping_mul(K);
-    }
-    h
 }
 
 /// One evaluation of the recurrence's right-hand side over the demand
@@ -292,28 +141,17 @@ fn theorem1_rhs(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
     tables: &DemandTables,
-    eps: &[(ProcessorId, Time)],
-    g: &GroupOrbit,
+    eps: &EpsilonTable,
+    t: &PathTerms,
     m_i: u64,
     r: Time,
 ) -> Time {
-    let b_inter = inter_task_blocking_row(ctx, i, eps, tables, r);
-    let agents = g.agent_own.saturating_add(tables.agent_at(ctx, i, r));
-    g.len
+    let b_inter = inter_task_blocking_tabled(ctx, i, eps, tables, r);
+    let agents = t.agent_own.saturating_add(tables.agent_at(ctx, i, r));
+    t.len
         .saturating_add(b_inter)
-        .saturating_add(g.b_i)
-        .saturating_add(g.intra_i.saturating_add(agents).div_ceil(m_i))
-}
-
-/// The window beyond which the recurrence's right-hand side is constant
-/// (every contributing η has taken its last step below the horizon), or
-/// `None` when some table fell back to the scan.
-fn demand_terminal_start(tables: &DemandTables, eps: &[(ProcessorId, Time)]) -> Option<Time> {
-    let mut terminal = tables.agent_table()?.terminal_start();
-    for &(k, _) in eps {
-        terminal = terminal.max(tables.zeta_table(k)?.terminal_start());
-    }
-    Some(terminal)
+        .saturating_add(t.b_i)
+        .saturating_add(t.intra_i.saturating_add(agents).div_ceil(m_i))
 }
 
 /// The delay decomposition of Theorem 1 at the converged `r`, read from
@@ -322,19 +160,19 @@ fn path_bound_at(
     ctx: &AnalysisContext<'_>,
     i: TaskId,
     tables: &DemandTables,
-    eps: &[(ProcessorId, Time)],
-    g: &GroupOrbit,
+    eps: &EpsilonTable,
+    t: &PathTerms,
     r: Time,
 ) -> PathBound {
-    let b_inter = inter_task_blocking_row(ctx, i, eps, tables, r);
-    let agents = g.agent_own.saturating_add(tables.agent_at(ctx, i, r));
+    let b_inter = inter_task_blocking_tabled(ctx, i, eps, tables, r);
+    let agents = t.agent_own.saturating_add(tables.agent_at(ctx, i, r));
     PathBound {
         wcrt: r,
         breakdown: DelayBreakdown {
-            path_len: g.len,
+            path_len: t.len,
             inter_task_blocking: b_inter,
-            intra_task_blocking: g.b_i,
-            intra_task_interference: g.intra_i,
+            intra_task_blocking: t.b_i,
+            intra_task_interference: t.intra_i,
             agent_interference: agents,
         },
     }
@@ -526,12 +364,10 @@ pub fn wcrt_over_signatures_sweep_direct(
 }
 
 /// The task-level bound `R_i = max_λ r_i(λ)` over a set of enumerated
-/// signatures, solved by the batched lockstep kernel (see the module
-/// docs): the task's whole signature frontier is materialized into
-/// structure-of-arrays lanes, lanes with identical recurrences collapse
-/// into groups, and all distinct groups' fixed points advance together —
-/// converged groups retiring in place — before the single binding lane's
-/// breakdown is materialized. Bit-identical to
+/// signatures, solved by the batched kernel (see the module docs): each
+/// signature's terms are materialized from the memoized request bounds
+/// and the per-task demand tables, its orbit is solved on the spot, and
+/// only the binding signature's breakdown is built. Bit-identical to
 /// [`wcrt_over_signatures_direct`].
 ///
 /// When the enumeration was truncated the (dominating) EN bound is
@@ -560,31 +396,26 @@ pub fn wcrt_over_signatures_batched(
         // `truncated` tag).
         return wcrt_en(ctx, i, cfg);
     }
-    if sigs.signatures.is_empty() {
-        return None;
-    }
-    let task = ctx.task(i);
-    let horizon = task.deadline();
+    let horizon = ctx.task(i).deadline();
     let m_i = ctx.cluster_size(i);
     let max_iters = cfg.max_fixpoint_iterations;
     let EvalScratch {
         cache,
         per_request,
         eps,
+        best_eps,
         tables,
-        batch,
+        counts,
     } = scratch;
     tables.ensure(ctx, i);
+    // Zeroed on entry, so an early return may leave a row scattered.
+    counts.clear();
+    counts.resize(ctx.tasks.resource_count(), 0);
 
-    // Phases 1+2 — lane materialization and group collapse, interleaved:
-    // memoized request bounds and an in-place ε rebuild per signature,
-    // the per-signature term sums reading a dense scattered count row,
-    // and each lane interned into its recurrence-identity group on the
-    // spot. A signature whose request bound already diverges fails the
-    // whole task, exactly like the reference sweep's `?`.
-    batch.begin(sigs.signatures.len(), ctx.tasks.resource_count());
-    let mut counts = std::mem::take(&mut batch.counts);
+    let mut best: Option<(Time, PathTerms)> = None;
     for sig in &sigs.signatures {
+        // Materialize: memoized request bounds over the scattered count
+        // row, the in-place ε rebuild and the window-independent terms.
         for &(q, n) in sig.requests() {
             counts[q.index()] = n;
         }
@@ -594,17 +425,8 @@ pub fn wcrt_over_signatures_batched(
             if n == 0 || !ctx.tasks.is_global(q) {
                 continue;
             }
-            let Some(blocking) =
-                cache.blocking_bound_tabled(ctx, i, q, &path_counts, horizon, max_iters, tables)
-            else {
-                // Un-scatter before the early return keeps the row clean
-                // for the next call (the buffer outlives this task).
-                for &(u, _) in sig.requests() {
-                    counts[u.index()] = 0;
-                }
-                batch.counts = counts;
-                return None;
-            };
+            let blocking =
+                cache.blocking_bound_tabled(ctx, i, q, &path_counts, horizon, max_iters, tables)?;
             per_request.push((q, blocking));
         }
         let per_request = &*per_request;
@@ -615,117 +437,28 @@ pub fn wcrt_over_signatures_batched(
                 .map(|&(_, b)| b)
                 .unwrap_or(Time::ZERO)
         });
-        let b_i = intra_task_blocking_counts(tables, &counts);
-        let intra_i = intra_task_interference_counts(tables, sig.noncritical_len(), &counts);
-        let agent_own = agent_interference_own_counts(tables, &counts);
+        let terms = PathTerms {
+            len: sig.len(),
+            b_i: intra_task_blocking_counts(tables, counts),
+            intra_i: intra_task_interference_counts(tables, sig.noncritical_len(), counts),
+            agent_own: agent_interference_own_counts(tables, counts),
+        };
         for &(q, _) in sig.requests() {
             counts[q.index()] = 0;
         }
-        if let Some(g) = batch.intern_lane(sig.len(), b_i, intra_i, agent_own, eps.entries()) {
-            // Orbit birth: `fixed_point`'s start check and its first
-            // iteration, on the spot. Most orbits converge — or diverge —
-            // on that first step, and a divergent orbit fails the whole
-            // task immediately (the reference sweep's `?` fires at its
-            // first divergent signature just the same, and `None` is the
-            // verdict either way). Only orbits still iterating after the
-            // birth step join the lockstep rounds.
-            let gi = g as usize;
-            let go = batch.groups[gi];
-            if go.x > horizon || max_iters == 0 {
-                batch.counts = counts;
-                return None;
-            }
-            let row = batch.row(&go);
-            let next = theorem1_rhs(ctx, i, tables, row, &go, m_i, go.x);
-            if next == go.x {
-                batch.groups[gi].result = Some(go.x);
-            } else {
-                debug_assert!(next > go.x, "response-time recurrence must be inflationary");
-                if next > horizon {
-                    batch.counts = counts;
-                    return None;
-                }
-                // The demand-slope terminal is only consulted by orbits
-                // that failed to converge instantly, so it is computed
-                // lazily here rather than for every group.
-                let terminal = demand_terminal_start(tables, row);
-                if terminal.is_some_and(|term| go.x >= term) {
-                    // Constant right-hand side from here: the next plain
-                    // iteration must find the fixed point — iff the
-                    // budget would have reached it.
-                    if 1 < max_iters {
-                        batch.groups[gi].result = Some(next);
-                    } else {
-                        batch.counts = counts;
-                        return None;
-                    }
-                } else if 1 >= max_iters {
-                    // Budget exhaustion is divergence, as in `fixed_point`.
-                    batch.counts = counts;
-                    return None;
-                } else {
-                    batch.groups[gi].terminal = terminal;
-                    batch.groups[gi].x = next;
-                    batch.groups[gi].iter = 1;
-                    batch.active.push(g);
-                }
-            }
-        }
-    }
-    batch.counts = counts;
 
-    // Phase 3 — lockstep advance over the compacted active list. Every
-    // orbit continues exactly where its birth step left off: same
-    // convergence / divergence / budget checks, same demand-slope early
-    // exit. Converged orbits swap out of the list in place; a divergent
-    // one fails the task immediately, as above.
-    while !batch.active.is_empty() {
-        let mut k = 0;
-        while k < batch.active.len() {
-            let gi = batch.active[k] as usize;
-            let g = batch.groups[gi];
-            let next = theorem1_rhs(ctx, i, tables, batch.row(&g), &g, m_i, g.x);
-            let result = if next == g.x {
-                g.x
-            } else {
-                debug_assert!(next > g.x, "response-time recurrence must be inflationary");
-                if next > horizon {
-                    return None;
-                }
-                if g.terminal.is_some_and(|term| g.x >= term) {
-                    if (g.iter as usize) + 1 < max_iters {
-                        next
-                    } else {
-                        return None;
-                    }
-                } else if (g.iter as usize) + 1 >= max_iters {
-                    return None;
-                } else {
-                    batch.groups[gi].x = next;
-                    batch.groups[gi].iter = g.iter + 1;
-                    k += 1;
-                    continue;
-                }
-            };
-            batch.groups[gi].result = Some(result);
-            batch.active.swap_remove(k);
-        }
-    }
-
-    // Phase 4 — winner materialization: a divergent lane fails the task
-    // (the reference sweep's `?`), otherwise the earliest maximum binds
-    // and only its breakdown is built. The winning lane's terms are its
-    // group's terms, by recurrence identity.
-    let mut best: Option<(Time, u32)> = None;
-    for &g in &batch.group_of {
-        let r = batch.groups[g as usize].result?;
+        // Solve, and keep the earliest maximum with its ε row.
+        let r = orbit(terms.len, horizon, max_iters, |r| {
+            theorem1_rhs(ctx, i, tables, eps, &terms, m_i, r)
+        })
+        .ok()?;
         if best.is_none_or(|(b, _)| r > b) {
-            best = Some((r, g));
+            best = Some((r, terms));
+            std::mem::swap(eps, best_eps);
         }
     }
-    let (r, g) = best?;
-    let g = &batch.groups[g as usize];
-    Some(path_bound_at(ctx, i, tables, batch.row(g), g, r))
+    let (r, terms) = best?;
+    Some(path_bound_at(ctx, i, tables, best_eps, &terms, r))
 }
 
 #[cfg(test)]

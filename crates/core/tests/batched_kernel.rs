@@ -1,12 +1,11 @@
-//! Bit-identity of the batched lockstep kernel
-//! ([`wcrt_over_signatures_batched`]) against the per-iterate direct
-//! scans, over seeded generator sweeps.
+//! Bit-identity of the batched kernel ([`wcrt_over_signatures_batched`])
+//! against the per-iterate direct scans, over seeded generator sweeps.
 //!
 //! The batched kernel is the only EP solver every analysis runs; these
 //! sweeps are the contract that it reports exactly the reference's
 //! bound, verdict and binding-path breakdown — across DAG shapes,
-//! heavy/light mixes, truncated (EN-fallback) tasks and divergent
-//! (`None`) recurrences.
+//! heavy/light mixes, truncated (EN-fallback) tasks, divergent (`None`)
+//! recurrences and fixed-point budgets small enough to run out.
 
 use dpcp_core::analysis::wcrt::{
     wcrt_for_signature_direct, wcrt_over_signatures_batched, wcrt_over_signatures_direct,
@@ -96,13 +95,9 @@ fn assert_instance_identical(inst: &Instance, cfg: &AnalysisConfig, cov: &mut Co
     }
 }
 
-/// Seeded sweep across the four DAG shapes: every task's batched bound is
-/// bit-identical to the direct scans, including divergent (`None`)
-/// recurrences at the overloaded utilization.
-#[test]
-fn batched_matches_direct_across_shapes() {
-    let cfg = AnalysisConfig::ep();
-    let mut cov = Coverage::default();
+/// Runs [`assert_instance_identical`] over the four DAG shapes at two
+/// utilizations and three seeds each.
+fn sweep_shapes(cfg: &AnalysisConfig, cov: &mut Coverage) {
     let shapes = [
         GraphShape::ErdosRenyi,
         GraphShape::Layered { layers: 3 },
@@ -124,10 +119,19 @@ fn batched_matches_direct_across_shapes() {
                 let Some(inst) = instance(shape, utilization, light, 16, cell) else {
                     continue;
                 };
-                assert_instance_identical(&inst, &cfg, &mut cov);
+                assert_instance_identical(&inst, cfg, cov);
             }
         }
     }
+}
+
+/// Seeded sweep across the four DAG shapes: every task's batched bound is
+/// bit-identical to the direct scans, including divergent (`None`)
+/// recurrences at the overloaded utilization.
+#[test]
+fn batched_matches_direct_across_shapes() {
+    let mut cov = Coverage::default();
+    sweep_shapes(&AnalysisConfig::ep(), &mut cov);
     assert!(cov.tasks >= 40, "sweep too thin: {} tasks", cov.tasks);
     assert!(cov.converged > 0, "no converged bound in the sweep");
     assert!(
@@ -138,6 +142,27 @@ fn batched_matches_direct_across_shapes() {
         cov.multi_sig > 0,
         "no multi-signature frontier in the sweep"
     );
+}
+
+/// The same sweep at fixed-point budgets of 0, 1, 2, 3 and 5 iterations,
+/// where running out of budget, not the deadline, ends many orbits: the
+/// kernel must spend exactly the direct scans' budget on every request
+/// bound and every response-time orbit, since exhaustion is a `None`.
+#[test]
+fn batched_matches_direct_at_small_budgets() {
+    let mut cov = Coverage::default();
+    for budget in [0, 1, 2, 3, 5] {
+        let cfg = AnalysisConfig {
+            max_fixpoint_iterations: budget,
+            ..AnalysisConfig::ep()
+        };
+        sweep_shapes(&cfg, &mut cov);
+    }
+    assert!(
+        cov.converged > 0,
+        "no bound converged within a small budget"
+    );
+    assert!(cov.divergent > 0, "no small budget ran out");
 }
 
 /// Mixed heavy/light sets: light tasks take the light-task fast path and
@@ -176,13 +201,12 @@ fn batched_matches_on_truncated_en_fallback() {
     );
 }
 
-/// The group-collapse property: collapsing identical lanes into one
-/// group never changes any lane's result. Two observable forms:
+/// Duplicate signatures never change a result. Two observable forms:
 ///
-/// 1. every lane solved alone (a singleton frontier — no collapse
-///    possible) reports the same value the direct scan gives it, and
-/// 2. duplicating every lane (maximal collapse: each group absorbs a
-///    clone) leaves the task-level binding bound bit-identical.
+/// 1. every signature solved alone (a singleton frontier) reports the
+///    same value the direct scan gives it, and
+/// 2. listing every signature twice leaves the task-level binding bound
+///    and its breakdown bit-identical: the first of equal maxima binds.
 #[test]
 fn group_collapse_never_changes_a_lane_result() {
     let cfg = AnalysisConfig::ep();
@@ -199,8 +223,8 @@ fn group_collapse_never_changes_a_lane_result() {
         if sigs.truncated {
             continue;
         }
-        // (1) per-lane: singleton frontiers — batched degenerates to one
-        // group of one lane and must equal the direct solve of that lane.
+        // (1) singleton frontiers: the kernel must equal the direct
+        // solve of that one signature.
         for sig in &sigs.signatures {
             let alone = PathSignatures {
                 signatures: vec![sig.clone()],
@@ -212,10 +236,9 @@ fn group_collapse_never_changes_a_lane_result() {
             assert_eq!(batched, direct, "singleton lane diverged on task {i}");
             lanes += 1;
         }
-        // (2) whole-group: duplicate every lane. Interning maps each
-        // clone onto its original's group, so the frontier solves the
-        // same set of recurrences; the `>` tie-break keeps the first
-        // occurrence as the winner, so the reported breakdown is
+        // (2) duplicate every signature. Each clone solves the same
+        // recurrence as its original, and the `>` tie-break keeps the
+        // first occurrence as the winner, so the reported breakdown is
         // unchanged too.
         let mut doubled = Vec::with_capacity(sigs.signatures.len() * 2);
         for sig in &sigs.signatures {

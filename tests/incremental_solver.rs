@@ -1,7 +1,7 @@
 //! Incremental-vs-direct equivalence for the Theorem 1 solver.
 //!
 //! The table-driven batched kernel (`wcrt_over_signatures_batched`: demand
-//! prefix tables, memoized request bounds, lockstep group orbits) must be
+//! prefix tables, memoized request bounds, one orbit per signature) must be
 //! bit-identical to the per-iterate scan reference
 //! (`wcrt_over_signatures_direct`) — WCRT values *and* the full
 //! `DelayBreakdown`, including the divergent `None` outcome. The sweep
