@@ -141,45 +141,55 @@ pub(crate) fn windowed_remote_demand(
     total
 }
 
-/// Total direct blocking of a job across all its requests at window `r`:
-/// `Σ_q min(N_{i,q} · δ_q, windowed_remote_q(r) + (N_{i,q}−1) · L_{i,q})`.
-pub(crate) fn direct_blocking(
+/// The window-independent terms of a task's FIFO blocking, one
+/// `(ℓ_q, N_{i,q} · δ_q, (N_{i,q} − 1) · L^max_{i,q})` entry per requested
+/// resource in `resources()` order: what all of the job's requests can
+/// wait at `depth`, and the job's own queued sections.
+pub(crate) fn fifo_requests(
     tasks: &TaskSet,
     partition: &Partition,
-    resp: &ResponseBounds,
     i: TaskId,
     depth: QueueDepth,
-    r: Time,
-) -> Time {
+) -> Vec<(ResourceId, Time, Time)> {
     let me = tasks.task(i);
-    let mut total = Time::ZERO;
+    let mut requests = Vec::new();
     for q in me.resources() {
         let n = u64::from(me.total_requests(q));
         if n == 0 {
             continue;
         }
         let delta = per_request_delay(tasks, partition, i, q, depth);
-        let per_request_total = delta.saturating_mul(n);
         let own_len = max_mode_len(me, q);
-        let cap = windowed_remote_demand(tasks, resp, i, q, r)
-            .saturating_add(own_len.saturating_mul(n - 1));
+        requests.push((q, delta.saturating_mul(n), own_len.saturating_mul(n - 1)));
+    }
+    requests
+}
+
+/// Total direct blocking of a job across the requests of
+/// [`fifo_requests`] at window `r`:
+/// `Σ_q min(N_{i,q} · δ_q, windowed_remote_q(r) + (N_{i,q}−1) · L^max_{i,q})`.
+pub(crate) fn direct_blocking(
+    tasks: &TaskSet,
+    resp: &ResponseBounds,
+    i: TaskId,
+    requests: &[(ResourceId, Time, Time)],
+    r: Time,
+) -> Time {
+    let mut total = Time::ZERO;
+    for &(q, per_request_total, own) in requests {
+        let cap = windowed_remote_demand(tasks, resp, i, q, r).saturating_add(own);
         total = total.saturating_add(per_request_total.min(cap));
     }
     total
 }
 
 /// SPIN-SON's spin time: the total time the job's own requests can burn
-/// busy-waiting (`Σ_q N_{i,q} · δ_q` at per-processor depth), charged as
-/// intra-cluster interference.
-pub(crate) fn spin_inflation(tasks: &TaskSet, partition: &Partition, i: TaskId) -> Time {
-    let me = tasks.task(i);
-    let mut total = Time::ZERO;
-    for q in me.resources() {
-        let n = u64::from(me.total_requests(q));
-        let delta = per_request_delay(tasks, partition, i, q, QueueDepth::PerProcessor);
-        total = total.saturating_add(delta.saturating_mul(n));
-    }
-    total
+/// busy-waiting (`Σ_q N_{i,q} · δ_q` over [`fifo_requests`] at
+/// per-processor depth), charged as intra-cluster interference.
+pub(crate) fn spin_time(requests: &[(ResourceId, Time, Time)]) -> Time {
+    requests.iter().fold(Time::ZERO, |total, &(_, waits, _)| {
+        total.saturating_add(waits)
+    })
 }
 
 /// DGA's serialized per-resource blocking at window `r`:
@@ -359,14 +369,8 @@ pub(crate) mod tests {
             windowed_remote_demand(&ts, &resp, i, fig1::GLOBAL_RESOURCE, fig1::unit() * 10),
             fig1::unit() * 6
         );
-        let b = direct_blocking(
-            &ts,
-            &part,
-            &resp,
-            i,
-            QueueDepth::PerProcessor,
-            fig1::unit() * 10,
-        );
+        let requests = fifo_requests(&ts, &part, i, QueueDepth::PerProcessor);
+        let b = direct_blocking(&ts, &resp, i, &requests, fig1::unit() * 10);
         // ℓ1: min(1·3u, 6u + 0) = 3u; ℓ2: min(2·2u, 0 + 1·2u) = 2u.
         assert_eq!(b, fig1::unit() * 5);
     }
@@ -378,10 +382,11 @@ pub(crate) mod tests {
         let i = TaskId::new(0);
         let me = ts.task(i);
         let m_i = part.cluster_size(i) as u64;
+        let requests = fifo_requests(&ts, &part, i, QueueDepth::PerProcessor);
         let r = baseline_wcrt(
             me,
             m_i,
-            |r| direct_blocking(&ts, &part, &resp, i, QueueDepth::PerProcessor, r),
+            |r| direct_blocking(&ts, &resp, i, &requests, r),
             |_| Time::ZERO,
         )
         .unwrap();

@@ -51,7 +51,8 @@ use dpcp_core::{
 use dpcp_model::{Partition, Platform, TaskSet, Time};
 
 use crate::common::{
-    baseline_wcrt, direct_blocking, serialized_blocking, spin_inflation, QueueDepth, ResponseBounds,
+    baseline_wcrt, direct_blocking, fifo_requests, serialized_blocking, spin_time, QueueDepth,
+    ResponseBounds,
 };
 
 mod common;
@@ -205,21 +206,22 @@ impl SchedAnalyzer for Baseline {
             let lstar = me.longest_path_len();
             let off_path = me.wcet().saturating_sub(lstar);
             let m_i = (partition.cluster_size(i) as u64).max(1);
+            let depth = match self {
+                Baseline::SpinSon => Some(QueueDepth::PerProcessor),
+                Baseline::Lpp | Baseline::MpcpSa | Baseline::MpcpSo => Some(QueueDepth::PerJob),
+                Baseline::FedFp | Baseline::Dga => None,
+            };
+            let requests = depth.map_or_else(Vec::new, |d| fifo_requests(tasks, partition, i, d));
             let spin = match self {
-                Baseline::SpinSon => spin_inflation(tasks, partition, i),
+                Baseline::SpinSon => spin_time(&requests),
                 _ => Time::ZERO,
             };
-            let per_job = |r| direct_blocking(tasks, partition, &resp, i, QueueDepth::PerJob, r);
+            let fifo = |r| direct_blocking(tasks, &resp, i, &requests, r);
             let wcrt = match self {
                 Baseline::FedFp => Some(lstar.saturating_add(off_path.div_ceil(m_i))),
-                Baseline::SpinSon => baseline_wcrt(
-                    me,
-                    m_i,
-                    |r| direct_blocking(tasks, partition, &resp, i, QueueDepth::PerProcessor, r),
-                    |_| spin,
-                ),
-                Baseline::Lpp | Baseline::MpcpSa => baseline_wcrt(me, m_i, per_job, |_| Time::ZERO),
-                Baseline::MpcpSo => baseline_wcrt(me, m_i, per_job, |b| b),
+                Baseline::SpinSon => baseline_wcrt(me, m_i, fifo, |_| spin),
+                Baseline::Lpp | Baseline::MpcpSa => baseline_wcrt(me, m_i, fifo, |_| Time::ZERO),
+                Baseline::MpcpSo => baseline_wcrt(me, m_i, fifo, |b| b),
                 Baseline::Dga => baseline_wcrt(
                     me,
                     m_i,

@@ -1,5 +1,5 @@
-use crate::common::spin_inflation;
 use crate::common::tests::{report, setup};
+use crate::common::{fifo_requests, spin_time, QueueDepth};
 use crate::Baseline;
 use dpcp_core::{Placement, ProtocolAnalysis, SchedAnalyzer};
 use dpcp_model::{fig1, Partition, TaskId, TaskSet, Time};
@@ -18,15 +18,17 @@ fn fig1_is_schedulable_under_spin() {
 fn spin_inflation_counts_all_own_requests() {
     let (partition, tasks) = setup();
     // τ_i: ℓ1 once (δ = 3u), ℓ2 twice (δ = 2u) → 3 + 2·2 = 7u.
-    assert_eq!(
-        spin_inflation(&tasks, &partition, TaskId::new(0)),
-        fig1::unit() * 7
-    );
+    let spin_inflation = |i| {
+        spin_time(&fifo_requests(
+            &tasks,
+            &partition,
+            i,
+            QueueDepth::PerProcessor,
+        ))
+    };
+    assert_eq!(spin_inflation(TaskId::new(0)), fig1::unit() * 7);
     // τ_j: ℓ1 once (remote τ_i: min(2,1)·3u = 3u).
-    assert_eq!(
-        spin_inflation(&tasks, &partition, TaskId::new(1)),
-        fig1::unit() * 3
-    );
+    assert_eq!(spin_inflation(TaskId::new(1)), fig1::unit() * 3);
 }
 
 #[test]
