@@ -1,8 +1,10 @@
 //! The stable wire API: [`AnalysisRequest`] in, [`AnalysisVerdict`] out.
 //!
 //! Every consumer that ships an analysis across a boundary — the
-//! `dpcp-serve` HTTP server, fuzz repro bundles, harness dispatch —
-//! speaks this one DTO pair instead of an ad-hoc shape per subsystem.
+//! `dpcp-serve` HTTP server and the fuzz repro bundles — speaks this one
+//! DTO pair instead of an ad-hoc shape per subsystem. In-process sweeps
+//! (the experiment harness, the fuzz oracle) dispatch the same registry
+//! protocols on an `AnalysisSession` directly.
 //! A request names a registry protocol and carries the full analysis
 //! input (task set, platform, config, partitioning heuristic); a
 //! verdict carries the outcome plus provenance: the canonical

@@ -178,8 +178,10 @@ impl ProtocolRegistry {
     /// evaluates it under the request's configuration (the session's own
     /// config is restored afterwards) and packages the outcome as an
     /// [`AnalysisVerdict`] stamped with the request's canonical
-    /// structural key. The single dispatch point the HTTP server, the
-    /// harness and fuzz replay all share.
+    /// structural key. The HTTP server's dispatch point (through
+    /// [`respond_keyed`](Self::respond_keyed)); in-process sweeps call
+    /// [`AnalysisSession::run`] instead, since they read only whether a
+    /// set is accepted.
     ///
     /// # Errors
     ///

@@ -11,7 +11,7 @@
 use std::sync::OnceLock;
 
 use dpcp_core::partition::ResourceHeuristic;
-use dpcp_core::{AnalysisConfig, AnalysisRequest, AnalysisSession, ProtocolRegistry};
+use dpcp_core::{AnalysisConfig, AnalysisSession, ProtocolRegistry};
 use dpcp_gen::scenario::Scenario;
 use dpcp_model::{Platform, TaskSet};
 use rand::rngs::StdRng;
@@ -284,16 +284,23 @@ impl AcceptanceCurve {
 /// campaign ablation cell that only compares DPCP-p variants skips the
 /// baseline protocols entirely).
 ///
-/// Dispatch goes through the wire API: one [`AnalysisRequest`] per
-/// requested method (task set cloned once, protocol name swapped per
-/// method), answered by [`ProtocolRegistry::respond`] — the same path
-/// `dpcp-serve` serves over HTTP, so harness rows and server verdicts
-/// can never disagree. The session supplies the shared evaluation state
-/// (one cache + scratch serves all requested methods and every
-/// partitioning round inside each; the baseline protocols simply ignore
-/// it). DPCP-p methods route task sets containing light tasks
-/// (`light_fraction > 0` scenarios) through the mixed Algorithm 1 with
-/// shared light pools — Sec. VI end to end.
+/// Dispatch runs each registry protocol on the session
+/// ([`AnalysisSession::run`]), as the fuzz oracle does: the harness
+/// reads only whether a set is accepted, so it neither builds a wire
+/// request nor computes a structural key or a verdict. The registry
+/// entry is the one `dpcp-serve` answers with, so harness rows and
+/// server verdicts can never disagree. The session supplies the shared
+/// evaluation state (one cache + scratch serves all requested methods
+/// and every partitioning round inside each; the baseline protocols
+/// simply ignore it). DPCP-p methods route task sets containing light
+/// tasks (`light_fraction > 0` scenarios) through the mixed Algorithm 1
+/// with shared light pools — Sec. VI end to end.
+///
+/// # Panics
+///
+/// Panics, naming the method, on a reader-writer task set for a
+/// write-only protocol: manifest validation rejects such pairings up
+/// front, so one reaching this point is a harness bug.
 fn evaluate_task_set(
     tasks: &TaskSet,
     platform: &Platform,
@@ -302,27 +309,17 @@ fn evaluate_task_set(
     session: &mut AnalysisSession,
 ) -> [bool; Method::COUNT] {
     let registry = standard_registry();
-    let mut request = AnalysisRequest {
-        schema: None,
-        protocol: String::new(),
-        tasks: tasks.clone(),
-        platform: *platform,
-        config: session.config().clone(),
-        heuristic,
-    };
     let mut out = [false; Method::COUNT];
     for &method in methods {
-        registry
-            .entry(method.index())
-            .name()
-            .clone_into(&mut request.protocol);
-        // `respond` refuses reader-writer task sets on write-only
-        // protocols; manifest validation rejects such pairings up front,
-        // so a refusal here is a harness bug worth naming loudly.
-        let verdict = registry
-            .respond(session, &request)
-            .unwrap_or_else(|e| panic!("registry refused method '{}': {e}", method.name()));
-        out[method.index()] = verdict.schedulable;
+        let protocol = registry.entry(method.index());
+        assert!(
+            protocol.supports_rw() || !tasks.has_reads(),
+            "method '{}' is write-only and cannot analyze a task set with read requests",
+            method.name()
+        );
+        out[method.index()] = session
+            .run(protocol, tasks, platform, heuristic)
+            .is_schedulable();
     }
     out
 }
