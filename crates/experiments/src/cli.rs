@@ -1,14 +1,14 @@
-//! Shared CLI flags for the sweep-style binaries.
+//! Shared CLI flags for the sweep binaries.
 //!
-//! `campaign`, `fuzz` and the serve binaries (`dpcp-serve`,
-//! `serve-loadgen`) all take the same core flags — `--manifest PATH`,
-//! `--out DIR`, `--final DIR`, `--shard i/n`, `--quick` — and used to
-//! carry one hand-rolled copy of the parsing each. [`SweepArgs`] is the
-//! single copy: a binary's argument loop *offers* every flag to
-//! [`SweepArgs::try_flag`] first and only matches binary-specific flags
-//! itself, so the shared surface can never drift between binaries. The
-//! `run`/`merge` subcommands of `campaign` and `fuzz` share
-//! [`SweepArgs::run_shard`] and [`SweepArgs::merge`] the same way.
+//! `campaign` and `fuzz` take the same core flags — `--manifest PATH`,
+//! `--out DIR`, `--final DIR`, `--shard i/n`, `--quick`. [`SweepArgs`] is
+//! the single copy of their parsing: a binary's argument loop *offers*
+//! every flag to [`SweepArgs::try_flag`] first and only matches
+//! binary-specific flags itself, so the shared surface can never drift
+//! between the two. Their `run`/`merge` subcommands share
+//! [`SweepArgs::run_shard`] and [`SweepArgs::merge`] the same way. The
+//! serve binaries (`dpcp-serve`, `serve-loadgen`) run no sweep, so they
+//! parse their own few flags and refuse the rest.
 //!
 //! ```
 //! use dpcp_experiments::cli::SweepArgs;

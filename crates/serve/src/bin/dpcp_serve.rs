@@ -6,12 +6,11 @@
 //!
 //! Binds, prints the resolved address (one `listening on` line, so CI
 //! can scrape the port from `--addr 127.0.0.1:0`), then serves until
-//! killed. `--quick` is the shared CI-scale flag: a small worker pool
-//! and cache for smoke jobs.
+//! killed. `--quick` is the CI-scale flag: a small worker pool and cache
+//! for smoke jobs. Any other argument is a usage error (exit code 2).
 
 use std::process::ExitCode;
 
-use dpcp_experiments::cli::SweepArgs;
 use dpcp_serve::{ServeConfig, Server};
 
 fn usage() -> ! {
@@ -24,18 +23,11 @@ fn usage() -> ! {
 
 fn parse_args() -> ServeConfig {
     let mut it = std::env::args().skip(1);
-    let mut shared = SweepArgs::new();
+    let mut quick = false;
     let mut config = ServeConfig::default();
     while let Some(flag) = it.next() {
-        match shared.try_flag(&flag, &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
         match flag.as_str() {
+            "--quick" => quick = true,
             "--addr" => config.addr = it.next().unwrap_or_else(|| usage()),
             "--workers" => {
                 config.workers = it
@@ -52,7 +44,7 @@ fn parse_args() -> ServeConfig {
             _ => usage(),
         }
     }
-    if shared.quick {
+    if quick {
         config.workers = config.workers.min(2);
         config.cache_capacity = config.cache_capacity.min(64);
     }

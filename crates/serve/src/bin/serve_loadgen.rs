@@ -20,14 +20,17 @@
 //! `Connection: keep-alive` (and makes `--expect-hits` additionally
 //! assert that at least one request actually rode a reused connection);
 //! the report carries the opened/reused connection counters either way.
+//!
+//! Any other argument is a usage error (exit code 2).
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dpcp_experiments::cli::SweepArgs;
 use dpcp_serve::{loadgen, LoadgenConfig, ServeConfig, Server};
 
 struct Args {
-    shared: SweepArgs,
+    quick: bool,
+    out: PathBuf,
     addr: Option<String>,
     seed: Option<u64>,
     expect_hits: bool,
@@ -46,7 +49,8 @@ fn usage() -> ! {
 fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     let mut args = Args {
-        shared: SweepArgs::new(),
+        quick: false,
+        out: PathBuf::from("results/serve/load_report.json"),
         addr: None,
         seed: None,
         expect_hits: false,
@@ -54,15 +58,9 @@ fn parse_args() -> Args {
         keep_alive: false,
     };
     while let Some(flag) = it.next() {
-        match args.shared.try_flag(&flag, &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
         match flag.as_str() {
+            "--quick" => args.quick = true,
+            "--out" => args.out = PathBuf::from(it.next().unwrap_or_else(|| usage())),
             "--addr" => args.addr = Some(it.next().unwrap_or_else(|| usage())),
             "--seed" => {
                 args.seed = Some(
@@ -88,7 +86,7 @@ fn parse_args() -> Args {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let mut config = if args.shared.quick {
+    let mut config = if args.quick {
         LoadgenConfig::quick()
     } else {
         LoadgenConfig::full()
@@ -154,7 +152,7 @@ fn main() -> ExitCode {
         report.connections_reused
     );
 
-    let out = args.shared.out_or("results/serve", "load_report.json");
+    let out = &args.out;
     if let Some(parent) = out.parent() {
         if let Err(e) = std::fs::create_dir_all(parent) {
             eprintln!("serve-loadgen: create {}: {e}", parent.display());
@@ -162,7 +160,7 @@ fn main() -> ExitCode {
         }
     }
     let text = serde_json::to_string_pretty(&report).expect("reports always serialize");
-    if let Err(e) = std::fs::write(&out, text) {
+    if let Err(e) = std::fs::write(out, text) {
         eprintln!("serve-loadgen: write {}: {e}", out.display());
         return ExitCode::FAILURE;
     }

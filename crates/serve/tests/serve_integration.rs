@@ -687,3 +687,55 @@ fn metrics_and_healthz_respond() {
 
     server.shutdown();
 }
+
+/// The exit code of `child` if it exits within `limit`; otherwise the
+/// child is killed and reaped, and the answer is `None`.
+fn exit_code_within(mut child: std::process::Child, limit: std::time::Duration) -> Option<i32> {
+    let deadline = std::time::Instant::now() + limit;
+    loop {
+        if let Some(status) = child.try_wait().expect("child status") {
+            return status.code();
+        }
+        if std::time::Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            return None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn serve_binaries_refuse_undocumented_flags_with_exit_code_2() {
+    use std::process::{Command, Stdio};
+    let limit = std::time::Duration::from_secs(5);
+    // A sweep flag on the server: a usage error, not a server that ignores it.
+    let serve = Command::new(env!("CARGO_BIN_EXE_dpcp-serve"))
+        .args(["--addr", "127.0.0.1:0", "--shard", "0/2"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn dpcp-serve");
+    assert_eq!(
+        exit_code_within(serve, limit),
+        Some(2),
+        "dpcp-serve --shard"
+    );
+    // The load generator keeps `--quick` and `--out` but refuses `--final`.
+    let out = std::env::temp_dir().join(format!("loadgen-flags-{}.json", std::process::id()));
+    let loadgen = Command::new(env!("CARGO_BIN_EXE_serve-loadgen"))
+        .arg("--quick")
+        .arg("--out")
+        .arg(&out)
+        .args(["--final", "d"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve-loadgen");
+    assert_eq!(
+        exit_code_within(loadgen, limit),
+        Some(2),
+        "serve-loadgen --final"
+    );
+    let _ = std::fs::remove_file(out);
+}
